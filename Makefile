@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint analyze fmt-check bench bench-sim sim-smoke manifest-smoke sweep-smoke serve-smoke conform-smoke fuzz-smoke overhead-smoke docs-check cover clean
+.PHONY: all build test race vet lint analyze fmt-check bench bench-sim sim-smoke manifest-smoke sweep-smoke serve-smoke results-check conform-smoke fuzz-smoke overhead-smoke docs-check cover clean
 
 all: build test
 
@@ -119,6 +119,13 @@ sweep-smoke:
 serve-smoke:
 	$(GO) run ./tools/servesmoke
 
+# Regenerate every figure and table with the experiment runner and
+# require byte-identical output to the committed results_full.txt
+# (about 5 minutes on 2 vCPUs).
+results-check:
+	$(GO) run ./cmd/tagseval -all > results-check.txt
+	cmp results-check.txt results_full.txt
+
 # Dead-link check over the documentation set (tools/doccheck): every
 # relative link and heading anchor in the markdown must resolve.
 docs-check:
@@ -131,5 +138,5 @@ clean:
 		sim-smoke.jsonl sim-cal.json sim-heap.json sim-cal.txt sim-heap.txt \
 		sim-cal-stats.txt sim-heap-stats.txt \
 		sweep-clean.jsonl sweep-resume.jsonl sweep-run.json conform-run.json coverage.out \
-		analyze.json analyze-manifest.json
+		analyze.json analyze-manifest.json results-check.txt
 	rm -rf conform-repros

@@ -303,10 +303,7 @@ func runLint(modelName, src string, jsonOut bool, manifestPath string, args []st
 func solveSteady(c *ctmc.Chain, solver string, opts linalg.Options) ([]float64, error) {
 	switch solver {
 	case "auto":
-		if opts.Stats == nil && opts.Metrics == nil && opts.Workers <= 1 {
-			return c.SteadyState()
-		}
-		return c.SteadyStateAuto(opts)
+		return linalg.SteadyState(c.Generator(), opts)
 	case "gth":
 		return linalg.SteadyStateGTH(c.Generator().ToDense())
 	case "power":

@@ -306,7 +306,7 @@ func solverBattery(c *ctmc.Chain, piRef []float64, res *result) {
 		{"jacobi", func() ([]float64, error) { return linalg.SteadyStateJacobi(q, iter) }},
 		{"gauss-seidel", func() ([]float64, error) { return linalg.SteadyStateGaussSeidel(q, iter) }},
 		{"sor-0.9", func() ([]float64, error) { return linalg.SteadyStateGaussSeidel(q, sor) }},
-		{"auto", func() ([]float64, error) { return c.SteadyStateAuto(linalg.Options{Eps: 1e-13}) }},
+		{"auto", func() ([]float64, error) { return linalg.SteadyState(c.Generator(), linalg.Options{Eps: 1e-13}) }},
 	}
 	for _, s := range solvers {
 		res.ran(OracleSolverPairwise)

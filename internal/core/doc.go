@@ -7,16 +7,25 @@
 //     state space of Figure 3) and as generated PEPA source
 //     (PEPASource, the Appendix A model) — the two are
 //     cross-validated state-for-state in tests.
-//   - TAGH2 (NewTAGH2): the hyperexponential-demand variant
-//     (Section 3.2 / Figure 5), where the node-1 queue tracks the
-//     service phase of the job in service.
+//   - The TAG family: TAGH2 (H2 demand, Section 3.2 / Figure 5),
+//     TAGHetero (heterogeneous nodes, optionally serving a lone job to
+//     completion), TAGExpMMPP and TAGH2MMPP (Section 7's bursty MMPP-2
+//     arrivals) and TAGMultiNode (more than two nodes). Each is a
+//     parameterisation of one product derivation (product.go): the
+//     arrival phase times, per node, the queue length and the head
+//     job's H2 branch, stage (repeat or race) and timer phase. Measures
+//     read queue lengths from the decoded product states, and one
+//     absorbing chain (tagged.go) gives the tagged-job response of
+//     TAGExp and of either TAGH2 class.
+//   - TAGExp is the oracle the product derivation is tested against:
+//     its own derivation and label-decoded measures stay independent,
+//     and internal/conform asserts the product at TAGExp's parameters
+//     gives the same generator up to relabelling.
 //   - RandomAlloc: Bernoulli splitting to independent M/M/1/K queues,
 //     the paper's baseline, validated against the closed form in
 //     internal/queueing.
 //   - ShortestQueue (and its H2 variant): join-the-shortest-queue,
 //     the strongest conventional competitor (Appendix B PEPA model).
-//   - MultiNode: the >2-node TAG generalisation discussed in the
-//     paper's outlook.
 //
 // Each model offers Build (the ctmc.Chain) and Analyze, which solves
 // for the stationary distribution and fills Measures — mean queue

@@ -62,145 +62,25 @@ func NewTAGExpMMPP(arr MMPP2, mu, t float64, n, k1, k2 int) TAGExpMMPP {
 	return TAGExpMMPP{Arrivals: arr, Mu: mu, T: t, N: n, K1: k1, K2: k2}
 }
 
-type tagMMPPState struct {
-	tagExpState
-	phase int // arrival phase 0 or 1
+// bind sets the arrival phase rates (Lambda/Lambda2) and switch rates
+// of a binding.
+func (a MMPP2) bind(v RateValues) RateValues {
+	v.Lambda, v.Lambda2, v.Switch1, v.Switch2 = a.Rate1, a.Rate2, a.Switch1, a.Switch2
+	return v
 }
 
-func (s tagMMPPState) label() string {
-	return fmt.Sprintf("P%d|%s", s.phase, s.tagExpState.label())
+func (m TAGExpMMPP) product() tagProduct {
+	return tagProduct{shape: Shape{Kind: "tagexpmmpp", Phases: m.N, K1: m.K1, K2: m.K2}, phases: m.N, mmpp: true,
+		rates: m.Arrivals.bind(RateValues{Mu: m.Mu, T: m.T}), nodes: twoNode(m.N, m.K1, m.K2, false)}
 }
 
 // Build derives the CTMC (the Poisson model's space times the two
-// arrival phases).
-func (m TAGExpMMPP) Build() *ctmc.Chain {
-	top := m.N - 1
-	b := ctmc.NewBuilder()
-	init := tagMMPPState{tagExpState: tagExpState{tm1: top, tm2: top}}
-	frontier := []tagMMPPState{init}
-	b.State(init.label())
-	type edge struct {
-		from, to tagMMPPState
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	rates := [2]float64{m.Arrivals.Rate1, m.Arrivals.Rate2}
-	switches := [2]float64{m.Arrivals.Switch1, m.Arrivals.Switch2}
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		emit := func(to tagMMPPState, rate float64, action string) {
-			if rate <= 0 {
-				return
-			}
-			if !b.HasState(to.label()) {
-				b.State(to.label())
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: s, to: to, rate: rate, action: action})
-		}
-
-		// Phase flip.
-		flip := s
-		flip.phase = 1 - s.phase
-		emit(flip, switches[s.phase], "switch")
-
-		// Node 1 with the phase-dependent arrival rate.
-		lambda := rates[s.phase]
-		if lambda > 0 {
-			if s.q1 < m.K1 {
-				to := s
-				to.q1++
-				emit(to, lambda, ActArrival)
-			} else {
-				emit(s, lambda, ActLossArrival)
-			}
-		}
-		if s.q1 > 0 {
-			to := s
-			to.q1--
-			to.tm1 = top
-			emit(to, m.Mu, ActService1)
-			if s.tm1 > 0 {
-				to := s
-				to.tm1--
-				emit(to, m.T, ActTick1)
-			} else {
-				to := s
-				to.q1--
-				to.tm1 = top
-				if s.q2 < m.K2 {
-					to.q2++
-					emit(to, m.T, ActTimeout)
-				} else {
-					emit(to, m.T, ActLossTransfer)
-				}
-			}
-		}
-
-		// Node 2 (identical to the Poisson model).
-		if s.q2 > 0 {
-			if !s.sv2 {
-				if s.tm2 > 0 {
-					to := s
-					to.tm2--
-					emit(to, m.T, ActTick2)
-				} else {
-					to := s
-					to.sv2 = true
-					to.tm2 = top
-					emit(to, m.T, ActRepeatService)
-				}
-			} else {
-				to := s
-				to.q2--
-				to.sv2 = false
-				emit(to, m.Mu, ActService2)
-			}
-		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from.label()), b.State(e.to.label()), e.rate, e.action)
-	}
-	return b.Build()
-}
+// arrival phases). An arrival rate of zero removes that phase's
+// arrival edges.
+func (m TAGExpMMPP) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.
-func (m TAGExpMMPP) Analyze() (Measures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := make([]tagMMPPState, c.NumStates())
-	for i := range states {
-		var s tagMMPPState
-		var sv string
-		lbl := c.Label(i)
-		if _, err := fmt.Sscanf(lbl, "P%d|Q1_%d.T1_%d|", &s.phase, &s.q1, &s.tm1); err != nil {
-			return Measures{}, fmt.Errorf("core: decode %q: %w", lbl, err)
-		}
-		tail := lbl[lastIndexOf(lbl, '|')+1:]
-		if _, err := fmt.Sscanf(tail, "Q2_%d%1s.T2_%d", &s.q2, &sv, &s.tm2); err != nil {
-			return Measures{}, fmt.Errorf("core: decode %q: %w", lbl, err)
-		}
-		s.sv2 = sv == "s"
-		states[i] = s
-	}
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
-	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m TAGExpMMPP) Analyze() (Measures, error) { return m.product().analyze() }
 
 // ShortestQueueMMPP is the JSQ baseline under the same MMPP-2
 // arrivals, for like-for-like burstiness comparisons.
@@ -316,13 +196,4 @@ func (m ShortestQueueMMPP) Analyze() (Measures, error) {
 	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
 	out.finish()
 	return out, nil
-}
-
-func lastIndexOf(s string, c byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
 }

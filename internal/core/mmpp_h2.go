@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"pepatags/internal/ctmc"
 	"pepatags/internal/dist"
 )
@@ -37,163 +35,15 @@ func (m TAGH2MMPP) AlphaPrime() float64 {
 	return dist.ResidualH2AfterErlang(m.Service, m.N, m.T).Alpha[0]
 }
 
-type tagH2MMPPState struct {
-	phase int
-	tagH2State
+func (m TAGH2MMPP) product() tagProduct {
+	h2 := TAGH2{Service: m.Service, T: m.T, N: m.N}.RateValues()
+	return tagProduct{shape: Shape{Kind: "tagh2mmpp", Phases: m.N, K1: m.K1, K2: m.K2}, phases: m.N, mmpp: true,
+		rates: m.Arrivals.bind(h2), nodes: twoNode(m.N, m.K1, m.K2, true)}
 }
 
-func (s tagH2MMPPState) label() string {
-	return fmt.Sprintf("P%d|%s", s.phase, s.tagH2State.label())
-}
-
-// Build derives the CTMC.
-func (m TAGH2MMPP) Build() *ctmc.Chain {
-	top := m.N - 1
-	alpha := m.Service.Alpha[0]
-	mu := [3]float64{0, m.Service.Mu[0], m.Service.Mu[1]}
-	ap := m.AlphaPrime()
-	rates := [2]float64{m.Arrivals.Rate1, m.Arrivals.Rate2}
-	switches := [2]float64{m.Arrivals.Switch1, m.Arrivals.Switch2}
-
-	b := ctmc.NewBuilder()
-	init := tagH2MMPPState{tagH2State: tagH2State{tm1: top, tm2: top}}
-	b.State(init.label())
-	frontier := []tagH2MMPPState{init}
-	type edge struct {
-		from, to tagH2MMPPState
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		emit := func(to tagH2MMPPState, rate float64, action string) {
-			if rate <= 0 {
-				return
-			}
-			if !b.HasState(to.label()) {
-				b.State(to.label())
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: s, to: to, rate: rate, action: action})
-		}
-		departNode1 := func(base tagH2MMPPState, rate float64, action string) {
-			base.q1 = s.q1 - 1
-			base.tm1 = top
-			if base.q1 == 0 {
-				base.ty1 = 0
-				emit(base, rate, action)
-				return
-			}
-			short := base
-			short.ty1 = 1
-			emit(short, rate*alpha, action)
-			long := base
-			long.ty1 = 2
-			emit(long, rate*(1-alpha), action)
-		}
-
-		// Phase flip.
-		flip := s
-		flip.phase = 1 - s.phase
-		emit(flip, switches[s.phase], "switch")
-
-		// Node 1 with phase-dependent arrivals.
-		lambda := rates[s.phase]
-		if lambda > 0 {
-			if s.q1 < m.K1 {
-				to := s
-				to.q1++
-				if s.q1 == 0 {
-					short := to
-					short.ty1 = 1
-					emit(short, lambda*alpha, ActArrival)
-					long := to
-					long.ty1 = 2
-					emit(long, lambda*(1-alpha), ActArrival)
-				} else {
-					emit(to, lambda, ActArrival)
-				}
-			} else {
-				emit(s, lambda, ActLossArrival)
-			}
-		}
-		if s.q1 > 0 {
-			departNode1(s, mu[s.ty1], ActService1)
-			if s.tm1 > 0 {
-				to := s
-				to.tm1--
-				emit(to, m.T, ActTick1)
-			} else {
-				to := s
-				if s.q2 < m.K2 {
-					to.q2++
-					departNode1(to, m.T, ActTimeout)
-				} else {
-					departNode1(to, m.T, ActLossTransfer)
-				}
-			}
-		}
-
-		// Node 2.
-		if s.q2 > 0 {
-			switch s.sv2 {
-			case 0:
-				if s.tm2 > 0 {
-					to := s
-					to.tm2--
-					emit(to, m.T, ActTick2)
-				} else {
-					short := s
-					short.sv2 = 1
-					short.tm2 = top
-					emit(short, m.T*ap, ActRepeatService)
-					long := s
-					long.sv2 = 2
-					long.tm2 = top
-					emit(long, m.T*(1-ap), ActRepeatService)
-				}
-			default:
-				to := s
-				to.q2--
-				to.sv2 = 0
-				emit(to, mu[s.sv2], ActService2)
-			}
-		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from.label()), b.State(e.to.label()), e.rate, e.action)
-	}
-	return b.Build()
-}
+// Build derives the CTMC (the Figure 5 model's space times the two
+// arrival phases).
+func (m TAGH2MMPP) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.
-func (m TAGH2MMPP) Analyze() (Measures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := make([]tagH2MMPPState, c.NumStates())
-	for i := range states {
-		var s tagH2MMPPState
-		if _, err := fmt.Sscanf(c.Label(i), "P%d|Q1_%d.%d.T1_%d|Q2_%d.%d.T2_%d",
-			&s.phase, &s.q1, &s.ty1, &s.tm1, &s.q2, &s.sv2, &s.tm2); err != nil {
-			return Measures{}, fmt.Errorf("core: decode %q: %w", c.Label(i), err)
-		}
-		states[i] = s
-	}
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
-	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m TAGH2MMPP) Analyze() (Measures, error) { return m.product().analyze() }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pepatags/internal/ctmc"
-	"pepatags/internal/numeric"
 )
 
 // TAGMultiNode extends the paper's two-node model to M >= 2 nodes with
@@ -45,140 +44,25 @@ func (m TAGMultiNode) validate() {
 	}
 }
 
-// nodeState describes one node's queue and its head-of-line job:
-// stage 0 = repeating prior work (phase counts down repeat phases),
-// stage 1 = racing service against the local timeout (phase = timer).
-type nodeState struct {
-	q     int
-	stage int
-	phase int
-}
-
-type multiState []nodeState
-
-func (s multiState) label() string {
-	out := make([]byte, 0, len(s)*8)
-	for i, n := range s {
-		if i > 0 {
-			out = append(out, '|')
-		}
-		out = append(out, fmt.Sprintf("%d.%d.%d", n.q, n.stage, n.phase)...)
+// product chains the nodes: node j repeats j*N phases of upstream work
+// and, unless it is the last, times out into node j+1.
+func (m TAGMultiNode) product() tagProduct {
+	m.validate()
+	nodes := make([]nodeSpec, len(m.K))
+	for j, k := range m.K {
+		nodes[j] = nodeSpec{k: k, repeat: j * m.N, timeout: j < len(m.K)-1, clock: SlotT,
+			mu: []RateSlot{SlotMu}, branch: []Coeff{CoeffOne}, act: nodeActions{
+				service: fmt.Sprintf("service%d", j), tick: fmt.Sprintf("tick%d", j),
+				timeout: fmt.Sprintf("transfer%d", j), repeat: fmt.Sprintf("repeat%d", j),
+				begin: fmt.Sprintf("beginservice%d", j)}}
 	}
-	return string(out)
-}
-
-func (s multiState) clone() multiState {
-	c := make(multiState, len(s))
-	copy(c, s)
-	return c
-}
-
-// repeatPhases is the length of node j's repeat Erlang.
-func (m TAGMultiNode) repeatPhases(j int) int { return j * m.N }
-
-// freshHead initialises node j's head stage after a new job reaches
-// the server.
-func (m TAGMultiNode) freshHead(j int) (stage, phase int) {
-	if j == 0 {
-		return 1, m.N - 1 // no repeat at node 0; start the race
-	}
-	return 0, m.repeatPhases(j) - 1
+	return tagProduct{shape: Shape{Kind: "tagmultinode", Phases: m.N, K1: m.K[0], K2: m.K[1]}, phases: m.N,
+		rates: RateValues{Lambda: m.Lambda, Mu: m.Mu, T: m.T}, nodes: nodes}
 }
 
 // Build explores the reachable CTMC. State spaces grow quickly with M,
 // N and K; intended for small configurations.
-func (m TAGMultiNode) Build() *ctmc.Chain {
-	m.validate()
-	nodes := len(m.K)
-	b := ctmc.NewBuilder()
-	init := make(multiState, nodes)
-	for j := range init {
-		st, ph := m.freshHead(j)
-		init[j] = nodeState{q: 0, stage: st, phase: ph}
-	}
-	b.State(init.label())
-	frontier := []multiState{init}
-	type edge struct {
-		from, to string
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		from := s.label()
-		emit := func(to multiState, rate float64, action string) {
-			l := to.label()
-			if !b.HasState(l) {
-				b.State(l)
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: from, to: l, rate: rate, action: action})
-		}
-		// push moves a job into node j (or drops it when full).
-		push := func(to multiState, j int, rate float64, action, lossAction string) {
-			if to[j].q < m.K[j] {
-				to[j].q++
-				if to[j].q == 1 {
-					st, ph := m.freshHead(j)
-					to[j].stage, to[j].phase = st, ph
-				}
-				emit(to, rate, action)
-			} else {
-				emit(to, rate, lossAction)
-			}
-		}
-
-		// External arrivals at node 0.
-		push(s.clone(), 0, m.Lambda, ActArrival, ActLossArrival)
-
-		for j := 0; j < nodes; j++ {
-			if s[j].q == 0 {
-				continue
-			}
-			last := j == nodes-1
-			if s[j].stage == 0 {
-				// Repeat period.
-				to := s.clone()
-				if s[j].phase > 0 {
-					to[j].phase--
-					emit(to, m.T, fmt.Sprintf("repeat%d", j))
-				} else {
-					to[j].stage = 1
-					to[j].phase = m.N - 1
-					emit(to, m.T, fmt.Sprintf("beginservice%d", j))
-				}
-				continue
-			}
-			// Racing stage: service always enabled. The head is reset
-			// even when the queue empties so the idle state is canonical.
-			done := s.clone()
-			done[j].q--
-			st, ph := m.freshHead(j)
-			done[j].stage, done[j].phase = st, ph
-			emit(done, m.Mu, fmt.Sprintf("service%d", j))
-			if !last {
-				if s[j].phase > 0 {
-					to := s.clone()
-					to[j].phase--
-					emit(to, m.T, fmt.Sprintf("tick%d", j))
-				} else {
-					// Timeout: kill and restart at node j+1.
-					to := s.clone()
-					to[j].q--
-					st, ph := m.freshHead(j)
-					to[j].stage, to[j].phase = st, ph
-					push(to, j+1, m.T, fmt.Sprintf("transfer%d", j), ActLossTransfer)
-				}
-			}
-		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from), b.State(e.to), e.rate, e.action)
-	}
-	return b.Build()
-}
+func (m TAGMultiNode) Build() *ctmc.Chain { return m.product().build() }
 
 // MultiMeasures are the stationary measures of the multi-node system.
 type MultiMeasures struct {
@@ -192,48 +76,6 @@ type MultiMeasures struct {
 
 // Analyze solves the model.
 func (m TAGMultiNode) Analyze() (MultiMeasures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return MultiMeasures{}, err
-	}
-	nodes := len(m.K)
-	// Decode queue lengths from labels.
-	qs := make([][]int, c.NumStates())
-	for i := range qs {
-		lbl := c.Label(i)
-		qs[i] = make([]int, nodes)
-		part := 0
-		val := 0
-		field := 0
-		for k := 0; k <= len(lbl); k++ {
-			if k == len(lbl) || lbl[k] == '|' {
-				part++
-				field, val = 0, 0
-				continue
-			}
-			if lbl[k] == '.' {
-				if field == 0 {
-					qs[i][part] = val
-				}
-				field++
-				val = 0
-				continue
-			}
-			val = val*10 + int(lbl[k]-'0')
-		}
-	}
-	out := MultiMeasures{States: c.NumStates(), L: make([]float64, nodes)}
-	var acc numeric.Accumulator
-	for j := 0; j < nodes; j++ {
-		out.L[j] = c.Expectation(pi, func(s int) float64 { return float64(qs[s][j]) })
-		acc.Add(out.L[j])
-		out.Throughput += c.ActionThroughput(pi, fmt.Sprintf("service%d", j))
-	}
-	out.LTotal = acc.Sum()
-	out.Loss = c.ActionThroughput(pi, ActLossArrival) + c.ActionThroughput(pi, ActLossTransfer)
-	if out.Throughput > 0 {
-		out.W = out.LTotal / out.Throughput
-	}
-	return out, nil
+	p := m.product()
+	return p.multiMeasures(p.build())
 }

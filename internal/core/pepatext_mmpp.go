@@ -40,8 +40,11 @@ func (m TAGExpMMPP) PEPASource() string {
 		w("QA%d = (arrival, T).QA%d + (service1, mu).QA%d + (timeout, T).QA%d + (tick1, T).QA%d;\n",
 			i, i+1, i-1, i-1, i)
 	}
-	w("QA%d = (service1, mu).QA%d + (timeout, T).QA%d + (tick1, T).QA%d;\n\n",
-		m.K1, m.K1-1, m.K1-1, m.K1)
+	// Arrivals at a full queue are dropped. Without an arrival at
+	// QA{K1} the source's arrival would block, wrongly pausing the
+	// source; the arrival self-loop models the drop.
+	w("QA%d = (arrival, T).QA%d + (service1, mu).QA%d + (timeout, T).QA%d + (tick1, T).QA%d;\n\n",
+		m.K1, m.K1, m.K1-1, m.K1-1, m.K1)
 
 	w("TimerA0 = (timeout, t).TimerA%d + (service1, T).TimerA%d;\n", top, top)
 	for i := 1; i <= top; i++ {
@@ -63,18 +66,7 @@ func (m TAGExpMMPP) PEPASource() string {
 	}
 	w("\n")
 
-	// Note: arrivals at a full queue are dropped. QA{K1} offers no
-	// arrival, so the source's arrival would block rather than drop;
-	// blocking would wrongly pause the source. The drop is modelled by
-	// giving QA{K1} an arrival self-loop.
 	w("// full-queue drop: arrival self-loop at QA%d\n", m.K1)
-	sb2 := strings.Replace(sb.String(),
-		fmt.Sprintf("QA%d = (service1, mu)", m.K1),
-		fmt.Sprintf("QA%d = (arrival, T).QA%d + (service1, mu)", m.K1, m.K1), 1)
-	sb.Reset()
-	sb.WriteString(sb2)
-	w = func(format string, args ...any) { fmt.Fprintf(&sb, format, args...) }
-
 	w("(Src0 <arrival> (TimerA%d <timeout, service1, tick1> QA0)) <timeout> (TimerB%d <repeatservice, tick2> QB0)\n",
 		top, top)
 	return sb.String()

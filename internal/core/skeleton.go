@@ -37,6 +37,17 @@ const (
 	// SlotMu1 and SlotMu2 are the H2 branch service rates (TAGH2).
 	SlotMu1
 	SlotMu2
+	// SlotNode2Mu and SlotNode2T are node 2's service and clock phase
+	// rates when they differ from node 1's (TAGHetero).
+	SlotNode2Mu
+	SlotNode2T
+	// SlotLambda2 is the phase-2 arrival rate of MMPP-2 arrivals (the
+	// phase-1 rate is SlotLambda); SlotSwitch1 and SlotSwitch2 are the
+	// phase flip rates 1 -> 2 and 2 -> 1.
+	SlotLambda2
+	SlotSwitch1
+	SlotSwitch2
+	numSlots
 )
 
 // Coeff identifies the branch-probability factor multiplying the slot
@@ -57,7 +68,8 @@ const (
 // RateValues binds numeric values to the rate slots and branch
 // coefficients of a shape. Only the fields a model kind uses are
 // meaningful (TAGExp reads Lambda/Mu/T; TAGH2 reads Lambda/T/Mu1/Mu2
-// and the two branch probabilities).
+// and the two branch probabilities; the other variants add node-2 and
+// MMPP-2 rates).
 type RateValues struct {
 	Lambda float64
 	Mu     float64
@@ -65,38 +77,21 @@ type RateValues struct {
 	Mu1    float64
 	Mu2    float64
 
+	Node2Mu, Node2T           float64
+	Lambda2, Switch1, Switch2 float64
+
 	Alpha      float64
 	AlphaPrime float64
 }
 
-func (v RateValues) slot(s RateSlot) float64 {
-	switch s {
-	case SlotLambda:
-		return v.Lambda
-	case SlotMu:
-		return v.Mu
-	case SlotT:
-		return v.T
-	case SlotMu1:
-		return v.Mu1
-	default:
-		return v.Mu2
-	}
+// slots returns the slot values indexed by RateSlot.
+func (v RateValues) slots() [numSlots]float64 {
+	return [numSlots]float64{v.Lambda, v.Mu, v.T, v.Mu1, v.Mu2, v.Node2Mu, v.Node2T, v.Lambda2, v.Switch1, v.Switch2}
 }
 
-func (v RateValues) coeff(c Coeff) float64 {
-	switch c {
-	case CoeffAlpha:
-		return v.Alpha
-	case CoeffOneMinusAlpha:
-		return 1 - v.Alpha
-	case CoeffAlphaPrime:
-		return v.AlphaPrime
-	case CoeffOneMinusAlphaPrime:
-		return 1 - v.AlphaPrime
-	default:
-		return 1
-	}
+// coeffs returns the branch coefficients indexed by Coeff.
+func (v RateValues) coeffs() [numCoeffs]float64 {
+	return [numCoeffs]float64{1, v.Alpha, 1 - v.Alpha, v.AlphaPrime, 1 - v.AlphaPrime}
 }
 
 // zeroMask returns the degeneracy class of the branch coefficients:
@@ -104,8 +99,8 @@ func (v RateValues) coeff(c Coeff) float64 {
 // removes its edges from the reachable structure.
 func (v RateValues) zeroMask() uint8 {
 	var m uint8
-	for c := Coeff(1); c < numCoeffs; c++ {
-		if v.coeff(c) == 0 { //vet:allow floatcmp: structural sparsity mask
+	for c, x := range v.coeffs() {
+		if x == 0 { //vet:allow floatcmp: structural sparsity mask
 			m |= 1 << c
 		}
 	}
@@ -120,7 +115,8 @@ func (v RateValues) zeroMask() uint8 {
 // test asserts both directions), so Key is a sound content address for
 // caching derived structure.
 type Shape struct {
-	// Kind is "tagexp" or "tagh2".
+	// Kind names the model: "tagexp", "tagh2", "taghetero",
+	// "tagexpmmpp", "tagh2mmpp" or "tagmultinode".
 	Kind string
 	// Phases is the number of exponential stages in the timeout clock
 	// (N, or N+1 under TAGExp's LiteralFigure3 semantics).
@@ -187,10 +183,11 @@ func (sk *Skeleton) Instantiate(v RateValues) (*ctmc.Chain, error) {
 		}
 	}
 	trs := make([]ctmc.Transition, len(sk.Edges))
+	slots, coeffs := v.slots(), v.coeffs()
 	for i, e := range sk.Edges {
-		r := v.slot(e.Slot)
+		r := slots[e.Slot]
 		if e.Coeff != CoeffOne {
-			r = r * v.coeff(e.Coeff)
+			r = r * coeffs[e.Coeff]
 		}
 		if !(r > 0) {
 			return nil, fmt.Errorf("core: non-positive rate %g for action %q (slot %d, coeff %d)", r, e.Action, e.Slot, e.Coeff)
@@ -201,7 +198,7 @@ func (sk *Skeleton) Instantiate(v RateValues) (*ctmc.Chain, error) {
 }
 
 // skeletonBuilder accumulates states and symbolic edges during the BFS
-// derivations in tagexp.go / tagh2.go.
+// derivations in tagexp.go / product.go.
 type skeletonBuilder struct {
 	labels []string
 	index  map[string]int

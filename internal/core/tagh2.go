@@ -58,19 +58,6 @@ func (m TAGH2) AlphaPrime() float64 {
 // total timeout duration N/T.
 func (m TAGH2) EffectiveTimeoutRate() float64 { return m.T / float64(m.N) }
 
-type tagH2State struct {
-	q1  int // jobs at node 1
-	ty1 int // head-of-line branch at node 1: 0 none, 1 short, 2 long
-	tm1 int // node-1 timer phase
-	q2  int // jobs at node 2
-	sv2 int // node-2 head: 0 repeat period, 1 residual short, 2 residual long
-	tm2 int // node-2 timer phase
-}
-
-func (s tagH2State) label() string {
-	return fmt.Sprintf("Q1_%d.%d.T1_%d|Q2_%d.%d.T2_%d", s.q1, s.ty1, s.tm1, s.q2, s.sv2, s.tm2)
-}
-
 // Shape returns the canonical model structure: everything that
 // determines the reachable state space, with the rates abstracted away.
 // For H2 service that includes the degeneracy mask of the branch
@@ -95,149 +82,23 @@ func (m TAGH2) RateValues() RateValues {
 	}
 }
 
-// muSlot maps a branch index (1 short, 2 long) to its rate slot.
-func muSlot(branch int) RateSlot {
-	if branch == 1 {
-		return SlotMu1
-	}
-	return SlotMu2
+// product is the model as a parameterisation of the shared TAG
+// product: H2 branches sampled at alpha on reaching node 1's server and
+// at alpha' when the node-2 repeat period ends.
+func (m TAGH2) product() tagProduct {
+	return tagProduct{shape: m.Shape(), phases: m.N, rates: m.RateValues(),
+		nodes: twoNode(m.N, m.K1, m.K2, true)}
 }
 
-// Skeleton derives the state space and symbolic transition structure by
-// breadth-first exploration of the transition rules. Every model with
-// the same Shape — including the same branch-probability degeneracy
-// mask — yields the same skeleton; Build instantiates it with this
-// instance's rates.
-func (m TAGH2) Skeleton() *Skeleton {
-	m.validate()
-	zero := m.RateValues().zeroMask()
-
-	top := m.N - 1 // timer reset value (N phases at rate T)
-	b := newSkeletonBuilder()
-	init := tagH2State{q1: 0, ty1: 0, tm1: top, q2: 0, sv2: 0, tm2: top}
-	b.state(init.label())
-	frontier := []tagH2State{init}
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		from, _ := b.state(s.label())
-		emit := func(to tagH2State, slot RateSlot, coeff Coeff, action string) {
-			if zero&(1<<coeff) != 0 {
-				return // degenerate branch probability (alpha 0 or 1)
-			}
-			i, fresh := b.state(to.label())
-			if fresh {
-				frontier = append(frontier, to)
-			}
-			b.edge(from, i, slot, coeff, action)
-		}
-		// departNode1 emits the two next-head branches of a node-1
-		// departure occurring at the given slot rate.
-		departNode1 := func(base tagH2State, slot RateSlot, action string) {
-			base.q1 = s.q1 - 1
-			base.tm1 = top
-			if base.q1 == 0 {
-				base.ty1 = 0
-				emit(base, slot, CoeffOne, action)
-				return
-			}
-			short := base
-			short.ty1 = 1
-			emit(short, slot, CoeffAlpha, action)
-			long := base
-			long.ty1 = 2
-			emit(long, slot, CoeffOneMinusAlpha, action)
-		}
-
-		// --- Node 1 ---
-		if s.q1 < m.K1 {
-			to := s
-			to.q1++
-			if s.q1 == 0 {
-				// New head: sample its branch on arrival.
-				short := to
-				short.ty1 = 1
-				emit(short, SlotLambda, CoeffAlpha, ActArrival)
-				long := to
-				long.ty1 = 2
-				emit(long, SlotLambda, CoeffOneMinusAlpha, ActArrival)
-			} else {
-				emit(to, SlotLambda, CoeffOne, ActArrival)
-			}
-		} else {
-			emit(s, SlotLambda, CoeffOne, ActLossArrival)
-		}
-		if s.q1 > 0 {
-			// Service at the head's branch rate.
-			departNode1(s, muSlot(s.ty1), ActService1)
-			if s.tm1 > 0 {
-				to := s
-				to.tm1--
-				emit(to, SlotT, CoeffOne, ActTick1)
-			} else {
-				// Timeout: job restarts at node 2 (or is dropped).
-				to := s
-				if s.q2 < m.K2 {
-					to.q2++
-					departNode1(to, SlotT, ActTimeout)
-				} else {
-					departNode1(to, SlotT, ActLossTransfer)
-				}
-			}
-		}
-
-		// --- Node 2 ---
-		if s.q2 > 0 {
-			switch s.sv2 {
-			case 0: // repeat period
-				if s.tm2 > 0 {
-					to := s
-					to.tm2--
-					emit(to, SlotT, CoeffOne, ActTick2)
-				} else {
-					// repeatservice branches on the residual type.
-					short := s
-					short.sv2 = 1
-					short.tm2 = top
-					emit(short, SlotT, CoeffAlphaPrime, ActRepeatService)
-					long := s
-					long.sv2 = 2
-					long.tm2 = top
-					emit(long, SlotT, CoeffOneMinusAlphaPrime, ActRepeatService)
-				}
-			default: // residual service; timer frozen (Figure 5 semantics)
-				to := s
-				to.q2--
-				to.sv2 = 0
-				emit(to, muSlot(s.sv2), CoeffOne, ActService2)
-			}
-		}
-	}
-	return b.finish(m.Shape())
-}
+// Skeleton derives the state space and symbolic transition structure.
+// Every model with the same Shape — including the same
+// branch-probability degeneracy mask — yields the same skeleton; Build
+// instantiates it with this instance's rates.
+func (m TAGH2) Skeleton() *Skeleton { return m.product().skeleton() }
 
 // Build derives the reachable CTMC: the skeleton instantiated with this
 // instance's rates.
-func (m TAGH2) Build() *ctmc.Chain {
-	c, err := m.Skeleton().Instantiate(m.RateValues())
-	if err != nil {
-		panic("core: " + err.Error()) // unreachable: validate vetted the rates
-	}
-	return c
-}
-
-func (m TAGH2) stateInfo(c *ctmc.Chain) []tagH2State {
-	states := make([]tagH2State, c.NumStates())
-	for i := range states {
-		var s tagH2State
-		if _, err := fmt.Sscanf(c.Label(i), "Q1_%d.%d.T1_%d|Q2_%d.%d.T2_%d",
-			&s.q1, &s.ty1, &s.tm1, &s.q2, &s.sv2, &s.tm2); err != nil {
-			panic(fmt.Sprintf("core: cannot decode %q: %v", c.Label(i), err))
-		}
-		states[i] = s
-	}
-	return states
-}
+func (m TAGH2) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.
 func (m TAGH2) Analyze() (Measures, error) {
@@ -248,21 +109,5 @@ func (m TAGH2) Analyze() (Measures, error) {
 // by Build, or by a cached skeleton instantiated at this instance's
 // rates — and extracts the paper's measures from it.
 func (m TAGH2) AnalyzeChain(c *ctmc.Chain) (Measures, error) {
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := m.stateInfo(c)
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
-	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
+	return m.product().measures(c)
 }

@@ -41,109 +41,20 @@ func (m TAGHetero) validate() {
 	}
 }
 
-// Build derives the reachable CTMC, reusing the Figure 3 state shape.
-func (m TAGHetero) Build() *ctmc.Chain {
+// product binds node 1's rates to the Mu/T slots and node 2's to the
+// Node2Mu/Node2T slots.
+func (m TAGHetero) product() tagProduct {
 	m.validate()
-	top := m.N - 1
-	b := ctmc.NewBuilder()
-	init := tagExpState{q1: 0, tm1: top, q2: 0, sv2: false, tm2: top}
-	frontier := []tagExpState{init}
-	b.State(init.label())
-	type edge struct {
-		from, to tagExpState
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		emit := func(to tagExpState, rate float64, action string) {
-			if !b.HasState(to.label()) {
-				b.State(to.label())
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: s, to: to, rate: rate, action: action})
-		}
-
-		// Node 1.
-		if s.q1 < m.K1 {
-			to := s
-			to.q1++
-			emit(to, m.Lambda, ActArrival)
-		} else {
-			emit(s, m.Lambda, ActLossArrival)
-		}
-		if s.q1 > 0 {
-			to := s
-			to.q1--
-			to.tm1 = top
-			emit(to, m.Mu1, ActService1)
-			if s.tm1 > 0 {
-				to := s
-				to.tm1--
-				emit(to, m.T1, ActTick1)
-			} else if !(m.ServeAloneToCompletion && s.q1 == 1) {
-				// Timeout fires (suppressed when alone under the
-				// serve-to-completion variant).
-				to := s
-				to.q1--
-				to.tm1 = top
-				if s.q2 < m.K2 {
-					to.q2++
-					emit(to, m.T1, ActTimeout)
-				} else {
-					emit(to, m.T1, ActLossTransfer)
-				}
-			}
-		}
-
-		// Node 2.
-		if s.q2 > 0 {
-			if !s.sv2 {
-				if s.tm2 > 0 {
-					to := s
-					to.tm2--
-					emit(to, m.T2, ActTick2)
-				} else {
-					to := s
-					to.sv2 = true
-					to.tm2 = top
-					emit(to, m.T2, ActRepeatService)
-				}
-			} else {
-				to := s
-				to.q2--
-				to.sv2 = false
-				emit(to, m.Mu2, ActService2)
-			}
-		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from.label()), b.State(e.to.label()), e.rate, e.action)
-	}
-	return b.Build()
+	nodes := twoNode(m.N, m.K1, m.K2, false)
+	nodes[0].alone = m.ServeAloneToCompletion
+	nodes[1].clock, nodes[1].mu = SlotNode2T, []RateSlot{SlotNode2Mu}
+	return tagProduct{shape: Shape{Kind: "taghetero", Phases: m.N, K1: m.K1, K2: m.K2}, phases: m.N, nodes: nodes,
+		rates: RateValues{Lambda: m.Lambda, Mu: m.Mu1, T: m.T1, Node2Mu: m.Mu2, Node2T: m.T2}}
 }
+
+// Build derives the reachable CTMC: the Figure 3 state shape with
+// per-node rates.
+func (m TAGHetero) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.
-func (m TAGHetero) Analyze() (Measures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	// Reuse the Figure 3 label decoding.
-	states := TAGExp{Lambda: m.Lambda, Mu: m.Mu1, T: m.T1, N: m.N, K1: m.K1, K2: m.K2}.stateInfo(c)
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
-	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m TAGHetero) Analyze() (Measures, error) { return m.product().analyze() }

@@ -168,39 +168,10 @@ func (c *Chain) Generator() *linalg.CSR {
 	return c.gen
 }
 
-// SteadyState solves pi Q = 0, sum(pi) = 1 with the automatic solver.
+// SteadyState solves pi Q = 0, sum(pi) = 1 with the automatic solver
+// (linalg.SteadyState at default options).
 func (c *Chain) SteadyState() ([]float64, error) {
-	if c.NumStates() == 0 {
-		return nil, errors.New("ctmc: empty chain")
-	}
-	return linalg.SteadyState(c.Generator())
-}
-
-// SteadyStateWith solves using a specific iterative configuration.
-func (c *Chain) SteadyStateWith(opts linalg.Options) ([]float64, error) {
-	return linalg.SteadyStateGaussSeidel(c.Generator(), opts)
-}
-
-// SteadyStateAuto runs the same solver cascade as SteadyState — GTH on
-// chains up to 400 states, then Gauss-Seidel, then power iteration —
-// but threads opts through the iterative stages, so workers, stats and
-// metrics instrumentation survive the automatic choice. The GTH stage
-// is direct and reports nothing through opts.
-func (c *Chain) SteadyStateAuto(opts linalg.Options) ([]float64, error) {
-	if c.NumStates() == 0 {
-		return nil, errors.New("ctmc: empty chain")
-	}
-	q := c.Generator()
-	const denseCutoff = 400
-	if q.Rows <= denseCutoff {
-		if pi, err := linalg.SteadyStateGTH(q.ToDense()); err == nil {
-			return pi, nil
-		}
-	}
-	if pi, err := linalg.SteadyStateGaussSeidel(q, opts); err == nil {
-		return pi, nil
-	}
-	return linalg.SteadyStatePower(q, opts)
+	return linalg.SteadyState(c.Generator(), linalg.Options{})
 }
 
 // ActionThroughput returns the steady-state rate at which transitions

@@ -5,9 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"pepatags/internal/linalg"
 	"pepatags/internal/numeric"
-	"pepatags/internal/obsv"
 )
 
 // buildMM1K constructs an M/M/1/K chain with arrival/service actions.
@@ -250,49 +248,5 @@ func TestMeanAt(t *testing.T) {
 	want := c.Expectation(pi, func(s int) float64 { return float64(s) })
 	if !numeric.AlmostEqual(m, want, 1e-6) {
 		t.Fatalf("MeanAt %v want %v", m, want)
-	}
-}
-
-// TestSteadyStateAutoMatchesSteadyState checks the instrumented
-// automatic cascade returns the same distribution as SteadyState and
-// fills the attached stats when the iterative stage runs.
-func TestSteadyStateAutoMatchesSteadyState(t *testing.T) {
-	// Small chain: GTH path (stats stay empty).
-	small := buildMM1K(5, 10, 10)
-	want, err := small.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st obsv.SolveStats
-	got, err := small.SteadyStateAuto(linalg.Options{Stats: &st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := numeric.MaxAbsDiff(got, want); d > 1e-12 {
-		t.Fatalf("auto (GTH path) differs by %g", d)
-	}
-	if st.Solver != "" {
-		t.Fatalf("GTH path must not fill iterative stats, got %q", st.Solver)
-	}
-
-	// Large chain: iterative path with stats.
-	large := buildMM1K(5, 10, 600)
-	want, err = large.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = large.SteadyStateAuto(linalg.Options{Stats: &st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := numeric.MaxAbsDiff(got, want); d > 1e-9 {
-		t.Fatalf("auto (iterative path) differs by %g", d)
-	}
-	if st.Solver == "" || !st.Converged {
-		t.Fatalf("iterative path must fill stats: %+v", st)
-	}
-
-	if _, err := (&Chain{}).SteadyStateAuto(linalg.Options{}); err == nil {
-		t.Fatal("empty chain must error")
 	}
 }

@@ -17,7 +17,7 @@
 //
 //   - Generator: the infinitesimal generator Q as a sparse CSR matrix
 //     (internal/linalg), rows summing to zero;
-//   - SteadyState / SteadyStateWith: πQ = 0, Σπ = 1, via the solver
+//   - SteadyState: πQ = 0, Σπ = 1, via the solver
 //     selection in internal/linalg (GTH for small chains, iterative
 //     methods — optionally parallel — for large ones);
 //   - reward extraction: Expectation, Probability and

@@ -552,21 +552,26 @@ func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 	return pi, notConverged("gauss-seidel", diff, opts.MaxIter, opts.Eps)
 }
 
-// SteadyState picks a solver automatically: GTH for small systems,
-// Gauss–Seidel (with a power-method fallback) for larger sparse ones.
-func SteadyState(q *CSR) ([]float64, error) {
+// SteadyState picks a solver automatically: GTH for systems of up to
+// 400 states, Gauss–Seidel (with a power-method fallback) for larger
+// sparse ones. opts reaches the iterative stages only, so workers,
+// stats and metrics instrumentation survive the automatic choice; the
+// GTH stage is direct and leaves opts.Stats untouched. An empty
+// generator is an error.
+func SteadyState(q *CSR, opts Options) ([]float64, error) {
+	if q.Rows == 0 {
+		return nil, errors.New("linalg: empty generator")
+	}
 	const denseCutoff = 400
 	if q.Rows <= denseCutoff {
-		pi, err := SteadyStateGTH(q.ToDense())
-		if err == nil {
+		if pi, err := SteadyStateGTH(q.ToDense()); err == nil {
 			return pi, nil
 		}
 	}
-	pi, err := SteadyStateGaussSeidel(q, Options{})
-	if err == nil {
+	if pi, err := SteadyStateGaussSeidel(q, opts); err == nil {
 		return pi, nil
 	}
-	return SteadyStatePower(q, Options{})
+	return SteadyStatePower(q, opts)
 }
 
 // Residual returns max_j |(pi Q)_j|, a direct check that pi is

@@ -122,7 +122,7 @@ func TestSolversAgree(t *testing.T) {
 
 func TestSteadyStateAutoAndResidual(t *testing.T) {
 	csr := mm1kGenerator(5, 10, 10).ToCSR()
-	pi, err := SteadyState(csr)
+	pi, err := SteadyState(csr, Options{})
 	if err != nil {
 		t.Fatalf("SteadyState: %v", err)
 	}
@@ -134,12 +134,49 @@ func TestSteadyStateAutoAndResidual(t *testing.T) {
 	}
 }
 
+// TestSteadyStateOptionsReachIterativeStages checks the automatic
+// cascade returns the same distribution with and without options,
+// leaves the stats empty on the GTH stage, fills them on the iterative
+// stage, and rejects an empty generator.
+func TestSteadyStateOptionsReachIterativeStages(t *testing.T) {
+	for _, c := range []struct {
+		k         int
+		iterative bool
+	}{{10, false}, {600, true}} {
+		q := mm1kGenerator(5, 10, c.k).ToCSR()
+		want, err := SteadyState(q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st obsv.SolveStats
+		got, err := SteadyState(q, Options{Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := numeric.MaxAbsDiff(got, want); d > 1e-12 {
+			t.Fatalf("k=%d: options change the distribution by %g", c.k, d)
+		}
+		if d := numeric.MaxAbsDiff(got, mm1kExact(5, 10, c.k)); d > 1e-9 {
+			t.Fatalf("k=%d: diff from closed form %g", c.k, d)
+		}
+		if !c.iterative && st.Solver != "" {
+			t.Fatalf("GTH stage must not fill iterative stats, got %q", st.Solver)
+		}
+		if c.iterative && (st.Solver == "" || !st.Converged) {
+			t.Fatalf("iterative stage must fill stats: %+v", st)
+		}
+	}
+	if _, err := SteadyState(NewCOO(0, 0).ToCSR(), Options{}); err == nil {
+		t.Fatal("empty generator must error")
+	}
+}
+
 func TestSteadyStateLargerRandomWalk(t *testing.T) {
 	// A 2000-state birth-death chain exercises the iterative path of
 	// SteadyState (above the dense cutoff).
 	const k = 1999
 	csr := mm1kGenerator(3, 4, k).ToCSR()
-	pi, err := SteadyState(csr)
+	pi, err := SteadyState(csr, Options{})
 	if err != nil {
 		t.Fatalf("SteadyState: %v", err)
 	}

@@ -36,7 +36,7 @@ func BenchmarkFigure8GridCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cache := NewCache()
 		for _, m := range grid {
-			if _, err := cache.AnalyzeExp(m); err != nil {
+			if _, err := cache.Analyze(m); err != nil {
 				b.Fatal(err)
 			}
 		}

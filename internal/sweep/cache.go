@@ -102,17 +102,12 @@ func (c *Cache) Chain(m core.SkeletonModel) (*ctmc.Chain, error) {
 	return ch, nil
 }
 
-// AnalyzeExp solves the exponential TAG model through the cache.
-func (c *Cache) AnalyzeExp(m core.TAGExp) (core.Measures, error) {
-	ch, err := c.Chain(m)
-	if err != nil {
-		return core.Measures{}, err
-	}
-	return m.AnalyzeChain(ch)
-}
-
-// AnalyzeH2 solves the H2 TAG model through the cache.
-func (c *Cache) AnalyzeH2(m core.TAGH2) (core.Measures, error) {
+// Analyze solves a TAG model (core.TAGExp or core.TAGH2) through the
+// cache.
+func (c *Cache) Analyze(m interface {
+	core.SkeletonModel
+	AnalyzeChain(*ctmc.Chain) (core.Measures, error)
+}) (core.Measures, error) {
 	ch, err := c.Chain(m)
 	if err != nil {
 		return core.Measures{}, err

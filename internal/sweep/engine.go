@@ -372,13 +372,13 @@ func measureMap(m core.Measures) map[string]float64 {
 func evalPoint(cache *Cache, p Point) (map[string]float64, error) {
 	switch p.Model {
 	case "tagexp":
-		m, err := cache.AnalyzeExp(core.TAGExp{Lambda: p.Lambda, Mu: p.Service.Mu, T: p.T, N: p.N, K1: p.K1, K2: p.K2})
+		m, err := cache.Analyze(core.TAGExp{Lambda: p.Lambda, Mu: p.Service.Mu, T: p.T, N: p.N, K1: p.K1, K2: p.K2})
 		if err != nil {
 			return nil, err
 		}
 		return measureMap(m), nil
 	case "tagh2":
-		m, err := cache.AnalyzeH2(core.TAGH2{Lambda: p.Lambda, Service: p.Service.h2(), T: p.T, N: p.N, K1: p.K1, K2: p.K2})
+		m, err := cache.Analyze(core.TAGH2{Lambda: p.Lambda, Service: p.Service.h2(), T: p.T, N: p.N, K1: p.K1, K2: p.K2})
 		if err != nil {
 			return nil, err
 		}
@@ -411,12 +411,12 @@ func evalPoint(cache *Cache, p Point) (map[string]float64, error) {
 		switch p.Service.Kind {
 		case "exp":
 			eval = func(t int) (core.Measures, error) {
-				return cache.AnalyzeExp(core.TAGExp{Lambda: p.Lambda, Mu: p.Service.Mu, T: float64(t), N: p.N, K1: p.K1, K2: p.K2})
+				return cache.Analyze(core.TAGExp{Lambda: p.Lambda, Mu: p.Service.Mu, T: float64(t), N: p.N, K1: p.K1, K2: p.K2})
 			}
 		default:
 			h := p.Service.h2()
 			eval = func(t int) (core.Measures, error) {
-				return cache.AnalyzeH2(core.TAGH2{Lambda: p.Lambda, Service: h, T: float64(t), N: p.N, K1: p.K1, K2: p.K2})
+				return cache.Analyze(core.TAGH2{Lambda: p.Lambda, Service: h, T: float64(t), N: p.N, K1: p.K1, K2: p.K2})
 			}
 		}
 		var (
