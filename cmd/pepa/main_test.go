@@ -44,6 +44,32 @@ func TestRunFromStdin(t *testing.T) {
 	}
 }
 
+// TestRunStatsReportsGTHStage checks the automatic solver reports its
+// direct GTH stage like an iterative one: on stderr under -stats and
+// as the manifest's solve record.
+func TestRunStatsReportsGTHStage(t *testing.T) {
+	src := `
+	P = (a, 2).P1;
+	P1 = (b, 3).P;
+	P
+	`
+	mpath := filepath.Join(t.TempDir(), "run.json")
+	var out, errs bytes.Buffer
+	if err := run([]string{"-stats", "-manifest", mpath, "-"}, strings.NewReader(src), &out, &errs); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errs.String())
+	}
+	if !strings.Contains(errs.String(), "gth: 0 iterations, final diff 0, converged, 1 workers") {
+		t.Fatalf("no GTH solve stats on stderr:\n%s", errs.String())
+	}
+	m, err := obsv.ReadManifest(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Solve == nil || m.Solve.Solver != "gth" || !m.Solve.Converged || m.Solve.Workers != 1 {
+		t.Fatalf("bad solve record: %+v", m.Solve)
+	}
+}
+
 func TestRunParseError(t *testing.T) {
 	var out, errs bytes.Buffer
 	if err := run([]string{"-"}, strings.NewReader("garbage @@"), &out, &errs); err == nil {

@@ -238,7 +238,17 @@ func (p tagProduct) build() *ctmc.Chain {
 }
 
 // analyze builds and solves the two-node product.
-func (p tagProduct) analyze() (Measures, error) { return p.measures(p.build()) }
+func (p tagProduct) analyze() (Measures, error) { return p.analyzeChain(p.build()) }
+
+// analyzeChain solves a chain derived from this product from a cold
+// start and reads the two-node measures off the result.
+func (p tagProduct) analyzeChain(c *ctmc.Chain) (Measures, error) {
+	pi, err := c.SteadyState()
+	if err != nil {
+		return Measures{}, err
+	}
+	return p.measures(c, pi), nil
+}
 
 // decode recovers every state of a chain derived from this product by
 // replaying the derivation against the chain's transitions, which
@@ -279,12 +289,9 @@ func queueLen(states []prodState, j int) func(s int) float64 {
 }
 
 // measures returns the two-node measures of a chain derived from this
-// product.
-func (p tagProduct) measures(c *ctmc.Chain) (Measures, error) {
-	pi, states, err := p.solve(c)
-	if err != nil {
-		return Measures{}, err
-	}
+// product at the stationary distribution pi.
+func (p tagProduct) measures(c *ctmc.Chain, pi []float64) Measures {
+	states := p.decode(c)
 	out := Measures{States: c.NumStates()}
 	out.L1 = c.Expectation(pi, queueLen(states, 0))
 	out.L2 = c.Expectation(pi, queueLen(states, 1))
@@ -296,7 +303,7 @@ func (p tagProduct) measures(c *ctmc.Chain) (Measures, error) {
 	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].nodes[0].q > 0 })
 	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].nodes[1].q > 0 })
 	out.finish()
-	return out, nil
+	return out
 }
 
 // multiMeasures returns the per-node measures of a chain derived from

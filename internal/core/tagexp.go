@@ -207,28 +207,84 @@ func (m TAGExp) Build() *ctmc.Chain {
 func (m TAGExp) stateInfo(c *ctmc.Chain) []tagExpState {
 	states := make([]tagExpState, c.NumStates())
 	for i := range states {
-		var s tagExpState
-		var sv string
-		lbl := c.Label(i)
-		if _, err := fmt.Sscanf(lbl, "Q1_%d.T1_%d|", &s.q1, &s.tm1); err != nil {
-			panic(fmt.Sprintf("core: cannot decode state label %q: %v", lbl, err))
-		}
-		if _, err := fmt.Sscanf(lbl[indexOf(lbl, '|')+1:], "Q2_%d%1s.T2_%d", &s.q2, &sv, &s.tm2); err != nil {
-			panic(fmt.Sprintf("core: cannot decode node-2 label %q: %v", lbl, err))
-		}
-		s.sv2 = sv == "s"
-		states[i] = s
+		states[i] = parseTagExpLabel(c.Label(i))
 	}
 	return states
 }
 
-func indexOf(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
+// parseTagExpLabel is the strict inverse of tagExpState.label: it
+// accepts exactly the strings label produces — unsigned decimals
+// without leading zeros, "w" or "s" for the node-2 derivative, nothing
+// after the last field — and panics on anything else. It does not
+// allocate.
+func parseTagExpLabel(lbl string) tagExpState {
+	p := labelScanner{s: lbl}
+	var s tagExpState
+	p.literal("Q1_")
+	s.q1 = p.number()
+	p.literal(".T1_")
+	s.tm1 = p.number()
+	p.literal("|Q2_")
+	s.q2 = p.number()
+	switch p.next() {
+	case 'w':
+	case 's':
+		s.sv2 = true
+	default:
+		p.fail()
 	}
-	return -1
+	p.literal(".T2_")
+	s.tm2 = p.number()
+	if p.i != len(lbl) {
+		p.fail()
+	}
+	return s
+}
+
+// labelScanner walks a state label left to right for parseTagExpLabel.
+type labelScanner struct {
+	s string
+	i int
+}
+
+func (p *labelScanner) fail() {
+	panic(fmt.Sprintf("core: cannot decode state label %q at byte %d", p.s, p.i))
+}
+
+// next consumes one byte or fails at the end of the label.
+func (p *labelScanner) next() byte {
+	if p.i == len(p.s) {
+		p.fail()
+	}
+	p.i++
+	return p.s[p.i-1]
+}
+
+// literal consumes lit or fails.
+func (p *labelScanner) literal(lit string) {
+	if len(p.s)-p.i < len(lit) || p.s[p.i:p.i+len(lit)] != lit {
+		p.fail()
+	}
+	p.i += len(lit)
+}
+
+// number consumes an unsigned decimal as %d prints it or fails.
+func (p *labelScanner) number() int {
+	const limit = 1 << 30 // far beyond any reachable queue length or phase
+	j := p.i
+	v := 0
+	for j < len(p.s) && p.s[j] >= '0' && p.s[j] <= '9' {
+		v = v*10 + int(p.s[j]-'0')
+		if v >= limit {
+			p.fail()
+		}
+		j++
+	}
+	if j == p.i || (p.s[p.i] == '0' && j-p.i > 1) {
+		p.fail()
+	}
+	p.i = j
+	return v
 }
 
 // Analyze solves the model and returns the paper's measures.
@@ -238,12 +294,19 @@ func (m TAGExp) Analyze() (Measures, error) {
 
 // AnalyzeChain solves a chain built for exactly this model instance —
 // by Build, or by a cached skeleton instantiated at this instance's
-// rates — and extracts the paper's measures from it.
+// rates — from a cold start and extracts the paper's measures from it.
 func (m TAGExp) AnalyzeChain(c *ctmc.Chain) (Measures, error) {
 	pi, err := c.SteadyState()
 	if err != nil {
 		return Measures{}, err
 	}
+	return m.MeasuresFrom(c, pi), nil
+}
+
+// MeasuresFrom extracts the paper's measures from a chain built for
+// exactly this model instance at its stationary distribution pi,
+// however pi was obtained.
+func (m TAGExp) MeasuresFrom(c *ctmc.Chain, pi []float64) Measures {
 	states := m.stateInfo(c)
 	out := Measures{States: c.NumStates()}
 	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
@@ -256,5 +319,5 @@ func (m TAGExp) AnalyzeChain(c *ctmc.Chain) (Measures, error) {
 	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
 	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
 	out.finish()
-	return out, nil
+	return out
 }

@@ -107,7 +107,14 @@ func (m TAGH2) Analyze() (Measures, error) {
 
 // AnalyzeChain solves a chain built for exactly this model instance —
 // by Build, or by a cached skeleton instantiated at this instance's
-// rates — and extracts the paper's measures from it.
+// rates — from a cold start and extracts the paper's measures from it.
 func (m TAGH2) AnalyzeChain(c *ctmc.Chain) (Measures, error) {
-	return m.product().measures(c)
+	return m.product().analyzeChain(c)
+}
+
+// MeasuresFrom extracts the paper's measures from a chain built for
+// exactly this model instance at its stationary distribution pi,
+// however pi was obtained.
+func (m TAGH2) MeasuresFrom(c *ctmc.Chain, pi []float64) Measures {
+	return m.product().measures(c, pi)
 }

@@ -35,7 +35,14 @@
 // and carrying the achieved residual and iteration count, so callers
 // can errors.Is it and decide whether "close enough" suffices.
 //
+// Options.Start replaces the uniform initial iterate of the iterative
+// solvers with a given vector — the stationary distribution of a
+// neighbouring chain on the same state space, for continuation along a
+// parameter axis. It is copied, never modified; nil keeps the uniform
+// start bit for bit.
+//
 // Options.Stats and Options.Progress (internal/obsv) expose
-// iteration counts, residual traces and wall time; cmd/pepa's
+// iteration counts, residual traces and wall time; SteadyState fills
+// Stats on its GTH stage too (solver "gth", no iterations). cmd/pepa's
 // -solver/-workers/-stats flags drive them.
 package linalg

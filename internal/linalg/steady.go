@@ -75,6 +75,13 @@ type Options struct {
 	// the same cadence as Progress (so the residual trace streams over
 	// /events) and a "solve.done" info event with the outcome.
 	Events *obsv.EventLog
+
+	// Start, when non-nil, is the initial iterate of the iterative
+	// solvers in place of the uniform distribution — typically the
+	// stationary vector of a nearby chain with the same state space
+	// (continuation). It is copied, never modified, and must have one
+	// entry per state. GTH is direct and ignores it.
+	Start []float64
 }
 
 func (o Options) withDefaults() Options {
@@ -88,6 +95,32 @@ func (o Options) withDefaults() Options {
 		o.Omega = 1
 	}
 	return o
+}
+
+// initial returns the first iterate of an iterative solve over n
+// states: a copy of Start, or the uniform distribution when Start is
+// nil.
+func (o Options) initial(n int) ([]float64, error) {
+	if err := o.checkStart(n); err != nil {
+		return nil, err
+	}
+	pi := make([]float64, n)
+	if o.Start == nil {
+		for i := range pi {
+			pi[i] = 1 / float64(n)
+		}
+		return pi, nil
+	}
+	copy(pi, o.Start)
+	return pi, nil
+}
+
+// checkStart rejects a start vector that does not have n entries.
+func (o Options) checkStart(n int) error {
+	if o.Start != nil && len(o.Start) != n {
+		return fmt.Errorf("linalg: start vector has %d entries for %d states", len(o.Start), n)
+	}
+	return nil
 }
 
 // tick drives the per-sweep instrumentation shared by the iterative
@@ -271,9 +304,9 @@ func SteadyStatePower(q *CSR, opts Options) ([]float64, error) {
 	start := time.Now()
 	n := q.Rows
 	lambda := UniformizationConstant(q)
-	pi := make([]float64, n)
-	for i := range pi {
-		pi[i] = 1 / float64(n)
+	pi, err := opts.initial(n)
+	if err != nil {
+		return nil, err
 	}
 	tmp := make([]float64, n)
 
@@ -408,9 +441,9 @@ func SteadyStateJacobi(q *CSR, opts Options) ([]float64, error) {
 			return nil, fmt.Errorf("linalg: state %d has non-negative diagonal %g (absorbing state?)", j, diag[j])
 		}
 	}
-	pi := make([]float64, n)
-	for i := range pi {
-		pi[i] = 1 / float64(n)
+	pi, err := opts.initial(n)
+	if err != nil {
+		return nil, err
 	}
 	tmp := make([]float64, n)
 	w := opts.Omega
@@ -511,9 +544,9 @@ func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 			return nil, fmt.Errorf("linalg: state %d has non-negative diagonal %g (absorbing state?)", j, diag[j])
 		}
 	}
-	pi := make([]float64, n)
-	for i := range pi {
-		pi[i] = 1 / float64(n)
+	pi, err := opts.initial(n)
+	if err != nil {
+		return nil, err
 	}
 	w := opts.Omega
 	var diff float64
@@ -554,17 +587,25 @@ func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 
 // SteadyState picks a solver automatically: GTH for systems of up to
 // 400 states, Gauss–Seidel (with a power-method fallback) for larger
-// sparse ones. opts reaches the iterative stages only, so workers,
-// stats and metrics instrumentation survive the automatic choice; the
-// GTH stage is direct and leaves opts.Stats untouched. An empty
-// generator is an error.
+// sparse ones. opts reaches the iterative stages, so workers, a start
+// vector, stats and metrics instrumentation survive the automatic
+// choice; the GTH stage fills opts.Stats with its solver name and wall
+// time only. An empty generator, or a start vector of the wrong
+// length, is an error whichever stage runs.
 func SteadyState(q *CSR, opts Options) ([]float64, error) {
 	if q.Rows == 0 {
 		return nil, errors.New("linalg: empty generator")
 	}
+	if err := opts.checkStart(q.Rows); err != nil {
+		return nil, err
+	}
 	const denseCutoff = 400
 	if q.Rows <= denseCutoff {
+		start := time.Now()
 		if pi, err := SteadyStateGTH(q.ToDense()); err == nil {
+			if opts.Stats != nil {
+				*opts.Stats = obsv.SolveStats{Solver: "gth", Converged: true, Workers: 1, Elapsed: time.Since(start)}
+			}
 			return pi, nil
 		}
 	}

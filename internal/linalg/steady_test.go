@@ -136,8 +136,8 @@ func TestSteadyStateAutoAndResidual(t *testing.T) {
 
 // TestSteadyStateOptionsReachIterativeStages checks the automatic
 // cascade returns the same distribution with and without options,
-// leaves the stats empty on the GTH stage, fills them on the iterative
-// stage, and rejects an empty generator.
+// reports the solver that ran in the stats on both the GTH and the
+// iterative stage, and rejects an empty generator.
 func TestSteadyStateOptionsReachIterativeStages(t *testing.T) {
 	for _, c := range []struct {
 		k         int
@@ -159,15 +159,78 @@ func TestSteadyStateOptionsReachIterativeStages(t *testing.T) {
 		if d := numeric.MaxAbsDiff(got, mm1kExact(5, 10, c.k)); d > 1e-9 {
 			t.Fatalf("k=%d: diff from closed form %g", c.k, d)
 		}
-		if !c.iterative && st.Solver != "" {
-			t.Fatalf("GTH stage must not fill iterative stats, got %q", st.Solver)
+		if !c.iterative && (st.Solver != "gth" || !st.Converged || st.Workers != 1 || st.Iterations != 0 || st.Elapsed <= 0) {
+			t.Fatalf("GTH stage must report itself in the stats: %+v", st)
 		}
-		if c.iterative && (st.Solver == "" || !st.Converged) {
+		if c.iterative && (st.Solver != "gauss-seidel" || !st.Converged) {
 			t.Fatalf("iterative stage must fill stats: %+v", st)
 		}
 	}
 	if _, err := SteadyState(NewCOO(0, 0).ToCSR(), Options{}); err == nil {
 		t.Fatal("empty generator must error")
+	}
+}
+
+// TestStartVector pins Options.Start: an explicit uniform start is the
+// nil default bit for bit, a start is copied and never modified, a
+// start at the answer converges in fewer sweeps, and a start of the
+// wrong length is an error on every iterative solver and on the
+// cascade, whichever stage would run.
+func TestStartVector(t *testing.T) {
+	q := mm1kGenerator(5, 10, 600).ToCSR()
+	n := q.Rows
+	uniform := make([]float64, n)
+	for i := range uniform {
+		uniform[i] = 1 / float64(n)
+	}
+	exact := mm1kExact(5, 10, 600)
+	solvers := map[string]func(*CSR, Options) ([]float64, error){
+		"gauss-seidel": SteadyStateGaussSeidel,
+		"power":        SteadyStatePower,
+		"jacobi":       SteadyStateJacobi,
+		"cascade":      SteadyState,
+	}
+	for name, solve := range solvers {
+		var cold, warm obsv.SolveStats
+		want, err := solve(q, Options{Stats: &cold})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := solve(q, Options{Start: uniform})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: explicit uniform start differs from nil at state %d", name, i)
+			}
+		}
+		start := append([]float64(nil), exact...)
+		pi, err := solve(q, Options{Start: start, Stats: &warm})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range start {
+			if math.Float64bits(start[i]) != math.Float64bits(exact[i]) {
+				t.Fatalf("%s: start vector modified at state %d", name, i)
+			}
+		}
+		if d := numeric.MaxAbsDiff(pi, exact); d > 1e-9 {
+			t.Fatalf("%s: warm solve off the closed form by %g", name, d)
+		}
+		if warm.Iterations >= cold.Iterations {
+			t.Fatalf("%s: warm start took %d sweeps, cold %d", name, warm.Iterations, cold.Iterations)
+		}
+		if _, err := solve(q, Options{Start: exact[1:]}); err == nil {
+			t.Fatalf("%s: short start vector accepted", name)
+		}
+	}
+	small := mm1kGenerator(5, 10, 10).ToCSR()
+	if _, err := SteadyState(small, Options{Start: []float64{1}}); err == nil {
+		t.Fatal("cascade accepted a start vector of the wrong length on its GTH stage")
+	}
+	if _, err := SteadyState(small, Options{Start: mm1kExact(5, 10, 10)}); err != nil {
+		t.Fatalf("GTH stage must ignore a well-formed start: %v", err)
 	}
 }
 

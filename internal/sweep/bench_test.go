@@ -67,3 +67,25 @@ func BenchmarkFigure8ChainCached(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOptTSearch is one Figure-8 opt-t point (lambda=11, t in
+// [12, 60], minimum mean queue length) through Run with a fresh cache:
+// one derivation, then 49 searched solves and the re-evaluation of the
+// optimum, each warm-started from the previous solve.
+func BenchmarkOptTSearch(b *testing.B) {
+	spec := &Spec{Schema: SpecSchema, Name: "opt-t", Points: []Point{{
+		Series: "tag", X: 11, Model: "opt-t", Metric: "min-queue",
+		Lambda: 11, N: 6, K1: 10, K2: 10, TLo: 12, THi: 60,
+		Service: ServiceSpec{Kind: "exp", Mu: 10},
+	}}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(spec, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := res.Rows[0].Measures["t_opt"]; got != 42 {
+			b.Fatalf("t_opt = %g, want 42", got)
+		}
+	}
+}

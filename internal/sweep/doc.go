@@ -26,6 +26,18 @@
 // and chains built through the cache are bit-identical to uncached
 // ones, so cached sweeps reproduce direct tables byte for byte.
 //
+// # Continuation along the timeout axis
+//
+// An opt-t search solves one shape at every integer timeout in its
+// range. Its evaluator solves each chain starting from the previous
+// evaluation's stationary distribution (linalg.Options.Start), which
+// for the neighbouring timeout is already close, so Gauss–Seidel needs
+// fewer sweeps. Warm and cold solves agree to solver tolerance (1e-8
+// relative on the Figure-8 grid, TestContinuationAccuracy), not bit
+// for bit, and the start never crosses points: a row stays a pure
+// function of its point, whatever the worker count or point order.
+// Single tagexp/tagh2 points are cold solves.
+//
 // # Journal and resume
 //
 // The journal (pepatags/sweep-journal/v1) is JSONL: a header line

@@ -9,6 +9,8 @@ import (
 
 	"pepatags/internal/approx"
 	"pepatags/internal/core"
+	"pepatags/internal/ctmc"
+	"pepatags/internal/linalg"
 	"pepatags/internal/obsv"
 )
 
@@ -407,18 +409,19 @@ func evalPoint(cache *Cache, p Point) (map[string]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		var eval approx.Evaluator
+		var model func(t int) warmModel
 		switch p.Service.Kind {
 		case "exp":
-			eval = func(t int) (core.Measures, error) {
-				return cache.Analyze(core.TAGExp{Lambda: p.Lambda, Mu: p.Service.Mu, T: float64(t), N: p.N, K1: p.K1, K2: p.K2})
+			model = func(t int) warmModel {
+				return core.TAGExp{Lambda: p.Lambda, Mu: p.Service.Mu, T: float64(t), N: p.N, K1: p.K1, K2: p.K2}
 			}
 		default:
 			h := p.Service.h2()
-			eval = func(t int) (core.Measures, error) {
-				return cache.Analyze(core.TAGH2{Lambda: p.Lambda, Service: h, T: float64(t), N: p.N, K1: p.K1, K2: p.K2})
+			model = func(t int) warmModel {
+				return core.TAGH2{Lambda: p.Lambda, Service: h, T: float64(t), N: p.N, K1: p.K1, K2: p.K2}
 			}
 		}
+		eval := continuation(cache, model)
 		var (
 			tOpt int
 			m    core.Measures
@@ -437,5 +440,45 @@ func evalPoint(cache *Cache, p Point) (map[string]float64, error) {
 		return out, nil
 	default:
 		return nil, fmt.Errorf("unknown model %q", p.Model)
+	}
+}
+
+// warmModel is a TAG model whose measures can be read off a stationary
+// distribution solved outside it.
+type warmModel interface {
+	core.SkeletonModel
+	MeasuresFrom(*ctmc.Chain, []float64) core.Measures
+}
+
+// continuation returns the evaluator of one opt-t search: each
+// timeout's chain comes from the cache and is solved starting from the
+// previous evaluation's stationary distribution, which for a
+// neighbouring timeout is close to the answer and saves Gauss–Seidel
+// sweeps. The start never crosses points — every search gets a fresh
+// evaluator — so a row is a pure function of its point whatever the
+// worker count or point order.
+func continuation(cache *Cache, model func(t int) warmModel) approx.Evaluator {
+	var (
+		prev  []float64
+		shape core.Shape
+	)
+	return func(t int) (core.Measures, error) {
+		m := model(t)
+		ch, err := cache.Chain(m)
+		if err != nil {
+			return core.Measures{}, err
+		}
+		// A start only carries over within one state space. The shape
+		// can change along the timeout axis: an H2 residual branch
+		// probability that rounds to exactly 0 or 1 removes edges.
+		if s := m.Shape(); s != shape {
+			prev, shape = nil, s
+		}
+		pi, err := linalg.SteadyState(ch.Generator(), linalg.Options{Start: prev})
+		if err != nil {
+			return core.Measures{}, err
+		}
+		prev = pi
+		return m.MeasuresFrom(ch, pi), nil
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -132,21 +133,69 @@ func TestKillAndResume(t *testing.T) {
 	}
 }
 
-// TestJournalIndependentOfWorkers: identical bytes at any pool size.
+// optTGroups are opt-t searches (t in [2, 12]) over the exponential
+// and the H2 TAG model with N=2. K=3 keeps every chain on the direct
+// GTH stage; the larger K puts it on Gauss–Seidel, where each search
+// warm-starts its solves.
+func optTGroups() []Group {
+	return []Group{
+		{
+			Point: Point{
+				Series: "opt-exp", Model: "opt-t", Metric: "min-response",
+				N: 2, TLo: 2, THi: 12, Service: ServiceSpec{Kind: "exp", Mu: 10},
+			},
+			Axes: []Axis{{Field: "lambda", Values: []float64{3, 7}}, {Field: "k", Values: []float64{3, 8}}},
+		},
+		{
+			Point: Point{
+				Series: "opt-h2", Model: "opt-t", Metric: "min-queue",
+				N: 2, TLo: 2, THi: 12, Service: ServiceSpec{Kind: "h2", Mean: 0.1, Alpha: 0.9, Ratio: 10},
+			},
+			Axes: []Axis{{Field: "lambda", Values: []float64{3, 7}}, {Field: "k", Values: []float64{3, 6}}},
+		},
+	}
+}
+
+// TestJournalIndependentOfWorkers: identical bytes at any pool size,
+// and identical rows per point in any point order. The opt-t groups
+// check that an evaluation's warm start never crosses points.
 func TestJournalIndependentOfWorkers(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(6)
+	spec.Groups = append(spec.Groups, optTGroups()...)
 	var first []byte
+	var rows []Row
 	for _, workers := range []int{1, 4} {
 		journal := filepath.Join(dir, "w.jsonl")
-		if _, err := Run(spec, Options{Journal: journal, Workers: workers}); err != nil {
+		res, err := Run(spec, Options{Journal: journal, Workers: workers})
+		if err != nil {
 			t.Fatal(err)
 		}
 		b := readFile(t, journal)
 		if first == nil {
-			first = b
+			first, rows = b, res.Rows
 		} else if !bytes.Equal(first, b) {
 			t.Errorf("journal bytes differ between workers=1 and workers=4")
+		}
+	}
+
+	points, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := rand.New(rand.NewPCG(1, 2)).Perm(len(points))
+	shuffled := &Spec{Schema: SpecSchema, Name: "shuffled"}
+	for _, i := range order {
+		shuffled.Points = append(shuffled.Points, points[i])
+	}
+	res, err := Run(shuffled, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, i := range order {
+		if !reflect.DeepEqual(res.Rows[j].Measures, rows[i].Measures) {
+			t.Errorf("point %d (series %q) moved to %d: rows differ\n got %v\nwant %v",
+				i, points[i].Series, j, res.Rows[j].Measures, rows[i].Measures)
 		}
 	}
 }
