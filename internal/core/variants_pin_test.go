@@ -18,7 +18,9 @@ import (
 
 // The TAG-variant pin: state and transition counts, every Measures /
 // MultiMeasures field and the tagged-job figures of a fixed set of
-// instances, plus the SHA-256 of the generated PEPA texts. The golden
+// instances, plus the SHA-256 of the generated PEPA texts. The JSQ,
+// JSQ-MMPP and round-robin baselines are pinned the same way, with
+// their response-time percentiles and JSQ's fill times. The golden
 // file was recorded from the hand-written per-variant builders; any
 // rewrite of the derivations must reproduce it (counts and hashes
 // exactly, floating-point figures to 1e-12 relative).
@@ -144,6 +146,45 @@ func pinRecord() []string {
 		r.source(fmt.Sprintf("pepa-tagh2-%d", i), NewTAGH2(5, dist.H2ForTAG(0.1, 0.99, 100), 42, n, k1, k2).PEPASource())
 		r.source(fmt.Sprintf("pepa-tagexpmmpp-%d", i), NewTAGExpMMPP(BurstyMMPP2(8, 2, 0.5), 10, 42, n, k1, k2).PEPASource())
 	}
+
+	// The baselines: JSQ, round robin and JSQ under MMPP-2 arrivals.
+	h2tag := dist.H2ForTAG(0.1, 0.9, 10)
+	sq := NewShortestQueue(11, dist.NewExponential(10), 6)
+	two("jsq", sq.Build(), sq.Analyze)
+	sqH2 := NewShortestQueue(11, h2tag, 8)
+	two("jsq-h2", sqH2.Build(), sqH2.Analyze)
+	sqMM := ShortestQueueMMPP{Arrivals: BurstyMMPP2(8, 1.9, 0.4), Mu: 10, K: 8}
+	two("jsqmmpp", sqMM.Build(), sqMM.Analyze)
+	sqMM0 := ShortestQueueMMPP{Arrivals: BurstyMMPP2(8, 2, 0.5), Mu: 10, K: 6}
+	two("jsqmmpp-rate2zero", sqMM0.Build(), sqMM0.Analyze)
+	rr := NewRoundRobinTwoNode(9, dist.NewExponential(10), 6)
+	two("roundrobin", rr.Build(), rr.Analyze)
+	rrH2 := NewRoundRobinTwoNode(8, h2tag, 7)
+	two("roundrobin-h2", rrH2.Build(), rrH2.Analyze)
+
+	for _, b := range []struct {
+		inst    string
+		respond func() (*ResponseDistribution, error)
+	}{{"jsq-response", sq.ResponseDistribution}, {"roundrobin-response", rr.ResponseDistribution}} {
+		rd, err := b.respond()
+		if err != nil {
+			panic(err)
+		}
+		r.float(b.inst, "Mean", rd.Mean())
+		for _, q := range []float64{0.5, 0.99} {
+			p, err := rd.Percentile(q)
+			if err != nil {
+				panic(err)
+			}
+			r.float(b.inst, fmt.Sprintf("p%g", 100*q), p)
+		}
+	}
+	either, both, err := sq.ExpectedFillTime()
+	if err != nil {
+		panic(err)
+	}
+	r.float("jsq-fill", "EitherFull", either)
+	r.float("jsq-fill", "BothFull", both)
 	return r.lines
 }
 
