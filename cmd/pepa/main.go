@@ -305,7 +305,7 @@ func solveSteady(c *ctmc.Chain, solver string, opts linalg.Options) ([]float64, 
 	case "auto":
 		return linalg.SteadyState(c.Generator(), opts)
 	case "gth":
-		return linalg.SteadyStateGTH(c.Generator().ToDense())
+		return linalg.SteadyStateGTHSparse(c.Generator(), opts)
 	case "power":
 		return linalg.SteadyStatePower(c.Generator(), opts)
 	case "gs":

@@ -44,29 +44,32 @@ func TestRunFromStdin(t *testing.T) {
 	}
 }
 
-// TestRunStatsReportsGTHStage checks the automatic solver reports its
-// direct GTH stage like an iterative one: on stderr under -stats and
-// as the manifest's solve record.
+// TestRunStatsReportsGTHStage checks a GTH solve, chosen by the
+// automatic solver or by -solver gth, is reported like an iterative
+// one: on stderr under -stats and as the manifest's solve record.
 func TestRunStatsReportsGTHStage(t *testing.T) {
 	src := `
 	P = (a, 2).P1;
 	P1 = (b, 3).P;
 	P
 	`
-	mpath := filepath.Join(t.TempDir(), "run.json")
-	var out, errs bytes.Buffer
-	if err := run([]string{"-stats", "-manifest", mpath, "-"}, strings.NewReader(src), &out, &errs); err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errs.String())
-	}
-	if !strings.Contains(errs.String(), "gth: 0 iterations, final diff 0, converged, 1 workers") {
-		t.Fatalf("no GTH solve stats on stderr:\n%s", errs.String())
-	}
-	m, err := obsv.ReadManifest(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Solve == nil || m.Solve.Solver != "gth" || !m.Solve.Converged || m.Solve.Workers != 1 {
-		t.Fatalf("bad solve record: %+v", m.Solve)
+	for _, solver := range []string{"auto", "gth"} {
+		mpath := filepath.Join(t.TempDir(), "run.json")
+		var out, errs bytes.Buffer
+		args := []string{"-stats", "-solver", solver, "-manifest", mpath, "-"}
+		if err := run(args, strings.NewReader(src), &out, &errs); err != nil {
+			t.Fatalf("-solver %s: run: %v (stderr: %s)", solver, err, errs.String())
+		}
+		if !strings.Contains(errs.String(), "gth: 0 iterations, final diff 0, converged, 1 workers") {
+			t.Fatalf("-solver %s: no GTH solve stats on stderr:\n%s", solver, errs.String())
+		}
+		m, err := obsv.ReadManifest(mpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Solve == nil || m.Solve.Solver != "gth" || !m.Solve.Converged || m.Solve.Workers != 1 {
+			t.Fatalf("-solver %s: bad solve record: %+v", solver, m.Solve)
+		}
 	}
 }
 

@@ -24,8 +24,15 @@
 //   - RandomAlloc: Bernoulli splitting to independent M/M/1/K queues,
 //     the paper's baseline, validated against the closed form in
 //     internal/queueing.
-//   - ShortestQueue (and its H2 variant): join-the-shortest-queue,
-//     the strongest conventional competitor (Appendix B PEPA model).
+//   - The baselines ShortestQueue (exponential or H2 service;
+//     join-the-shortest-queue, the strongest conventional competitor,
+//     Appendix B PEPA model), ShortestQueueMMPP (JSQ under MMPP-2
+//     arrivals) and RoundRobinAlloc (the introduction's round robin)
+//     are product parameterisations too: two nodes that serve to
+//     completion under a routing policy — the shorter queue with an
+//     even tie split, or alternation, where TAG sends every arrival to
+//     node 1. Their measures, response-time mixtures and fill times
+//     read the decoded product states.
 //
 // Each model offers Build (the ctmc.Chain) and Analyze, which solves
 // for the stationary distribution and fills Measures — mean queue

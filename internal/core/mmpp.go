@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pepatags/internal/ctmc"
+	"pepatags/internal/dist"
 )
 
 // MMPP2 parameterises a two-phase Markov-modulated Poisson arrival
@@ -90,110 +91,20 @@ type ShortestQueueMMPP struct {
 	K        int
 }
 
-type jsqMMPPState struct {
-	phase  int
-	q1, q2 int
-}
-
-func (s jsqMMPPState) label() string { return fmt.Sprintf("P%d|A%d|B%d", s.phase, s.q1, s.q2) }
-
-// Build derives the CTMC.
-func (m ShortestQueueMMPP) Build() *ctmc.Chain {
+// product is the model as a two-node exponential product routed to the
+// shorter queue, with MMPP-2 arrivals.
+func (m ShortestQueueMMPP) product() tagProduct {
 	m.Arrivals.validate()
 	if m.Mu <= 0 || m.K < 1 {
 		panic("core: invalid ShortestQueueMMPP")
 	}
-	b := ctmc.NewBuilder()
-	init := jsqMMPPState{}
-	b.State(init.label())
-	frontier := []jsqMMPPState{init}
-	type edge struct {
-		from, to jsqMMPPState
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	rates := [2]float64{m.Arrivals.Rate1, m.Arrivals.Rate2}
-	switches := [2]float64{m.Arrivals.Switch1, m.Arrivals.Switch2}
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		emit := func(to jsqMMPPState, rate float64, action string) {
-			if rate <= 0 {
-				return
-			}
-			if !b.HasState(to.label()) {
-				b.State(to.label())
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: s, to: to, rate: rate, action: action})
-		}
-		flip := s
-		flip.phase = 1 - s.phase
-		emit(flip, switches[s.phase], "switch")
-
-		lambda := rates[s.phase]
-		if lambda > 0 {
-			switch {
-			case s.q1 >= m.K && s.q2 >= m.K:
-				emit(s, lambda, ActLossArrival)
-			case s.q1 < s.q2 || s.q2 >= m.K:
-				to := s
-				to.q1++
-				emit(to, lambda, ActArrival)
-			case s.q2 < s.q1 || s.q1 >= m.K:
-				to := s
-				to.q2++
-				emit(to, lambda, ActArrival)
-			default:
-				a := s
-				a.q1++
-				emit(a, lambda/2, ActArrival)
-				bq := s
-				bq.q2++
-				emit(bq, lambda/2, ActArrival)
-			}
-		}
-		if s.q1 > 0 {
-			to := s
-			to.q1--
-			emit(to, m.Mu, ActService1)
-		}
-		if s.q2 > 0 {
-			to := s
-			to.q2--
-			emit(to, m.Mu, ActService2)
-		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from.label()), b.State(e.to.label()), e.rate, e.action)
-	}
-	return b.Build()
+	p := baseline("shortestqueuemmpp", routeShortest, m.Arrivals.Rate1, dist.NewExponential(m.Mu), m.K)
+	p.mmpp, p.rates = true, m.Arrivals.bind(p.rates)
+	return p
 }
+
+// Build derives the CTMC.
+func (m ShortestQueueMMPP) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.
-func (m ShortestQueueMMPP) Analyze() (Measures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := make([]jsqMMPPState, c.NumStates())
-	for i := range states {
-		var s jsqMMPPState
-		if _, err := fmt.Sscanf(c.Label(i), "P%d|A%d|B%d", &s.phase, &s.q1, &s.q2); err != nil {
-			return Measures{}, fmt.Errorf("core: decode %q: %w", c.Label(i), err)
-		}
-		states[i] = s
-	}
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m ShortestQueueMMPP) Analyze() (Measures, error) { return m.product().analyze() }

@@ -33,23 +33,17 @@ func (m TAGExp) ExpectedFillTimes() (node1, node2 float64, err error) {
 // precondition under JSQ is both queues full; "either full" is
 // reported for symmetry with TAG and "both full" as the loss event).
 func (m ShortestQueue) ExpectedFillTime() (eitherFull, bothFull float64, err error) {
-	c := m.Build()
-	states := m.stateInfo(c)
-	init, ok := c.StateIndex(jsqState{}.label())
-	if !ok {
-		return 0, 0, fmt.Errorf("core: initial state not found")
-	}
-	he, err := c.ExpectedHittingTimes(func(s int) bool {
-		return states[s].q1 >= m.K || states[s].q2 >= m.K
-	})
+	p := m.product()
+	c := p.build()
+	states := p.decode(c)
+	full := func(s, j int) bool { return states[s].nodes[j].q >= m.K }
+	he, err := c.ExpectedHittingTimes(func(s int) bool { return full(s, 0) || full(s, 1) })
 	if err != nil {
 		return 0, 0, err
 	}
-	hb, err := c.ExpectedHittingTimes(func(s int) bool {
-		return states[s].q1 >= m.K && states[s].q2 >= m.K
-	})
+	hb, err := c.ExpectedHittingTimes(func(s int) bool { return full(s, 0) && full(s, 1) })
 	if err != nil {
 		return 0, 0, err
 	}
-	return he[init], hb[init], nil
+	return he[0], hb[0], nil // state 0 is the empty system
 }

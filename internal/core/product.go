@@ -11,17 +11,21 @@ import (
 // oracle — H2 demand, heterogeneous nodes, serve-alone-to-completion,
 // MMPP-2 arrivals and more than two nodes — is one product of an
 // arrival process (Poisson or MMPP-2), per-node phase-type service and
-// an Erlang timeout. A variant is a tagProduct parameterisation; this
-// file derives its skeleton and reads its measures.
+// an Erlang timeout. So are the baselines, whose nodes serve to
+// completion: a routing policy sends each arrival to node 1 (TAG), to
+// the shorter queue (JSQ) or to the nodes in turn (round robin). A
+// model is a tagProduct parameterisation; this file derives its
+// skeleton and reads its measures.
 //
-// A product state is the arrival phase times, per node, the queue
-// length and the head-of-line job's H2 branch, stage and phase. A job
+// A product state is the arrival phase and the round-robin pointer
+// times, per node, the queue length and the head-of-line job's H2
+// branch, stage and phase. A job
 // reaching node j's server first repeats the work it received upstream
 // (an Erlang of repeat phases at the node's clock rate; none at node
 // 1), then samples its H2 branch and races its service against an
 // N-phase timeout at the same clock rate. A timeout kills the job and
 // passes it to node j+1, or loses it when that queue is full; the last
-// node serves to completion. Clocks freeze outside their stage (the
+// node (every node of a baseline) serves to completion. Clocks freeze outside their stage (the
 // Figure 5 convention), so one phase counter per node suffices.
 
 // Head-of-line stages.
@@ -40,11 +44,12 @@ type prodNode struct {
 	q, branch, stage, phase int
 }
 
-// prodState is one product state: the arrival phase (0 or 1) and the
-// nodes in routing order.
+// prodState is one product state: the arrival phase (0 or 1), the
+// round-robin pointer (the node the next arrival is sent to; always 0
+// under other routing) and the nodes in routing order.
 type prodState struct {
-	arrival int
-	nodes   []prodNode
+	arrival, rr int
+	nodes       []prodNode
 }
 
 func (s prodState) clone() prodState {
@@ -54,6 +59,9 @@ func (s prodState) clone() prodState {
 
 func (s prodState) label() string {
 	b := fmt.Appendf(nil, "P%d", s.arrival)
+	if s.rr != 0 {
+		b = fmt.Appendf(b, "R%d", s.rr)
+	}
 	for _, n := range s.nodes {
 		b = fmt.Appendf(b, "|%d.%d.%d.%d", n.q, n.branch, n.stage, n.phase)
 	}
@@ -77,13 +85,23 @@ type nodeSpec struct {
 	act     nodeActions
 }
 
-// tagProduct is a TAG variant as a product parameterisation. The rates
-// only decide which edges exist (a zero slot or coefficient removes
-// its edges); the structure is otherwise rate-free.
+// route is a product's dispatch policy: the node an arrival joins.
+type route uint8
+
+const (
+	routeFirst     route = iota // node 1, as TAG does
+	routeShortest               // the shorter of two queues; a tie splits evenly
+	routeAlternate              // the nodes in turn; a loss still advances the pointer
+)
+
+// tagProduct is a model as a product parameterisation. The rates only
+// decide which edges exist (a zero slot or coefficient removes its
+// edges); the structure is otherwise rate-free.
 type tagProduct struct {
 	shape  Shape
 	phases int  // N, the timeout's Erlang phases
 	mmpp   bool // MMPP-2 arrivals (phase slots Lambda/Lambda2, switches Switch1/Switch2)
+	route  route
 	nodes  []nodeSpec
 	rates  RateValues
 }
@@ -149,6 +167,35 @@ func (p tagProduct) depart(to prodState, j int, slot RateSlot, action string, em
 	emit(to, slot, CoeffOne, action)
 }
 
+// dispatch calls join for each node an arrival in state s joins, with
+// half set when the node takes half the arrival rate (a shortest-queue
+// tie). It calls nothing when the arrival is lost.
+func (p tagProduct) dispatch(s prodState, join func(j int, half bool)) {
+	room := func(j int) bool { return s.nodes[j].q < p.nodes[j].k }
+	switch p.route {
+	case routeFirst:
+		if room(0) {
+			join(0, false)
+		}
+	case routeAlternate:
+		if room(s.rr) {
+			join(s.rr, false)
+		}
+	case routeShortest:
+		q1, q2 := s.nodes[0].q, s.nodes[1].q
+		switch {
+		case !room(0) && !room(1):
+		case q1 < q2 || !room(1):
+			join(0, false)
+		case q2 < q1 || !room(0):
+			join(1, false)
+		default:
+			join(0, true)
+			join(1, true)
+		}
+	}
+}
+
 // step emits every transition out of s, in derivation order: arrival
 // phase switch, arrival, then each node's head.
 func (p tagProduct) step(s prodState, emit emitFunc) {
@@ -158,25 +205,37 @@ func (p tagProduct) step(s prodState, emit emitFunc) {
 			emit(to, slot, coeff, action)
 		}
 	}
-	arrive := SlotLambda
+	arrive, half := SlotLambda, slotHalfLambda
 	if p.mmpp {
 		flip, sw := s.clone(), SlotSwitch1
 		flip.arrival = 1 - s.arrival
 		if s.arrival == 1 {
-			arrive, sw = SlotLambda2, SlotSwitch2
+			arrive, half, sw = SlotLambda2, slotHalfLambda2, SlotSwitch2
 		}
 		emitLive(flip, sw, CoeffOne, actSwitch)
 	}
-	if s.nodes[0].q < p.nodes[0].k {
-		to := s.clone()
-		to.nodes[0].q++
-		if to.nodes[0].q == 1 && p.nodes[0].repeat == 0 {
-			p.race(to, 0, arrive, ActArrival, emitLive)
-		} else {
-			emitLive(to, arrive, CoeffOne, ActArrival)
+	next := s
+	if p.route == routeAlternate {
+		next = s.clone()
+		next.rr = (s.rr + 1) % len(p.nodes)
+	}
+	lost := true
+	p.dispatch(s, func(j int, tie bool) {
+		lost = false
+		slot := arrive
+		if tie {
+			slot = half
 		}
-	} else {
-		emitLive(s, arrive, CoeffOne, ActLossArrival)
+		to := next.clone()
+		to.nodes[j].q++
+		if to.nodes[j].q == 1 && p.nodes[j].repeat == 0 {
+			p.race(to, j, slot, ActArrival, emitLive)
+		} else {
+			emitLive(to, slot, CoeffOne, ActArrival)
+		}
+	})
+	if lost {
+		emitLive(next, arrive, CoeffOne, ActLossArrival)
 	}
 	for j, spec := range p.nodes {
 		n := s.nodes[j]

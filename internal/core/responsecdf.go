@@ -22,6 +22,14 @@ type responseMixture struct {
 	weights map[int]float64 // position -> probability
 }
 
+// normalise conditions the position weights on admission, whose
+// probability is admitted.
+func (r *responseMixture) normalise(admitted float64) {
+	for p := range r.weights {
+		r.weights[p] /= admitted
+	}
+}
+
 func (r *responseMixture) cdf(x float64) float64 {
 	var acc numeric.Accumulator
 	for p, w := range r.weights {
@@ -83,37 +91,47 @@ func (r *ResponseDistribution) Percentile(q float64) (float64, error) {
 // of the shortest-queue system with exponential service (an Erlang
 // mixture over the arrival position).
 func (m ShortestQueue) ResponseDistribution() (*ResponseDistribution, error) {
-	e, ok := m.Service.(dist.Exponential)
+	return m.product().response(m.Service)
+}
+
+// ResponseDistribution returns the admitted-job response distribution
+// of the round-robin allocator with exponential service: by PASTA the
+// tagged arrival joins the designated queue at position q+1, giving an
+// Erlang position mixture.
+func (m RoundRobinAlloc) ResponseDistribution() (*ResponseDistribution, error) {
+	return m.product().response(m.Service)
+}
+
+// response returns the admitted-job response distribution of a
+// baseline product with exponential service: each state weighs the
+// positions its arrival joins by the stationary probability, halved
+// for each side of a shortest-queue tie.
+func (p tagProduct) response(service dist.Distribution) (*ResponseDistribution, error) {
+	e, ok := service.(dist.Exponential)
 	if !ok {
 		return nil, fmt.Errorf("core: analytic response distribution needs exponential service")
 	}
-	c := m.Build()
-	pi, err := c.SteadyState()
+	pi, states, err := p.solve(p.build())
 	if err != nil {
 		return nil, err
 	}
-	states := m.stateInfo(c)
 	mix := &responseMixture{mu: e.Mu, weights: map[int]float64{}}
 	var admitted float64
-	for i, st := range states {
-		if st.q1 >= m.K && st.q2 >= m.K {
-			continue // arrival lost
+	for i, s := range states {
+		lost := true
+		p.dispatch(s, func(j int, half bool) {
+			w := pi[i]
+			if half {
+				w /= 2
+			}
+			mix.weights[s.nodes[j].q+1] += w
+			lost = false
+		})
+		if !lost {
+			admitted += pi[i]
 		}
-		// Join the shorter queue; ties split evenly.
-		switch {
-		case st.q1 < st.q2 || st.q2 >= m.K:
-			mix.weights[st.q1+1] += pi[i]
-		case st.q2 < st.q1 || st.q1 >= m.K:
-			mix.weights[st.q2+1] += pi[i]
-		default:
-			mix.weights[st.q1+1] += pi[i] / 2
-			mix.weights[st.q2+1] += pi[i] / 2
-		}
-		admitted += pi[i]
 	}
-	for p := range mix.weights {
-		mix.weights[p] /= admitted
-	}
+	mix.normalise(admitted)
 	return &ResponseDistribution{mix: mix}, nil
 }
 
@@ -144,46 +162,6 @@ func (m RandomAlloc) ResponseDistribution() (*ResponseDistribution, error) {
 		mix.weights[i+1] += pi[i]
 		admitted += pi[i]
 	}
-	for pos := range mix.weights {
-		mix.weights[pos] /= admitted
-	}
-	return &ResponseDistribution{mix: mix}, nil
-}
-
-// ResponseDistribution returns the admitted-job response distribution
-// of the round-robin allocator with exponential service: by PASTA the
-// tagged arrival joins the designated queue at position q+1, giving an
-// Erlang position mixture.
-func (m RoundRobinAlloc) ResponseDistribution() (*ResponseDistribution, error) {
-	e, ok := m.Service.(dist.Exponential)
-	if !ok {
-		return nil, fmt.Errorf("core: analytic response distribution needs exponential service")
-	}
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return nil, err
-	}
-	mix := &responseMixture{mu: e.Mu, weights: map[int]float64{}}
-	var admitted float64
-	for i := 0; i < c.NumStates(); i++ {
-		var s rrState
-		if _, err := fmt.Sscanf(c.Label(i), "N%d|A%d.%d|B%d.%d",
-			&s.next, &s.q1, &s.t1, &s.q2, &s.t2); err != nil {
-			return nil, fmt.Errorf("core: decode %q: %w", c.Label(i), err)
-		}
-		q := s.q1
-		if s.next == 1 {
-			q = s.q2
-		}
-		if q >= m.K {
-			continue // the designated queue is full: arrival lost
-		}
-		mix.weights[q+1] += pi[i]
-		admitted += pi[i]
-	}
-	for p := range mix.weights {
-		mix.weights[p] /= admitted
-	}
+	mix.normalise(admitted)
 	return &ResponseDistribution{mix: mix}, nil
 }

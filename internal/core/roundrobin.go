@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"pepatags/internal/ctmc"
 	"pepatags/internal/dist"
 )
@@ -23,157 +21,18 @@ type RoundRobinAlloc struct {
 // NewRoundRobinTwoNode validates and returns the model.
 func NewRoundRobinTwoNode(lambda float64, service dist.Distribution, k int) RoundRobinAlloc {
 	m := RoundRobinAlloc{Lambda: lambda, Service: service, K: k}
-	m.params()
+	m.product() // validates
 	return m
 }
 
-func (m RoundRobinAlloc) params() (alpha, mu1, mu2 float64) {
-	if m.Lambda <= 0 || m.K < 1 {
-		panic(fmt.Sprintf("core: invalid RoundRobinAlloc %+v", m))
-	}
-	switch s := m.Service.(type) {
-	case dist.Exponential:
-		return 1, s.Mu, s.Mu
-	case dist.HyperExp:
-		if len(s.Alpha) != 2 {
-			panic("core: RoundRobinAlloc supports two-branch hyper-exponentials")
-		}
-		return s.Alpha[0], s.Mu[0], s.Mu[1]
-	default:
-		panic(fmt.Sprintf("core: unsupported service distribution %T", m.Service))
-	}
-}
-
-type rrState struct {
-	next   int // queue the next arrival goes to (0 or 1)
-	q1, t1 int
-	q2, t2 int
-}
-
-func (s rrState) label() string {
-	return fmt.Sprintf("N%d|A%d.%d|B%d.%d", s.next, s.q1, s.t1, s.q2, s.t2)
+// product is the model as a two-node product that alternates between
+// the nodes.
+func (m RoundRobinAlloc) product() tagProduct {
+	return baseline("roundrobin", routeAlternate, m.Lambda, m.Service, m.K)
 }
 
 // Build derives the CTMC.
-func (m RoundRobinAlloc) Build() *ctmc.Chain {
-	alpha, mu1, mu2 := m.params()
-	mu := [3]float64{0, mu1, mu2}
-	b := ctmc.NewBuilder()
-	init := rrState{}
-	b.State(init.label())
-	frontier := []rrState{init}
-	type edge struct {
-		from, to rrState
-		rate     float64
-		action   string
-	}
-	var edges []edge
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		emit := func(to rrState, rate float64, action string) {
-			if rate <= 0 {
-				return
-			}
-			if !b.HasState(to.label()) {
-				b.State(to.label())
-				frontier = append(frontier, to)
-			}
-			edges = append(edges, edge{from: s, to: to, rate: rate, action: action})
-		}
-		// Arrival to the designated queue; the pointer advances either way.
-		q, ty := s.q1, s.t1
-		if s.next == 1 {
-			q, ty = s.q2, s.t2
-		}
-		_ = ty
-		if q >= m.K {
-			to := s
-			to.next = 1 - s.next
-			emit(to, m.Lambda, ActLossArrival)
-		} else {
-			to := s
-			to.next = 1 - s.next
-			if s.next == 0 {
-				to.q1++
-				if s.q1 == 0 {
-					a, bq := to, to
-					a.t1, bq.t1 = 1, 2
-					emit(a, m.Lambda*alpha, ActArrival)
-					emit(bq, m.Lambda*(1-alpha), ActArrival)
-				} else {
-					emit(to, m.Lambda, ActArrival)
-				}
-			} else {
-				to.q2++
-				if s.q2 == 0 {
-					a, bq := to, to
-					a.t2, bq.t2 = 1, 2
-					emit(a, m.Lambda*alpha, ActArrival)
-					emit(bq, m.Lambda*(1-alpha), ActArrival)
-				} else {
-					emit(to, m.Lambda, ActArrival)
-				}
-			}
-		}
-		// Departures with next-head branch sampling.
-		if s.q1 > 0 {
-			to := s
-			to.q1--
-			if to.q1 == 0 {
-				to.t1 = 0
-				emit(to, mu[s.t1], ActService1)
-			} else {
-				a, bq := to, to
-				a.t1, bq.t1 = 1, 2
-				emit(a, mu[s.t1]*alpha, ActService1)
-				emit(bq, mu[s.t1]*(1-alpha), ActService1)
-			}
-		}
-		if s.q2 > 0 {
-			to := s
-			to.q2--
-			if to.q2 == 0 {
-				to.t2 = 0
-				emit(to, mu[s.t2], ActService2)
-			} else {
-				a, bq := to, to
-				a.t2, bq.t2 = 1, 2
-				emit(a, mu[s.t2]*alpha, ActService2)
-				emit(bq, mu[s.t2]*(1-alpha), ActService2)
-			}
-		}
-	}
-	for _, e := range edges {
-		b.Transition(b.State(e.from.label()), b.State(e.to.label()), e.rate, e.action)
-	}
-	return b.Build()
-}
+func (m RoundRobinAlloc) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.
-func (m RoundRobinAlloc) Analyze() (Measures, error) {
-	c := m.Build()
-	pi, err := c.SteadyState()
-	if err != nil {
-		return Measures{}, err
-	}
-	states := make([]rrState, c.NumStates())
-	for i := range states {
-		var s rrState
-		if _, err := fmt.Sscanf(c.Label(i), "N%d|A%d.%d|B%d.%d",
-			&s.next, &s.q1, &s.t1, &s.q2, &s.t2); err != nil {
-			return Measures{}, fmt.Errorf("core: decode %q: %w", c.Label(i), err)
-		}
-		states[i] = s
-	}
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out, nil
-}
+func (m RoundRobinAlloc) Analyze() (Measures, error) { return m.product().analyze() }

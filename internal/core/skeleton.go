@@ -47,6 +47,12 @@ const (
 	SlotLambda2
 	SlotSwitch1
 	SlotSwitch2
+	// slotHalfLambda and slotHalfLambda2 are half the phase-1 and
+	// phase-2 arrival rates: a shortest-queue tie sends an arrival to
+	// either node at half rate. They are derived from Lambda and
+	// Lambda2, not bound separately.
+	slotHalfLambda
+	slotHalfLambda2
 	numSlots
 )
 
@@ -86,7 +92,8 @@ type RateValues struct {
 
 // slots returns the slot values indexed by RateSlot.
 func (v RateValues) slots() [numSlots]float64 {
-	return [numSlots]float64{v.Lambda, v.Mu, v.T, v.Mu1, v.Mu2, v.Node2Mu, v.Node2T, v.Lambda2, v.Switch1, v.Switch2}
+	return [numSlots]float64{v.Lambda, v.Mu, v.T, v.Mu1, v.Mu2, v.Node2Mu, v.Node2T, v.Lambda2, v.Switch1, v.Switch2,
+		v.Lambda / 2, v.Lambda2 / 2}
 }
 
 // coeffs returns the branch coefficients indexed by Coeff.
@@ -116,7 +123,8 @@ func (v RateValues) zeroMask() uint8 {
 // caching derived structure.
 type Shape struct {
 	// Kind names the model: "tagexp", "tagh2", "taghetero",
-	// "tagexpmmpp", "tagh2mmpp" or "tagmultinode".
+	// "tagexpmmpp", "tagh2mmpp" or "tagmultinode", or one of the
+	// baselines "shortestqueue", "shortestqueuemmpp" and "roundrobin".
 	Kind string
 	// Phases is the number of exponential stages in the timeout clock
 	// (N, or N+1 under TAGExp's LiteralFigure3 semantics).

@@ -38,12 +38,6 @@ func (s *Structure) NumStates() int { return len(s.labels) }
 // Label returns the label of state i.
 func (s *Structure) Label(i int) string { return s.labels[i] }
 
-// Index returns the index of the labelled state.
-func (s *Structure) Index(label string) (int, bool) {
-	i, ok := s.index[label]
-	return i, ok
-}
-
 // Chain builds a chain over this structure from a transition list. The
 // transitions are validated like Builder.Transition (positive rates,
 // indices in range); the label table is shared, not copied, so sibling

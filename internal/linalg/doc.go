@@ -14,6 +14,8 @@
 //     free subtraction makes it numerically exact to rounding; O(n³),
 //     the reference for small chains and the accuracy oracle for the
 //     iterative methods (agreement to 1e-10 is enforced in tests).
+//     SteadyStateGTHSparse runs it on a CSR generator and reports to
+//     Options.Stats.
 //   - SteadyStateLU: dense LU on the augmented system; same cost
 //     class as GTH, kept for cross-checking.
 //   - SteadyStatePower: uniformised power iteration on sparse Q.
@@ -43,6 +45,7 @@
 //
 // Options.Stats and Options.Progress (internal/obsv) expose
 // iteration counts, residual traces and wall time; SteadyState fills
-// Stats on its GTH stage too (solver "gth", no iterations). cmd/pepa's
-// -solver/-workers/-stats flags drive them.
+// Stats on its GTH stage too (solver "gth", no iterations), through
+// SteadyStateGTHSparse, which cmd/pepa's -solver gth also calls.
+// cmd/pepa's -solver/-workers/-stats flags drive them.
 package linalg

@@ -585,6 +585,19 @@ func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 	return pi, notConverged("gauss-seidel", diff, opts.MaxIter, opts.Eps)
 }
 
+// SteadyStateGTHSparse solves the sparse generator q by GTH on its
+// dense form and, on success, fills opts.Stats with the solver name
+// "gth" and the wall time. It is SteadyState's direct stage; the other
+// options are ignored.
+func SteadyStateGTHSparse(q *CSR, opts Options) ([]float64, error) {
+	start := time.Now()
+	pi, err := SteadyStateGTH(q.ToDense())
+	if err == nil && opts.Stats != nil {
+		*opts.Stats = obsv.SolveStats{Solver: "gth", Converged: true, Workers: 1, Elapsed: time.Since(start)}
+	}
+	return pi, err
+}
+
 // SteadyState picks a solver automatically: GTH for systems of up to
 // 400 states, Gauss–Seidel (with a power-method fallback) for larger
 // sparse ones. opts reaches the iterative stages, so workers, a start
@@ -601,11 +614,7 @@ func SteadyState(q *CSR, opts Options) ([]float64, error) {
 	}
 	const denseCutoff = 400
 	if q.Rows <= denseCutoff {
-		start := time.Now()
-		if pi, err := SteadyStateGTH(q.ToDense()); err == nil {
-			if opts.Stats != nil {
-				*opts.Stats = obsv.SolveStats{Solver: "gth", Converged: true, Workers: 1, Elapsed: time.Since(start)}
-			}
+		if pi, err := SteadyStateGTHSparse(q, opts); err == nil {
 			return pi, nil
 		}
 	}
