@@ -73,6 +73,27 @@ func TestRunStatsReportsGTHStage(t *testing.T) {
 	}
 }
 
+// TestRunStatsReportsResidual: the Figure 3 chain (4,331 states) is
+// solved by the cascade's Krylov stage, and both the -stats line and
+// the manifest's solve record carry its final max|πQ|.
+func TestRunStatsReportsResidual(t *testing.T) {
+	mpath := filepath.Join(t.TempDir(), "run.json")
+	var out, errs bytes.Buffer
+	if err := run([]string{"-tag", "-stats", "-manifest", mpath}, strings.NewReader(""), &out, &errs); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errs.String())
+	}
+	if !strings.Contains(errs.String(), "bicgstab: ") || !strings.Contains(errs.String(), ", residual ") {
+		t.Fatalf("no Krylov solve line with a residual on stderr:\n%s", errs.String())
+	}
+	m, err := obsv.ReadManifest(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Solve == nil || m.Solve.Solver != "bicgstab" || m.Solve.Residual <= 0 || m.Solve.Residual > 1e-12 || len(m.Solve.Fallbacks) != 0 {
+		t.Fatalf("bad solve record: %+v", m.Solve)
+	}
+}
+
 func TestRunParseError(t *testing.T) {
 	var out, errs bytes.Buffer
 	if err := run([]string{"-"}, strings.NewReader("garbage @@"), &out, &errs); err == nil {

@@ -306,6 +306,7 @@ func solverBattery(c *ctmc.Chain, piRef []float64, res *result) {
 		{"jacobi", func() ([]float64, error) { return linalg.SteadyStateJacobi(q, iter) }},
 		{"gauss-seidel", func() ([]float64, error) { return linalg.SteadyStateGaussSeidel(q, iter) }},
 		{"sor-0.9", func() ([]float64, error) { return linalg.SteadyStateGaussSeidel(q, sor) }},
+		{"bicgstab", func() ([]float64, error) { return linalg.SteadyStateBiCGSTAB(q, linalg.Options{}) }},
 		{"auto", func() ([]float64, error) { return linalg.SteadyState(c.Generator(), linalg.Options{Eps: 1e-13}) }},
 	}
 	for _, s := range solvers {

@@ -18,8 +18,9 @@
 //   - Generator: the infinitesimal generator Q as a sparse CSR matrix
 //     (internal/linalg), rows summing to zero;
 //   - SteadyState: πQ = 0, Σπ = 1, via the solver
-//     selection in internal/linalg (GTH for small chains, iterative
-//     methods — optionally parallel — for large ones);
+//     cascade in internal/linalg (GTH for small chains, then
+//     ILU(0)-preconditioned BiCGSTAB, Gauss–Seidel and power iteration
+//     for large ones);
 //   - reward extraction: Expectation, Probability and
 //     ActionThroughput, the building blocks for the paper's mean
 //     queue lengths, loss probabilities and throughputs;

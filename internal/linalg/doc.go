@@ -30,22 +30,41 @@
 //   - SteadyStateGaussSeidel (+ SOR via Options.Omega): the fastest
 //     serial iteration per step; inherently sequential, so it
 //     ignores Options.Workers and serves as the serial reference.
-//   - SteadyState: automatic selection — GTH below a size threshold,
-//     Gauss-Seidel above, power iteration as fallback.
+//   - SteadyStateBiCGSTAB: ILU(0)-preconditioned BiCGSTAB on the
+//     reduced system — Qᵀ with state 0 (the empty system in every TAG
+//     chain) pinned to π_0 = 1 — then normalised. It stops when the
+//     true max|πQ| of the normalised π is at most Options.Eps, checked
+//     with one SpMV on Q, and fails (no NaNs) on breakdown, stagnation
+//     or a reducible chain. KrylovPattern is its per-shape structure
+//     (the reduced pattern, the diagonal positions and where each
+//     entry comes from in q.Val), so a Solver built on a cached
+//     pattern only gathers values and factors them; internal/sweep
+//     keeps one pattern per cached shape.
+//   - SteadyState: the automatic cascade — GTH up to 400 states, then
+//     the Krylov stage, then Gauss-Seidel, then power iteration, each
+//     running only when the one before fails. A Solver runs the same
+//     cascade with its cached Krylov structure and reused work
+//     vectors, bit for bit like SteadyState.
 //
 // Non-convergence is reported as an error wrapping ErrNotConverged
 // and carrying the achieved residual and iteration count, so callers
-// can errors.Is it and decide whether "close enough" suffices.
+// can errors.Is it and decide whether "close enough" suffices. The
+// cascade never falls back silently: each failed stage's error is
+// appended to Stats.Fallbacks and sent as a warn-level
+// "solve.fallback" event.
 //
-// Options.Start replaces the uniform initial iterate of the iterative
-// solvers with a given vector — the stationary distribution of a
-// neighbouring chain on the same state space, for continuation along a
-// parameter axis. It is copied, never modified; nil keeps the uniform
-// start bit for bit.
+// Options.Start replaces the default initial iterate with a given
+// vector — the stationary distribution of a neighbouring chain on the
+// same state space, for continuation along a parameter axis. It is
+// copied, never modified. The sweeping solvers otherwise start from
+// the uniform distribution and the Krylov stage from all mass on
+// state 0 (which, unlike a uniform start, keeps the error small on
+// the many states of tiny probability); the Krylov stage scales a
+// start so that its entry 0 is 1.
 //
 // Options.Stats and Options.Progress (internal/obsv) expose
-// iteration counts, residual traces and wall time; SteadyState fills
-// Stats on its GTH stage too (solver "gth", no iterations), through
-// SteadyStateGTHSparse, which cmd/pepa's -solver gth also calls.
-// cmd/pepa's -solver/-workers/-stats flags drive them.
+// iteration counts, residual traces, the final max|πQ| and wall time;
+// SteadyState fills Stats on its GTH stage too (solver "gth", no
+// iterations), through SteadyStateGTHSparse, which cmd/pepa's -solver
+// gth also calls. cmd/pepa's -solver/-workers/-stats flags drive them.
 package linalg

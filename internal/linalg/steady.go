@@ -40,8 +40,8 @@ func notConverged(solver string, diff float64, iters int, eps float64) error {
 
 // Options configures the iterative stationary solvers.
 type Options struct {
-	MaxIter int     // maximum sweeps (default DefaultMaxIter)
-	Eps     float64 // convergence threshold on successive-iterate l∞ difference (default DefaultEps)
+	MaxIter int     // maximum sweeps (default DefaultMaxIter); the Krylov stage stops at min(MaxIter, 1000) iterations
+	Eps     float64 // convergence threshold on successive-iterate l∞ difference, or on max|πQ| for the Krylov stage (default DefaultEps)
 	Omega   float64 // SOR relaxation factor; 1 = plain Gauss-Seidel
 
 	// Workers parallelises the row-partitioned solvers (power,
@@ -50,8 +50,10 @@ type Options struct {
 	Workers int
 
 	// Stats, when non-nil, is filled with iteration counts, the final
-	// successive-iterate difference and wall time (also when the
-	// solver fails to converge).
+	// successive-iterate difference, the final max|πQ| and wall time
+	// (also when the solver fails to converge), and by SteadyState
+	// with the reason of each stage that failed before the one that
+	// answered.
 	Stats *obsv.SolveStats
 
 	// Metrics, when non-nil, receives per-solve aggregates at the end
@@ -77,7 +79,8 @@ type Options struct {
 	Events *obsv.EventLog
 
 	// Start, when non-nil, is the initial iterate of the iterative
-	// solvers in place of the uniform distribution — typically the
+	// solvers in place of their default — the uniform distribution, or
+	// all mass on state 0 for the Krylov stage — typically the
 	// stationary vector of a nearby chain with the same state space
 	// (continuation). It is copied, never modified, and must have one
 	// entry per state. GTH is direct and ignores it.
@@ -147,12 +150,14 @@ func (o Options) tick(solver string, iter, n int, diff float64) {
 }
 
 // finish fills Stats and records the per-solve metrics at the end of a
-// solve.
-func (o Options) finish(solver string, start time.Time, iters int, diff float64, converged bool) {
+// solve. residual is the final max|πQ| (0 when the solve produced no
+// iterate to measure).
+func (o Options) finish(solver string, start time.Time, iters int, diff float64, converged bool, residual float64) {
 	if o.Stats != nil {
 		o.Stats.Solver = solver
 		o.Stats.Iterations = iters
 		o.Stats.FinalDiff = diff
+		o.Stats.Residual = residual
 		o.Stats.Converged = converged
 		o.Stats.Workers = max(1, o.Workers)
 		o.Stats.Elapsed = time.Since(start)
@@ -176,9 +181,32 @@ func (o Options) finish(solver string, start time.Time, iters int, diff float64,
 		o.Events.Emit(obsv.LevelInfo, "solve.done", solver, map[string]float64{
 			"iterations": float64(iters),
 			"final_diff": diff,
+			"residual":   residual,
 			"converged":  conv,
 			"elapsed_s":  time.Since(start).Seconds(),
 		})
+	}
+}
+
+// residual is max|πQ| for the stats and events of a finished solve:
+// one SpMV, skipped when nothing would report it.
+func (o Options) residual(q *CSR, pi []float64) float64 {
+	if o.Stats == nil && o.Events == nil {
+		return 0
+	}
+	return Residual(q, pi)
+}
+
+// fallback records that stage failed with err before SteadyState
+// moves on: the reason is appended to Stats.Fallbacks (the failed
+// stage's other figures are cleared, so Stats describes the stage that
+// answers) and a warn-level "solve.fallback" event carries it.
+func (o Options) fallback(n int, err error) {
+	if o.Stats != nil {
+		*o.Stats = obsv.SolveStats{Fallbacks: append(o.Stats.Fallbacks, err.Error())}
+	}
+	if o.Events != nil {
+		o.Events.Emit(obsv.LevelWarn, "solve.fallback", err.Error(), map[string]float64{"states": float64(n)})
 	}
 }
 
@@ -331,12 +359,12 @@ func SteadyStatePower(q *CSR, opts Options) ([]float64, error) {
 		opts.tick("power", iter, n, diff)
 		if diff < opts.Eps {
 			numeric.Normalize(pi)
-			opts.finish("power", start, iter, diff, true)
+			opts.finish("power", start, iter, diff, true, opts.residual(q, pi))
 			return pi, nil
 		}
 		if iter == opts.MaxIter {
 			numeric.Normalize(pi)
-			opts.finish("power", start, iter, diff, false)
+			opts.finish("power", start, iter, diff, false, opts.residual(q, pi))
 			return pi, notConverged("power", diff, iter, opts.Eps)
 		}
 	}
@@ -390,12 +418,12 @@ func steadyStatePowerPar(q *CSR, pi, tmp []float64, lambda float64, start time.T
 		opts.tick("power", iter, n, diff)
 		if diff < opts.Eps {
 			numeric.Normalize(pi)
-			opts.finish("power", start, iter, diff, true)
+			opts.finish("power", start, iter, diff, true, opts.residual(q, pi))
 			return pi, nil
 		}
 		if iter == opts.MaxIter {
 			numeric.Normalize(pi)
-			opts.finish("power", start, iter, diff, false)
+			opts.finish("power", start, iter, diff, false, opts.residual(q, pi))
 			return pi, notConverged("power", diff, iter, opts.Eps)
 		}
 	}
@@ -499,7 +527,7 @@ func SteadyStateJacobi(q *CSR, opts Options) ([]float64, error) {
 		opts.tick("jacobi", iter, n, diff)
 		if diff < opts.Eps {
 			numeric.Normalize(pi)
-			opts.finish("jacobi", start, iter, diff, true)
+			opts.finish("jacobi", start, iter, diff, true, opts.residual(q, pi))
 			return pi, nil
 		}
 	}
@@ -510,7 +538,7 @@ func SteadyStateJacobi(q *CSR, opts Options) ([]float64, error) {
 			finalDiff = d
 		}
 	}
-	opts.finish("jacobi", start, opts.MaxIter, finalDiff, false)
+	opts.finish("jacobi", start, opts.MaxIter, finalDiff, false, opts.residual(q, pi))
 	return pi, notConverged("jacobi", finalDiff, opts.MaxIter, opts.Eps)
 }
 
@@ -576,51 +604,75 @@ func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 		opts.tick("gauss-seidel", iter, n, diff)
 		if diff < opts.Eps {
 			numeric.Normalize(pi)
-			opts.finish("gauss-seidel", start, iter, diff, true)
+			opts.finish("gauss-seidel", start, iter, diff, true, opts.residual(q, pi))
 			return pi, nil
 		}
 	}
 	numeric.Normalize(pi)
-	opts.finish("gauss-seidel", start, opts.MaxIter, diff, false)
+	opts.finish("gauss-seidel", start, opts.MaxIter, diff, false, opts.residual(q, pi))
 	return pi, notConverged("gauss-seidel", diff, opts.MaxIter, opts.Eps)
 }
 
 // SteadyStateGTHSparse solves the sparse generator q by GTH on its
 // dense form and, on success, fills opts.Stats with the solver name
-// "gth" and the wall time. It is SteadyState's direct stage; the other
-// options are ignored.
+// "gth", the wall time and the residual max|πQ|. It is SteadyState's
+// direct stage; the other options are ignored.
 func SteadyStateGTHSparse(q *CSR, opts Options) ([]float64, error) {
 	start := time.Now()
 	pi, err := SteadyStateGTH(q.ToDense())
 	if err == nil && opts.Stats != nil {
-		*opts.Stats = obsv.SolveStats{Solver: "gth", Converged: true, Workers: 1, Elapsed: time.Since(start)}
+		*opts.Stats = obsv.SolveStats{Solver: "gth", Converged: true, Workers: 1, Elapsed: time.Since(start), Residual: Residual(q, pi)}
 	}
 	return pi, err
 }
 
-// SteadyState picks a solver automatically: GTH for systems of up to
-// 400 states, Gauss–Seidel (with a power-method fallback) for larger
-// sparse ones. opts reaches the iterative stages, so workers, a start
-// vector, stats and metrics instrumentation survive the automatic
-// choice; the GTH stage fills opts.Stats with its solver name and wall
-// time only. An empty generator, or a start vector of the wrong
-// length, is an error whichever stage runs.
+// SteadyState picks a solver automatically. The cascade is GTH for
+// systems of up to 400 states, then the ILU(0)-preconditioned BiCGSTAB
+// stage (SteadyStateBiCGSTAB), then Gauss–Seidel, then power
+// iteration; each stage runs only when the one before it fails. opts
+// reaches every stage, so workers, a start vector, stats and metrics
+// instrumentation survive the automatic choice (the GTH stage fills
+// opts.Stats with its solver name, wall time and residual only). A
+// stage that fails is named, with its reason, in Stats.Fallbacks and
+// in a warn-level "solve.fallback" event. An empty generator, or a
+// start vector of the wrong length, is an error whichever stage runs.
 func SteadyState(q *CSR, opts Options) ([]float64, error) {
+	return new(Solver).SteadyState(q, opts)
+}
+
+// SteadyState runs SteadyState's cascade with the solver's Krylov
+// structure and work vectors. A generator without the solver's
+// sparsity pattern is an error.
+func (s *Solver) SteadyState(q *CSR, opts Options) ([]float64, error) {
 	if q.Rows == 0 {
 		return nil, errors.New("linalg: empty generator")
+	}
+	if s.pat != nil && !s.pat.matches(q) {
+		return nil, fmt.Errorf("linalg: %dx%d generator does not have the solver's %d-state pattern", q.Rows, q.Cols, s.pat.n)
 	}
 	if err := opts.checkStart(q.Rows); err != nil {
 		return nil, err
 	}
+	if opts.Stats != nil {
+		opts.Stats.Fallbacks = nil
+	}
 	const denseCutoff = 400
 	if q.Rows <= denseCutoff {
-		if pi, err := SteadyStateGTHSparse(q, opts); err == nil {
+		pi, err := SteadyStateGTHSparse(q, opts)
+		if err == nil {
 			return pi, nil
 		}
+		opts.fallback(q.Rows, err)
 	}
-	if pi, err := SteadyStateGaussSeidel(q, opts); err == nil {
+	pi, err := s.bicgstab(q, opts.withDefaults())
+	if err == nil {
 		return pi, nil
 	}
+	opts.fallback(q.Rows, err)
+	if pi, err = SteadyStateGaussSeidel(q, opts); err == nil {
+		return pi, nil
+	}
+	opts.fallback(q.Rows, err)
 	return SteadyStatePower(q, opts)
 }
 

@@ -162,7 +162,7 @@ func TestSteadyStateOptionsReachIterativeStages(t *testing.T) {
 		if !c.iterative && (st.Solver != "gth" || !st.Converged || st.Workers != 1 || st.Iterations != 0 || st.Elapsed <= 0) {
 			t.Fatalf("GTH stage must report itself in the stats: %+v", st)
 		}
-		if c.iterative && (st.Solver != "gauss-seidel" || !st.Converged) {
+		if c.iterative && (st.Solver != "bicgstab" || !st.Converged || st.Residual > DefaultEps) {
 			t.Fatalf("iterative stage must fill stats: %+v", st)
 		}
 	}
@@ -171,11 +171,13 @@ func TestSteadyStateOptionsReachIterativeStages(t *testing.T) {
 	}
 }
 
-// TestStartVector pins Options.Start: an explicit uniform start is the
-// nil default bit for bit, a start is copied and never modified, a
-// start at the answer converges in fewer sweeps, and a start of the
-// wrong length is an error on every iterative solver and on the
-// cascade, whichever stage would run.
+// TestStartVector pins Options.Start: an explicit default start (the
+// uniform distribution for the sweeping solvers, all mass on state 0
+// for the cascade's Krylov stage) is the nil default bit for bit, a
+// start is copied and never modified, a start at the answer converges
+// in fewer sweeps, and a start of the wrong length is an error on
+// every iterative solver and on the cascade, whichever stage would
+// run.
 func TestStartVector(t *testing.T) {
 	q := mm1kGenerator(5, 10, 600).ToCSR()
 	n := q.Rows
@@ -183,26 +185,32 @@ func TestStartVector(t *testing.T) {
 	for i := range uniform {
 		uniform[i] = 1 / float64(n)
 	}
+	e0 := make([]float64, n)
+	e0[0] = 1
 	exact := mm1kExact(5, 10, 600)
-	solvers := map[string]func(*CSR, Options) ([]float64, error){
-		"gauss-seidel": SteadyStateGaussSeidel,
-		"power":        SteadyStatePower,
-		"jacobi":       SteadyStateJacobi,
-		"cascade":      SteadyState,
+	solvers := map[string]struct {
+		solve func(*CSR, Options) ([]float64, error)
+		start []float64 // the default start, spelled out
+	}{
+		"gauss-seidel": {SteadyStateGaussSeidel, uniform},
+		"power":        {SteadyStatePower, uniform},
+		"jacobi":       {SteadyStateJacobi, uniform},
+		"cascade":      {SteadyState, e0},
 	}
-	for name, solve := range solvers {
+	for name, s := range solvers {
+		solve := s.solve
 		var cold, warm obsv.SolveStats
 		want, err := solve(q, Options{Stats: &cold})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := solve(q, Options{Start: uniform})
+		got, err := solve(q, Options{Start: s.start})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: explicit uniform start differs from nil at state %d", name, i)
+				t.Fatalf("%s: explicit default start differs from nil at state %d", name, i)
 			}
 		}
 		start := append([]float64(nil), exact...)

@@ -50,16 +50,18 @@ func (s *DeriveStats) String() string {
 	return base
 }
 
-// SolveStats records one iterative steady-state solve. A caller passes
-// a pointer via linalg.Options.Stats.
+// SolveStats records one steady-state solve. A caller passes a pointer
+// via linalg.Options.Stats.
 type SolveStats struct {
-	Solver        string        `json:"solver"`                   // "power", "gauss-seidel", "jacobi", ...
-	Iterations    int           `json:"iterations"`               // sweeps performed
-	FinalDiff     float64       `json:"final_diff"`               // last successive-iterate l-inf difference
-	ResidualTrace []float64     `json:"residual_trace,omitempty"` // successive-iterate diff sampled every TraceEvery sweeps
+	Solver        string        `json:"solver"`                   // "gth", "bicgstab", "gauss-seidel", "power", "jacobi"
+	Iterations    int           `json:"iterations"`               // sweeps or Krylov steps performed
+	FinalDiff     float64       `json:"final_diff"`               // last successive-iterate l-inf difference (bicgstab: residual estimate)
+	Residual      float64       `json:"residual,omitempty"`       // max|πQ| of the returned π
+	ResidualTrace []float64     `json:"residual_trace,omitempty"` // FinalDiff sampled every TraceEvery iterations
 	Converged     bool          `json:"converged"`                // reached the requested tolerance
 	Workers       int           `json:"workers"`                  // worker goroutines used (1 = serial)
 	Elapsed       time.Duration `json:"elapsed_ns"`               // wall time of the solve
+	Fallbacks     []string      `json:"fallbacks,omitempty"`      // why each earlier stage of linalg.SteadyState failed
 }
 
 func (s *SolveStats) String() string {
@@ -67,8 +69,12 @@ func (s *SolveStats) String() string {
 	if !s.Converged {
 		state = "NOT converged"
 	}
-	return fmt.Sprintf("%s: %d iterations, final diff %.3g, %s, %d workers, %v",
-		s.Solver, s.Iterations, s.FinalDiff, state, s.Workers, s.Elapsed.Round(time.Microsecond))
+	out := fmt.Sprintf("%s: %d iterations, final diff %.3g, %s, %d workers, %v, residual %.3g",
+		s.Solver, s.Iterations, s.FinalDiff, state, s.Workers, s.Elapsed.Round(time.Microsecond), s.Residual)
+	for _, f := range s.Fallbacks {
+		out += "; after fallback: " + f
+	}
+	return out
 }
 
 // TraceString renders the residual trace compactly for logs.

@@ -6,6 +6,7 @@ import (
 
 	"pepatags/internal/core"
 	"pepatags/internal/ctmc"
+	"pepatags/internal/linalg"
 )
 
 // Cache is the content-addressed store of derived model structure.
@@ -13,9 +14,11 @@ import (
 // — so two points share an entry exactly when their reachable state
 // spaces and symbolic transition structures are identical (the skeleton
 // property tests assert both directions). Each entry holds the derived
-// skeleton plus the sparse-generator assembly pattern of the shape, so
-// a cache hit pays O(transitions) instantiation and O(nnz) generator
-// fill instead of the BFS derivation and the COO sort.
+// skeleton, the sparse-generator assembly pattern of the shape and the
+// structure of the solver's Krylov stage (linalg.KrylovPattern), so a
+// cache hit pays O(transitions) instantiation, O(nnz) generator fill
+// and a numeric ILU(0) factorisation instead of the BFS derivation,
+// the COO sort and the symbolic set-up.
 //
 // Chains produced through the cache are bit-identical to the ones
 // Build derives from scratch (Build itself routes through the
@@ -32,9 +35,35 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	mu   sync.Mutex
-	skel *core.Skeleton
-	pat  *ctmc.GenPattern
+	mu     sync.Mutex
+	skel   *core.Skeleton
+	pat    *ctmc.GenPattern
+	krylov *linalg.KrylovPattern // nil when the shape's generator has none (an absorbing state)
+
+	// idle holds the shape's linalg.Solvers between solves, so that
+	// later solves of the shape reuse the Krylov stage's work vectors.
+	// It grows to the number of concurrent solves of the shape.
+	idle []*linalg.Solver
+}
+
+// solve runs linalg's solver cascade on q, a generator of the entry's
+// shape, with the shape's Krylov structure and reused work vectors.
+// The result is bit-identical to linalg.SteadyState(q, opts).
+func (e *cacheEntry) solve(q *linalg.CSR, opts linalg.Options) ([]float64, error) {
+	e.mu.Lock()
+	var s *linalg.Solver
+	if n := len(e.idle); n > 0 {
+		s, e.idle = e.idle[n-1], e.idle[:n-1]
+	} else {
+		s = linalg.NewSolver(e.krylov)
+	}
+	e.mu.Unlock()
+	defer func() {
+		e.mu.Lock()
+		e.idle = append(e.idle, s)
+		e.mu.Unlock()
+	}()
+	return s.SteadyState(q, opts)
 }
 
 // NewCache returns an empty cache.
@@ -73,6 +102,13 @@ func (c *Cache) Shapes() int {
 // Chain returns the model's CTMC, deriving the shape's skeleton and
 // generator pattern on first use and reusing them afterwards.
 func (c *Cache) Chain(m core.SkeletonModel) (*ctmc.Chain, error) {
+	ch, _, err := c.chain(m)
+	return ch, err
+}
+
+// chain is Chain that also returns the shape's entry, whose solve uses
+// the shape's cached solver structure.
+func (c *Cache) chain(m core.SkeletonModel) (*ctmc.Chain, *cacheEntry, error) {
 	key := m.Shape().Key()
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -92,25 +128,29 @@ func (c *Cache) Chain(m core.SkeletonModel) (*ctmc.Chain, error) {
 	}
 	ch, err := e.skel.Instantiate(m.RateValues())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if e.pat == nil {
 		e.pat = ctmc.NewGenPattern(ch)
+		e.krylov, _ = linalg.NewKrylovPattern(ch.Generator())
 	} else if err := e.pat.Apply(ch); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ch, nil
+	return ch, e, nil
 }
 
 // Analyze solves a TAG model (core.TAGExp or core.TAGH2) through the
-// cache.
-func (c *Cache) Analyze(m interface {
-	core.SkeletonModel
-	AnalyzeChain(*ctmc.Chain) (core.Measures, error)
-}) (core.Measures, error) {
-	ch, err := c.Chain(m)
+// cache, from a cold start, with the shape's cached solver structure.
+// The measures are bit-identical to the model's AnalyzeChain on the
+// same chain.
+func (c *Cache) Analyze(m warmModel) (core.Measures, error) {
+	ch, e, err := c.chain(m)
 	if err != nil {
 		return core.Measures{}, err
 	}
-	return m.AnalyzeChain(ch)
+	pi, err := e.solve(ch.Generator(), linalg.Options{})
+	if err != nil {
+		return core.Measures{}, err
+	}
+	return m.MeasuresFrom(ch, pi), nil
 }

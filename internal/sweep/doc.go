@@ -17,11 +17,14 @@
 //
 // The reachable state space and symbolic transition structure of a TAG
 // model are a pure function of its core.Shape — rates only scale edge
-// weights. Cache therefore keys derived skeletons and sparse-generator
-// assembly patterns (ctmc.GenPattern) by Shape.Key(), the SHA-256 of
-// the canonical shape encoding: points that differ only in rates share
-// one BFS derivation and one COO→CSR sort, paying O(transitions)
-// instantiation per solve instead. The skeleton property tests assert
+// weights. Cache therefore keys derived skeletons, sparse-generator
+// assembly patterns (ctmc.GenPattern) and the solver's Krylov
+// structure (linalg.KrylovPattern) by Shape.Key(), the SHA-256 of the
+// canonical shape encoding: points that differ only in rates share one
+// BFS derivation, one COO→CSR sort and one symbolic solver set-up,
+// paying O(transitions) instantiation and a numeric ILU(0) per solve
+// instead. Solves through the cache return exactly what
+// linalg.SteadyState returns on the same generator. The skeleton property tests assert
 // the key collides exactly when the derived structures are identical,
 // and chains built through the cache are bit-identical to uncached
 // ones, so cached sweeps reproduce direct tables byte for byte.
@@ -29,10 +32,12 @@
 // # Continuation along the timeout axis
 //
 // An opt-t search solves one shape at every integer timeout in its
-// range. Its evaluator solves each chain starting from the previous
-// evaluation's stationary distribution (linalg.Options.Start), which
-// for the neighbouring timeout is already close, so Gauss–Seidel needs
-// fewer sweeps. Warm and cold solves agree to solver tolerance (1e-8
+// range. Its evaluator solves each chain from a start predicted from
+// the search's earlier solves (linalg.Options.Start): the quadratic
+// extrapolation of the last three stationary distributions along an
+// equally spaced run of timeouts, else the last one, which for the
+// neighbouring timeout is already close and saves solver iterations.
+// Warm and cold solves agree to solver tolerance (1e-8
 // relative on the Figure-8 grid, TestContinuationAccuracy), not bit
 // for bit, and the start never crosses points: a row stays a pure
 // function of its point, whatever the worker count or point order.

