@@ -148,7 +148,8 @@ func NewSolver(p *KrylovPattern) *Solver { return &Solver{pat: p} }
 // ILU(0)-preconditioned BiCGSTAB on the reduced system Qᵀ with π_0
 // pinned to 1, stopped when the normalised π has max|πQ| <= Eps (it
 // aims a decade lower while that takes only a few more steps). It
-// honours Options.Start (scaled so that its entry 0 is 1), Stats,
+// honours Options.Start (scaled so that its entry 0 is 1; a start
+// whose entry 0 is not positive cannot be scaled and is ignored), Stats,
 // Metrics, Progress, TraceEvery and Events; it is serial and ignores
 // Workers and Omega. It fails, instead of returning NaNs, when the
 // chain is reducible, when BiCGSTAB breaks down, and when the
