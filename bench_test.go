@@ -225,12 +225,13 @@ func BenchmarkH2Solve(b *testing.B) {
 	}
 }
 
-// --- serial vs parallel derivation and solvers ---
+// --- serial vs parallel derivation, and the solvers ---
 //
-// The BenchmarkDerive*/BenchmarkSteady* families compare the serial
-// reference paths against the worker-pool paths on the paper's three
-// models at growing queue bounds. Run with -cpu to vary GOMAXPROCS;
-// the parallel variants only pay off with real cores behind them.
+// The BenchmarkDerive* family compares the serial reference path
+// against the worker-pool paths on the paper's three models at growing
+// queue bounds. Run with -cpu to vary GOMAXPROCS; the parallel
+// variants only pay off with real cores behind them. The solvers are
+// serial.
 
 // benchDerive parses once, then times derivation at each worker count.
 func benchDerive(b *testing.B, src string, workerCounts ...int) {
@@ -333,50 +334,26 @@ func BenchmarkDeriveShortestQueue(b *testing.B) {
 	benchDerive(b, string(src), 1, 4)
 }
 
-// benchSteady times one solver configuration on the largest TAG chain.
-func benchSteady(b *testing.B, q *linalg.CSR, solve func(*linalg.CSR) ([]float64, error)) {
-	b.Helper()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solve(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkSteadyPower times power iteration on the K=20 TAG chain.
+// The sub-benchmark keeps the name of its BENCH_derive.json row.
 func BenchmarkSteadyPower(b *testing.B) {
 	q := core.NewTAGExp(5, 10, 42, 6, 20, 20).Build().Generator()
 	b.Run("serial", func(b *testing.B) {
-		benchSteady(b, q, func(q *linalg.CSR) ([]float64, error) {
-			return linalg.SteadyStatePower(q, linalg.Options{})
-		})
-	})
-	b.Run("workers=4", func(b *testing.B) {
-		benchSteady(b, q, func(q *linalg.CSR) ([]float64, error) {
-			return linalg.SteadyStatePower(q, linalg.Options{Workers: 4})
-		})
-	})
-}
-
-func BenchmarkSteadyJacobi(b *testing.B) {
-	q := core.NewTAGExp(5, 10, 42, 6, 20, 20).Build().Generator()
-	b.Run("serial", func(b *testing.B) {
-		benchSteady(b, q, func(q *linalg.CSR) ([]float64, error) {
-			return linalg.SteadyStateJacobi(q, linalg.Options{})
-		})
-	})
-	b.Run("workers=4", func(b *testing.B) {
-		benchSteady(b, q, func(q *linalg.CSR) ([]float64, error) {
-			return linalg.SteadyStateJacobi(q, linalg.Options{Workers: 4})
-		})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := linalg.SteadyStatePower(q, linalg.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 
 func BenchmarkMultiNodeTable(b *testing.B) { benchFigure(b, exp.MultiNodeTable) }
 
-// BenchmarkPassageTable uses a reduced configuration: the hitting-time
-// systems are dense LU solves, cubic in the state count.
+// BenchmarkPassageTable uses a reduced configuration (N=3, K=6:
+// 475-state TAG chains). Its hitting-time systems of up to
+// linalg.DenseCutoff unknowns are dense LU solves, the larger ones go
+// to the ILU(0)-preconditioned BiCGSTAB kernel.
 func BenchmarkPassageTable(b *testing.B) {
 	p := exp.ShortParams()
 	p.N, p.K = 3, 6

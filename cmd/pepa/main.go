@@ -11,8 +11,8 @@
 //	pepa -lint model.pepa          # static checks only, no derivation
 //	pepa -lint -json model.pepa    # ... as a pepatags/pepalint/v1 report
 //	pepa -lump model.pepa          # report the lumped quotient size
-//	pepa -workers 8 model.pepa     # parallel derivation + parallel solver
-//	pepa -solver power model.pepa  # force a solver: auto|gth|power|gs|jacobi
+//	pepa -workers 8 model.pepa     # parallel derivation
+//	pepa -solver gth model.pepa    # force a solver: auto|gth
 //	pepa -stats model.pepa         # derivation/solver statistics on stderr
 //	pepa -manifest run.json ...    # machine-readable run record
 //	pepa -trace trace.json ...     # Chrome trace of the pipeline spans
@@ -56,9 +56,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		jsonOut    = fs.Bool("json", false, "with -lint, emit a pepatags/pepalint/v1 JSON report")
 		echo       = fs.Bool("echo", false, "pretty-print the parsed model before solving")
 		level      = fs.String("level", "", "report E[level] of a leaf: <leafIndex>:<derivativePrefix>, e.g. 1:QA")
-		workers    = fs.Int("workers", 1, "worker goroutines for derivation and the row-partitioned solvers (-1 = one per CPU)")
+		workers    = fs.Int("workers", 1, "worker goroutines for derivation (-1 = one per CPU)")
 		stats      = fs.Bool("stats", false, "print derivation/solver statistics and the pipeline span tree to stderr")
-		solver     = fs.String("solver", "auto", "steady-state solver: auto, gth, power, gs (Gauss-Seidel), jacobi")
+		solver     = fs.String("solver", "auto", "steady-state solver: auto (the linalg.SteadyState cascade) or gth")
 		manifest   = fs.String("manifest", "", "write a JSON run manifest to this path")
 		tracePath  = fs.String("trace", "", "write a Chrome trace-event JSON of the pipeline spans to this path")
 		debugAddr  = fs.String("debug-addr", "", "serve pprof/expvar/metrics/events on this address (e.g. :6060) for the duration of the run")
@@ -164,10 +164,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintf(stderr, "warning: %v\n", err)
 	}
 
-	sopts := linalg.Options{
-		Workers: *workers, Metrics: reg,
-		Events: tele.Log, Progress: tele.Heartbeat.ObserveProgress,
-	}
+	sopts := linalg.Options{Metrics: reg, Events: tele.Log, Progress: tele.Heartbeat.ObserveProgress}
 	var sstats obsv.SolveStats
 	if instrumented {
 		sopts.Stats = &sstats
@@ -306,13 +303,7 @@ func solveSteady(c *ctmc.Chain, solver string, opts linalg.Options) ([]float64, 
 		return linalg.SteadyState(c.Generator(), opts)
 	case "gth":
 		return linalg.SteadyStateGTHSparse(c.Generator(), opts)
-	case "power":
-		return linalg.SteadyStatePower(c.Generator(), opts)
-	case "gs":
-		return linalg.SteadyStateGaussSeidel(c.Generator(), opts)
-	case "jacobi":
-		return linalg.SteadyStateJacobi(c.Generator(), opts)
 	default:
-		return nil, fmt.Errorf("unknown -solver %q (want auto, gth, power, gs or jacobi)", solver)
+		return nil, fmt.Errorf("unknown -solver %q (want auto or gth)", solver)
 	}
 }

@@ -60,14 +60,14 @@ func TestRunStatsReportsGTHStage(t *testing.T) {
 		if err := run(args, strings.NewReader(src), &out, &errs); err != nil {
 			t.Fatalf("-solver %s: run: %v (stderr: %s)", solver, err, errs.String())
 		}
-		if !strings.Contains(errs.String(), "gth: 0 iterations, final diff 0, converged, 1 workers") {
+		if !strings.Contains(errs.String(), "gth: 0 iterations, final diff 0, converged, ") {
 			t.Fatalf("-solver %s: no GTH solve stats on stderr:\n%s", solver, errs.String())
 		}
 		m, err := obsv.ReadManifest(mpath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Solve == nil || m.Solve.Solver != "gth" || !m.Solve.Converged || m.Solve.Workers != 1 {
+		if m.Solve == nil || m.Solve.Solver != "gth" || !m.Solve.Converged {
 			t.Fatalf("-solver %s: bad solve record: %+v", solver, m.Solve)
 		}
 	}

@@ -47,14 +47,13 @@
 //
 // # Concurrency
 //
-// The two hot paths scale across cores without changing results:
-// state-space derivation (pepa.DeriveOptions.Workers) uses a
-// level-synchronous sharded BFS that is bit-identical to the serial
-// reference, and the iterative solvers (linalg.Options.Workers) use
-// row-partitioned gather products that are bit-identical for any
-// worker count. DESIGN.md documents the design and the determinism
+// State-space derivation (pepa.DeriveOptions.Workers) scales across
+// cores without changing results: a level-synchronous sharded BFS
+// that is bit-identical to the serial reference. Sweeps run their
+// points on a worker pool (sweep.Options.Workers). The solvers are
+// serial. DESIGN.md documents the design and the determinism
 // arguments; EXPERIMENTS.md records measured behaviour.
 //
 // The benchmarks in bench_test.go cover serial-vs-parallel derivation
-// and solving; `make bench` summarises them into BENCH_derive.json.
+// and the solvers; `make bench` summarises them into BENCH_derive.json.
 package pepatags

@@ -17,8 +17,8 @@
 //     never affect stationary behaviour), steady-state vectors within
 //     1e-10 and per-action throughputs.
 //   - Pairwise agreement of every stationary solver: GTH, LU, power,
-//     Jacobi, Gauss-Seidel, SOR, the ILU(0)-preconditioned BiCGSTAB
-//     stage and the linalg.SteadyState cascade.
+//     Gauss-Seidel, the ILU(0)-preconditioned BiCGSTAB stage and the
+//     linalg.SteadyState cascade.
 //   - Uniformised transient analysis: the stationary vector is a fixed
 //     point of Transient, and total-variation distance to stationarity
 //     never increases with t.

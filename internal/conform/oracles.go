@@ -296,16 +296,13 @@ func solverBattery(c *ctmc.Chain, piRef []float64, res *result) {
 	q := c.Generator()
 	dense := q.ToDense()
 	iter := linalg.Options{Eps: 1e-13}
-	sor := linalg.Options{Eps: 1e-13, Omega: 0.9}
 	solvers := []struct {
 		name  string
 		solve func() ([]float64, error)
 	}{
 		{"lu", func() ([]float64, error) { return linalg.SteadyStateLU(dense) }},
 		{"power", func() ([]float64, error) { return linalg.SteadyStatePower(q, iter) }},
-		{"jacobi", func() ([]float64, error) { return linalg.SteadyStateJacobi(q, iter) }},
 		{"gauss-seidel", func() ([]float64, error) { return linalg.SteadyStateGaussSeidel(q, iter) }},
-		{"sor-0.9", func() ([]float64, error) { return linalg.SteadyStateGaussSeidel(q, sor) }},
 		{"bicgstab", func() ([]float64, error) { return linalg.SteadyStateBiCGSTAB(q, linalg.Options{}) }},
 		{"auto", func() ([]float64, error) { return linalg.SteadyState(c.Generator(), linalg.Options{Eps: 1e-13}) }},
 	}

@@ -15,8 +15,8 @@ import (
 // The tentpole cross-validation: on the paper's three models (the
 // Figure 3 TAG system, Appendix A random allocation, Appendix B
 // shortest queue), parallel derivation must reproduce the serial chain
-// bit for bit, and the parallel power solver must agree with GTH to
-// 1e-10 on the stationary vector.
+// bit for bit, and power iteration on the parallel-derived chain must
+// agree with GTH to 1e-10 on the stationary vector.
 
 func paperModelSources(t *testing.T) map[string]string {
 	t.Helper()
@@ -69,19 +69,19 @@ func TestParallelDeriveMatchesSerialOnPaperModels(t *testing.T) {
 				}
 			}
 
-			// Parallel power iteration vs the GTH direct method.
+			// Power iteration vs the GTH direct method.
 			q := par.Chain.Generator()
 			ref, err := linalg.SteadyStateGTH(q.ToDense())
 			if err != nil {
 				t.Fatal(err)
 			}
-			pow, err := linalg.SteadyStatePower(q, linalg.Options{Workers: 4, Eps: 1e-14})
+			pow, err := linalg.SteadyStatePower(q, linalg.Options{Eps: 1e-14})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range ref {
 				if d := math.Abs(ref[i] - pow[i]); d > 1e-10 {
-					t.Fatalf("pi[%d]: GTH %g vs parallel power %g (diff %g)", i, ref[i], pow[i], d)
+					t.Fatalf("pi[%d]: GTH %g vs power %g (diff %g)", i, ref[i], pow[i], d)
 				}
 			}
 		})

@@ -24,10 +24,13 @@
 //   - reward extraction: Expectation, Probability and
 //     ActionThroughput, the building blocks for the paper's mean
 //     queue lengths, loss probabilities and throughputs;
-//   - Transient / TransientWith (transient.go): uniformised
-//     transient probabilities π(t), with a row-partitioned parallel
-//     matrix-vector path when workers > 1, used by the
-//     first-passage and tagged-job analyses.
+//   - Transient (transient.go): uniformised transient probabilities
+//     π(t), used by the first-passage and tagged-job analyses;
+//   - first-passage analysis (passage.go): expected hitting times and
+//     hitting probabilities, from linear systems solved by dense LU up
+//     to linalg.DenseCutoff unknowns and by the ILU(0)-preconditioned
+//     BiCGSTAB kernel (linalg.SolveBiCGSTAB) above it, after a check
+//     that every state can reach the boundary.
 //
 // CheckIrreducible guards against modelling slips that would make
 // the stationary equations singular in surprising ways.

@@ -13,19 +13,49 @@ import (
 // delay is bounded" — e.g. the expected time for the node-1 queue to
 // fill from empty under each policy.
 
-// denseHittingCutoff selects the solver: dense LU below, sparse
-// Gauss-Seidel above. LU is exact and handles the ill-conditioned
-// systems that arise when the target is nearly unreachable (huge
-// hitting times), where the sweeps converge too slowly; it remains
-// affordable up to a few thousand states.
-const denseHittingCutoff = 5000
-
-// solveHitting solves A x = b where A is assembled in COO form.
+// solveHitting solves the first-passage system A x = b assembled in
+// COO form, A the generator restricted to the free states. −A is a
+// nonsingular M-matrix once checkReachable has passed. Systems of up
+// to linalg.DenseCutoff unknowns go to dense LU, larger ones to the
+// ILU(0)-preconditioned BiCGSTAB kernel.
 func solveHitting(coo *linalg.COO, b []float64) ([]float64, error) {
-	if coo.Rows <= denseHittingCutoff {
-		return linalg.LUSolve(coo.ToCSR().ToDense(), b)
+	a := coo.ToCSR()
+	if a.Rows <= linalg.DenseCutoff {
+		return linalg.LUSolve(a.ToDense(), b)
 	}
-	return linalg.SolveSparseGaussSeidel(coo.ToCSR(), b, linalg.Options{})
+	return linalg.SolveBiCGSTAB(a, b)
+}
+
+// checkReachable returns an error naming a free state (idx >= 0) from
+// which no path of q leads to a boundary state (idx < 0). Such a state
+// makes the first-passage system singular, and round-off can hide that
+// from the solver: LU then returns huge values instead of failing.
+func checkReachable(q *linalg.CSR, idx []int) error {
+	qt := q.Transpose() // row j lists the states with a transition into j
+	out := make([]bool, len(idx))
+	var stack []int
+	for j, r := range idx {
+		if r < 0 {
+			out[j] = true
+			stack = append(stack, j)
+		}
+	}
+	for len(stack) > 0 {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for k := qt.RowPtr[j]; k < qt.RowPtr[j+1]; k++ {
+			if i := qt.ColIdx[k]; !out[i] {
+				out[i] = true
+				stack = append(stack, i)
+			}
+		}
+	}
+	for i, ok := range out {
+		if !ok {
+			return fmt.Errorf("ctmc: no path from state %d to a boundary state", i)
+		}
+	}
+	return nil
 }
 
 // ExpectedHittingTimes returns, for every state i, the expected time
@@ -34,8 +64,8 @@ func solveHitting(coo *linalg.COO, b []float64) ([]float64, error) {
 //
 //	sum_j Q[i][j] h[j] = -1.
 //
-// States that cannot reach the target make the system singular; an
-// error is returned in that case.
+// A state that cannot reach the target makes the system singular and
+// is an error.
 func (c *Chain) ExpectedHittingTimes(target func(state int) bool) ([]float64, error) {
 	n := c.NumStates()
 	if n == 0 {
@@ -55,10 +85,13 @@ func (c *Chain) ExpectedHittingTimes(target func(state int) bool) ([]float64, er
 	if len(free) == 0 {
 		return make([]float64, n), nil
 	}
+	q := c.Generator()
+	if err := checkReachable(q, idx); err != nil {
+		return nil, fmt.Errorf("ctmc: target unreachable: %w", err)
+	}
 	m := len(free)
 	a := linalg.NewCOO(m, m)
 	b := make([]float64, m)
-	q := c.Generator()
 	for r, i := range free {
 		b[r] = -1
 		q.RangeRow(i, func(j int, v float64) {
@@ -69,7 +102,7 @@ func (c *Chain) ExpectedHittingTimes(target func(state int) bool) ([]float64, er
 	}
 	h, err := solveHitting(a, b)
 	if err != nil {
-		return nil, fmt.Errorf("ctmc: hitting-time system (target unreachable from some state?): %w", err)
+		return nil, fmt.Errorf("ctmc: hitting-time system: %w", err)
 	}
 	out := make([]float64, n)
 	for r, i := range free {
@@ -86,6 +119,9 @@ func (c *Chain) ExpectedHittingTimes(target func(state int) bool) ([]float64, er
 // avoid states 0. Solved from
 //
 //	sum_j Q[i][j] p[j] = 0 for transient i.
+//
+// A state that can reach neither set makes the system singular and is
+// an error.
 func (c *Chain) HittingProbabilities(target, avoid func(state int) bool) ([]float64, error) {
 	n := c.NumStates()
 	if n == 0 {
@@ -113,10 +149,13 @@ func (c *Chain) HittingProbabilities(target, avoid func(state int) bool) ([]floa
 	if len(free) == 0 {
 		return out, nil
 	}
+	q := c.Generator()
+	if err := checkReachable(q, idx); err != nil {
+		return nil, fmt.Errorf("ctmc: neither target nor avoid reachable: %w", err)
+	}
 	m := len(free)
 	a := linalg.NewCOO(m, m)
 	b := make([]float64, m)
-	q := c.Generator()
 	for r, i := range free {
 		q.RangeRow(i, func(j int, v float64) {
 			switch {

@@ -1,9 +1,12 @@
 package ctmc
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"pepatags/internal/linalg"
 	"pepatags/internal/numeric"
 )
 
@@ -181,16 +184,21 @@ func TestLumpPartitionValidation(t *testing.T) {
 	}
 }
 
+// TestHittingTimesSparsePathMatchesDense: a system larger than
+// linalg.DenseCutoff goes to the Krylov kernel, whose answer matches
+// the closed form and LU on the same system. The chain is an
+// overloaded M/M/1/K ladder with K = 2000 and target K/2, so 1,000
+// unknowns (rho > 1 keeps the fill times moderate and the linear
+// system well conditioned; at rho < 1 the answer grows like
+// (mu/lambda)^K and is numerically meaningless for any solver).
 func TestHittingTimesSparsePathMatchesDense(t *testing.T) {
-	// A chain big enough to trigger the sparse solver (> 1500 states):
-	// an overloaded M/M/1/K ladder with K = 2000 (rho > 1 keeps the
-	// fill times moderate and the linear system well conditioned; at
-	// rho < 1 the answer grows like (mu/lambda)^K and is numerically
-	// meaningless for any solver).
 	lambda, mu := 12.0, 10.0
 	k := 2000
 	c := buildMM1K(lambda, mu, k)
 	target := k / 2
+	if target <= linalg.DenseCutoff {
+		t.Fatalf("%d unknowns do not cross the dense cutoff %d", target, linalg.DenseCutoff)
+	}
 	h, err := c.ExpectedHittingTimes(func(s int) bool { return s >= target })
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +212,87 @@ func TestHittingTimesSparsePathMatchesDense(t *testing.T) {
 	for _, v := range m {
 		want += v
 	}
-	if math.Abs(h[0]-want)/want > 1e-6 {
+	if math.Abs(h[0]-want)/want > 1e-10 {
 		t.Fatalf("sparse fill time %v want %v", h[0], want)
+	}
+	// The same system, states 0..target-1, by dense LU.
+	q := c.Generator().ToDense()
+	a := linalg.NewDense(target, target)
+	b := make([]float64, target)
+	for i := 0; i < target; i++ {
+		b[i] = -1
+		for j := 0; j < target; j++ {
+			a.Set(i, j, q.At(i, j))
+		}
+	}
+	lu, err := linalg.LUSolve(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range lu {
+		if math.Abs(h[i]-v) > 1e-10*v {
+			t.Fatalf("state %d: Krylov %v, LU %v", i, h[i], v)
+		}
+	}
+}
+
+// TestHittingTimesUnreachableTargetErrors: a target without inflow
+// makes the hitting-time system singular, which is an error on both
+// sides of the dense cutoff, for hitting times and for hitting
+// probabilities. (Dense LU alone returned huge values here: round-off
+// leaves its last pivot small but not zero.)
+func TestHittingTimesUnreachableTargetErrors(t *testing.T) {
+	for _, n := range []int{100, 900} {
+		// A ladder on 0..n-2; state n-1 only leaves, to state 0.
+		b := NewBuilder()
+		for i := 0; i < n; i++ {
+			b.State(fmt.Sprintf("s%d", i))
+		}
+		for i := 0; i < n-2; i++ {
+			b.Transition(i, i+1, 3, "up")
+			b.Transition(i+1, i, 4, "down")
+		}
+		b.Transition(n-1, 0, 1, "leave")
+		c := b.Build()
+		target := func(s int) bool { return s == n-1 }
+		if _, err := c.ExpectedHittingTimes(target); err == nil || !strings.Contains(err.Error(), "unreachable") {
+			t.Fatalf("%d states: hitting times: want an unreachable-target error, got %v", n, err)
+		}
+		if _, err := c.HittingProbabilities(target, func(int) bool { return false }); err == nil {
+			t.Fatalf("%d states: hitting probabilities: unreachable target accepted", n)
+		}
+	}
+}
+
+// TestConditionalHittingTimesSymmetricWalk: a symmetric walk on
+// 0..N at rate 1 each way, started at i and conditioned to reach N
+// before 0, does so with probability i/N after (N² − i²)/3 jumps of
+// mean length 1/2 each, on both sides of the dense cutoff.
+func TestConditionalHittingTimesSymmetricWalk(t *testing.T) {
+	for _, n := range []int{100, 600} {
+		b := NewBuilder()
+		for i := 0; i <= n; i++ {
+			b.State(fmt.Sprintf("s%d", i))
+		}
+		for i := 0; i < n; i++ {
+			b.Transition(i, i+1, 1, "up")
+			b.Transition(i+1, i, 1, "down")
+		}
+		c := b.Build()
+		probs, times, err := c.ConditionalHittingTimes(
+			func(s int) bool { return s == n },
+			func(s int) bool { return s == 0 },
+		)
+		if err != nil {
+			t.Fatalf("N=%d: %v", n, err)
+		}
+		for i := 1; i < n; i++ {
+			p := float64(i) / float64(n)
+			want := float64(n*n-i*i) / 6
+			if math.Abs(probs[i]-p) > 1e-12 || math.Abs(times[i]-want) > 1e-9*want {
+				t.Fatalf("N=%d, i=%d: p %v, E[T] %v; want %v, %v", n, i, probs[i], times[i], p, want)
+			}
+		}
 	}
 }
 

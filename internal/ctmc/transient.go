@@ -17,15 +17,6 @@ import (
 // The Poisson series is truncated once its accumulated mass is within
 // eps of one.
 func (c *Chain) Transient(pi0 []float64, t float64, eps float64) ([]float64, error) {
-	return c.TransientWith(pi0, t, eps, 0)
-}
-
-// TransientWith is Transient with an explicit worker count: with
-// workers > 1 each vector-matrix product v P of the uniformisation
-// series is row-partitioned over the transpose of the generator
-// (linalg.CSR.MulVecInto), which is deterministic for any worker
-// count. workers <= 1 runs the serial scatter kernel.
-func (c *Chain) TransientWith(pi0 []float64, t float64, eps float64, workers int) ([]float64, error) {
 	n := c.NumStates()
 	if len(pi0) != n {
 		return nil, fmt.Errorf("ctmc: pi0 length %d != %d states", len(pi0), n)
@@ -42,10 +33,6 @@ func (c *Chain) TransientWith(pi0 []float64, t float64, eps float64, workers int
 		return out, nil
 	}
 	q := c.Generator()
-	var tq *linalg.CSR // transpose, built only for the parallel gather path
-	if workers > 1 {
-		tq = q.Transpose()
-	}
 	lambda := linalg.UniformizationConstant(q)
 	qt := lambda * t
 
@@ -69,11 +56,7 @@ func (c *Chain) TransientWith(pi0 []float64, t float64, eps float64, workers int
 	maxK := int(qt + 40*math.Sqrt(qt) + 50)
 	for k := 1; k <= maxK && cum < 1-eps; k++ {
 		// v <- v P = v + (v Q)/Lambda
-		if tq != nil {
-			tq.MulVecInto(v, tmp, workers)
-		} else {
-			q.VecMulInto(v, tmp)
-		}
+		q.VecMulInto(v, tmp)
 		for i := range v {
 			v[i] += tmp[i] / lambda
 			if v[i] < 0 {

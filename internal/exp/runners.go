@@ -23,8 +23,8 @@ type Params struct {
 	// Alphas is the Figures 11-12 x-axis.
 	Alphas []float64
 	// Workers parallelises the runners that go through the generic
-	// PEPA engine (state-space derivation) and the row-partitioned
-	// solvers; 0 or 1 keeps the serial reference paths. Set by
+	// PEPA engine (state-space derivation) and the sweep engine's
+	// point pool; 0 or 1 keeps the serial reference paths. Set by
 	// cmd/tagseval's -workers flag.
 	Workers int
 }

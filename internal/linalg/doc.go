@@ -1,7 +1,8 @@
 // Package linalg supplies the numerical linear algebra behind every
 // stationary and transient distribution in the repository: dense
-// matrices with LU decomposition, sparse CSR matrices, and a family
-// of steady-state solvers for πQ = 0, Σπ = 1.
+// matrices with LU decomposition, sparse CSR matrices, a family of
+// steady-state solvers for πQ = 0, Σπ = 1, and the sparse linear solve
+// behind first-passage analysis.
 //
 // Conventions: generators Q are stored row-major with non-negative
 // off-diagonals and rows summing to zero; probability vectors are
@@ -18,18 +19,10 @@
 //     Options.Stats.
 //   - SteadyStateLU: dense LU on the augmented system; same cost
 //     class as GTH, kept for cross-checking.
-//   - SteadyStatePower: uniformised power iteration on sparse Q.
-//     O(nnz) per step; with Options.Workers > 1 it switches to a
-//     gather formulation over the transposed matrix
-//     (CSR.MulVecInto), bit-identical for any worker count.
-//   - SteadyStateJacobi: damped Jacobi sweep (default Omega = 0.75),
-//     the other parallel iterative path. Undamped Jacobi is power
-//     iteration on the embedded jump chain and diverges on periodic
-//     chains (e.g. birth-death); the damping makes the chain lazy
-//     and restores convergence.
-//   - SteadyStateGaussSeidel (+ SOR via Options.Omega): the fastest
-//     serial iteration per step; inherently sequential, so it
-//     ignores Options.Workers and serves as the serial reference.
+//   - SteadyStatePower: uniformised power iteration on sparse Q,
+//     O(nnz) per step; the cascade's last stage.
+//   - SteadyStateGaussSeidel: Gauss-Seidel sweeps, fewer than power
+//     iteration needs; the cascade's fallback for the Krylov stage.
 //   - SteadyStateBiCGSTAB: ILU(0)-preconditioned BiCGSTAB on the
 //     reduced system — Qᵀ with state 0 (the empty system in every TAG
 //     chain) pinned to π_0 = 1 — then normalised. It stops when the
@@ -40,18 +33,24 @@
 //     entry comes from in q.Val), so a Solver built on a cached
 //     pattern only gathers values and factors them; internal/sweep
 //     keeps one pattern per cached shape.
-//   - SteadyState: the automatic cascade — GTH up to 400 states, then
-//     the Krylov stage, then Gauss-Seidel, then power iteration, each
-//     running only when the one before fails. A Solver runs the same
-//     cascade with its cached Krylov structure and reused work
-//     vectors, bit for bit like SteadyState.
+//   - SteadyState: the automatic cascade — GTH up to DenseCutoff (400)
+//     states, then the Krylov stage, then Gauss-Seidel, then power
+//     iteration, each running only when the one before fails. A Solver
+//     runs the same cascade with its cached Krylov structure and
+//     reused work vectors, bit for bit like SteadyState.
+//   - SolveBiCGSTAB: the Krylov stage's kernel on a general A x = b
+//     whose −A is a nonsingular M-matrix, as in the first-passage
+//     systems of internal/ctmc, which send systems of up to
+//     DenseCutoff unknowns to LUSolve and larger ones here. It stops
+//     when max|b − Ax| <= 1e-13·(‖A‖∞·max|x| + max|b|), checked with
+//     one SpMV.
 //
-// Non-convergence is reported as an error wrapping ErrNotConverged
-// and carrying the achieved residual and iteration count, so callers
-// can errors.Is it and decide whether "close enough" suffices. The
-// cascade never falls back silently: each failed stage's error is
-// appended to Stats.Fallbacks and sent as a warn-level
-// "solve.fallback" event.
+// All the solvers are serial. Non-convergence is reported as an error
+// wrapping ErrNotConverged and carrying the achieved residual and
+// iteration count, so callers can errors.Is it and decide whether
+// "close enough" suffices. The cascade never falls back silently:
+// each failed stage's error is appended to Stats.Fallbacks and sent as
+// a warn-level "solve.fallback" event.
 //
 // Options.Start replaces the default initial iterate with a given
 // vector — the stationary distribution of a neighbouring chain on the
@@ -66,5 +65,5 @@
 // iteration counts, residual traces, the final max|πQ| and wall time;
 // SteadyState fills Stats on its GTH stage too (solver "gth", no
 // iterations), through SteadyStateGTHSparse, which cmd/pepa's -solver
-// gth also calls. cmd/pepa's -solver/-workers/-stats flags drive them.
+// gth also calls. cmd/pepa's -solver and -stats flags drive them.
 package linalg

@@ -128,14 +128,9 @@ func (p *KrylovPattern) matches(q *CSR) bool {
 // solve to the next. Its solves return the same π, bit for bit, as
 // SteadyState. A Solver is not safe for concurrent use.
 type Solver struct {
-	pat *KrylovPattern
-
-	// Work vectors of the Krylov stage, over the reduced system.
-	a, lu, inv                []float64 // matrix values, ILU(0) factor, inverse pivots
-	b, x, r, rhat, p, v, s, t []float64
-	phat, shat                []float64
-	residual                  []float64 // πQ, over all n states
-	pos                       []int     // column -> entry of the row being factored, or -1
+	pat  *KrylovPattern
+	k    kernel     // over the reduced system
+	goal stationary // the generator being solved and its πQ
 }
 
 // NewSolver returns a Solver over generators with p's pattern. A nil
@@ -150,11 +145,10 @@ func NewSolver(p *KrylovPattern) *Solver { return &Solver{pat: p} }
 // aims a decade lower while that takes only a few more steps). It
 // honours Options.Start (scaled so that its entry 0 is 1; a start
 // whose entry 0 is not positive cannot be scaled and is ignored), Stats,
-// Metrics, Progress, TraceEvery and Events; it is serial and ignores
-// Workers and Omega. It fails, instead of returning NaNs, when the
-// chain is reducible, when BiCGSTAB breaks down, and when the
-// residual stagnates or the budget of min(MaxIter, 1000) iterations
-// runs out.
+// Metrics, Progress, TraceEvery and Events. It fails, instead of
+// returning NaNs, when the chain is reducible, when BiCGSTAB breaks
+// down, and when the residual stagnates or the budget of
+// min(MaxIter, 1000) iterations runs out.
 func SteadyStateBiCGSTAB(q *CSR, opts Options) ([]float64, error) {
 	if q.Rows == 0 {
 		return nil, errors.New("linalg: empty generator")
@@ -165,111 +159,119 @@ func SteadyStateBiCGSTAB(q *CSR, opts Options) ([]float64, error) {
 	return new(Solver).bicgstab(q, opts.withDefaults())
 }
 
-// ensure sizes the work vectors for the pattern.
-func (s *Solver) ensure() {
-	m, nnz := s.pat.n-1, len(s.pat.colIdx)
-	if len(s.a) == nnz && len(s.x) == m {
-		return
-	}
-	s.a, s.lu = make([]float64, nnz), make([]float64, nnz)
-	vecs := []*[]float64{&s.inv, &s.b, &s.x, &s.r, &s.rhat, &s.p, &s.v, &s.s, &s.t, &s.phat, &s.shat}
-	buf := make([]float64, len(vecs)*m+s.pat.n)
+// kernel is the Krylov solver for A x = b, where A is sparse with its
+// diagonal stored and each row's columns ascending, and −A is a
+// nonsingular M-matrix: ILU(0)-preconditioned BiCGSTAB. It holds A,
+// its ILU(0) factor and the work vectors, so a solve on a new A with
+// the same pattern only refills a and factors it.
+type kernel struct {
+	rowPtr []int
+	colIdx []int32 // half the index traffic of int in the loops
+	diag   []int   // position of each row's diagonal entry
+
+	a, lu, inv                []float64 // A's values, ILU(0) factor, inverse pivots
+	b, x, r, rhat, p, v, s, t []float64
+	phat, shat                []float64
+	pos                       []int // column -> entry of the row being factored, or -1
+}
+
+// size allocates the factor and the work vectors for A's pattern, and
+// returns a vector of extra entries for the caller's own use.
+func (k *kernel) size(extra int) []float64 {
+	m := len(k.diag)
+	k.lu = make([]float64, len(k.colIdx))
+	vecs := []*[]float64{&k.inv, &k.b, &k.x, &k.r, &k.rhat, &k.p, &k.v, &k.s, &k.t, &k.phat, &k.shat}
+	buf := make([]float64, len(vecs)*m+extra)
 	for i, v := range vecs {
 		*v = buf[i*m : (i+1)*m : (i+1)*m]
 	}
-	s.residual = buf[len(vecs)*m:]
-	s.pos = make([]int, m)
-	for i := range s.pos {
-		s.pos[i] = -1
+	k.pos = make([]int, m)
+	for i := range k.pos {
+		k.pos[i] = -1
 	}
 	// A fixed, dense, positive shadow residual. The customary r̂ = r_0
-	// is as sparse as b (the few transitions out of state 0), and
-	// BiCGSTAB then stagnates or diverges on the stiff H2 chains.
+	// is as sparse as b (for a steady state, the few transitions out
+	// of state 0), and BiCGSTAB then stagnates or diverges on the
+	// stiff H2 chains.
 	rng := rand.New(rand.NewPCG(1, 1))
-	for i := range s.rhat {
-		s.rhat[i] = 1 - rng.Float64()
+	for i := range k.rhat {
+		k.rhat[i] = 1 - rng.Float64()
 	}
+	return buf[len(vecs)*m:]
 }
 
-// factor gathers q's values into the reduced matrix and computes its
-// ILU(0) factor: unit lower L and upper U sharing the matrix's
-// pattern. For an irreducible generator −(reduced Qᵀ) is a nonsingular
-// M-matrix, so every pivot is negative; a pivot that is not means the
-// chain is reducible.
-func (s *Solver) factor(q *CSR) error {
-	p := s.pat
-	for k, src := range p.src {
-		s.a[k] = q.Val[src]
-	}
-	copy(s.lu, s.a)
-	lu, pos := s.lu, s.pos
-	for i := range p.diag {
-		lo, hi := p.rowPtr[i], p.rowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			pos[p.colIdx[k]] = k
+// factor computes the ILU(0) factor of A: unit lower L and upper U
+// sharing A's pattern. Every pivot of a nonsingular M-matrix −A is
+// positive, so every pivot here is negative; factor returns the first
+// row whose pivot is not, or -1.
+func (k *kernel) factor() int {
+	copy(k.lu, k.a)
+	lu, pos := k.lu, k.pos
+	for i := range k.diag {
+		lo, hi := k.rowPtr[i], k.rowPtr[i+1]
+		for e := lo; e < hi; e++ {
+			pos[k.colIdx[e]] = e
 		}
-		for k := lo; k < p.diag[i]; k++ {
-			c := p.colIdx[k]
-			lu[k] *= s.inv[c]
-			l := lu[k]
-			for kk := p.diag[c] + 1; kk < p.rowPtr[c+1]; kk++ {
-				if at := pos[p.colIdx[kk]]; at >= 0 {
-					lu[at] -= l * lu[kk]
+		for e := lo; e < k.diag[i]; e++ {
+			c := k.colIdx[e]
+			lu[e] *= k.inv[c]
+			l := lu[e]
+			for ee := k.diag[c] + 1; ee < k.rowPtr[c+1]; ee++ {
+				if at := pos[k.colIdx[ee]]; at >= 0 {
+					lu[at] -= l * lu[ee]
 				}
 			}
 		}
-		for k := lo; k < hi; k++ {
-			pos[p.colIdx[k]] = -1
+		for e := lo; e < hi; e++ {
+			pos[k.colIdx[e]] = -1
 		}
-		d := lu[p.diag[i]]
+		d := lu[k.diag[i]]
 		if !(d < 0) || math.IsInf(d, 0) {
-			return fmt.Errorf("linalg: ILU(0) pivot %g at state %d (reducible chain?)", d, p.n-1-i)
+			return i
 		}
-		s.inv[i] = 1 / d
+		k.inv[i] = 1 / d
 	}
-	return nil
+	return -1
 }
 
 // precondition solves (LU) z = r.
-func (s *Solver) precondition(r, z []float64) {
-	p, lu := s.pat, s.lu
+func (k *kernel) precondition(r, z []float64) {
+	lu := k.lu
 	r = r[:len(z)]
 	for i := range z {
-		cols := p.colIdx[p.rowPtr[i]:p.diag[i]]
-		vals := lu[p.rowPtr[i]:p.diag[i]]
+		cols := k.colIdx[k.rowPtr[i]:k.diag[i]]
+		vals := lu[k.rowPtr[i]:k.diag[i]]
 		vals = vals[:len(cols)]
 		v := r[i]
-		for k, c := range cols {
-			v -= vals[k] * z[c]
+		for e, c := range cols {
+			v -= vals[e] * z[c]
 		}
 		z[i] = v
 	}
-	inv := s.inv[:len(z)]
+	inv := k.inv[:len(z)]
 	for i := len(z) - 1; i >= 0; i-- {
-		cols := p.colIdx[p.diag[i]+1 : p.rowPtr[i+1]]
-		vals := lu[p.diag[i]+1 : p.rowPtr[i+1]]
+		cols := k.colIdx[k.diag[i]+1 : k.rowPtr[i+1]]
+		vals := lu[k.diag[i]+1 : k.rowPtr[i+1]]
 		vals = vals[:len(cols)]
 		v := z[i]
-		for k, c := range cols {
-			v -= vals[k] * z[c]
+		for e, c := range cols {
+			v -= vals[e] * z[c]
 		}
 		z[i] = v * inv[i]
 	}
 }
 
-// apply computes y = A x for the reduced matrix A and returns the
-// inner product of w and y.
-func (s *Solver) apply(x, y, w []float64) float64 {
-	p := s.pat
+// apply computes y = A x and returns the inner product of w and y.
+func (k *kernel) apply(x, y, w []float64) float64 {
 	w = w[:len(y)]
 	var d float64
 	for i := range y {
-		cols := p.colIdx[p.rowPtr[i]:p.rowPtr[i+1]]
-		vals := s.a[p.rowPtr[i]:p.rowPtr[i+1]]
+		cols := k.colIdx[k.rowPtr[i]:k.rowPtr[i+1]]
+		vals := k.a[k.rowPtr[i]:k.rowPtr[i+1]]
 		vals = vals[:len(cols)]
 		var v float64
-		for k, c := range cols {
-			v += vals[k] * x[c]
+		for e, c := range cols {
+			v += vals[e] * x[c]
 		}
 		y[i] = v
 		d += w[i] * v
@@ -286,59 +288,198 @@ func dot(x, y []float64) float64 {
 	return s
 }
 
-// estimate is the stationarity error of the iterate [1, x] implied by
-// the reduced residual r, without an SpMV on Q: (πQ)_j = −r_j for j ≥ 1
-// and (πQ)_0 = Σ r_j, since the rows of Q sum to zero; normalising π
-// divides both by 1 + Σ x. An iterate whose mass is not positive is as
-// far from stationary as can be.
-func estimate(x, r []float64) float64 {
+// goal is what a kernel solve aims at. estimate turns Σx, Σr and
+// max|r_i| of the iterate x and its recursive residual r into the
+// error measure the solve stops on, without an SpMV; check measures
+// the true error of x with one SpMV and returns the answer x stands
+// for.
+type goal interface {
+	estimate(sumX, sumR, maxR float64) float64
+	check(x []float64) (answer []float64, res float64)
+}
+
+// estimate is g's error measure of the current iterate, from its
+// recursive residual.
+func (k *kernel) estimate(g goal) float64 {
 	var sumX, sumR, maxR float64
-	for i, v := range r {
-		sumX += x[i]
+	for i, v := range k.r {
+		sumX += k.x[i]
 		sumR += v
 		maxR = max(maxR, math.Abs(v))
 	}
-	return scaledResidual(sumX, sumR, maxR)
+	return g.estimate(sumX, sumR, maxR)
 }
 
-// scaledResidual is estimate's result from Σx, Σr and max|r_j|.
-func scaledResidual(sumX, sumR, maxR float64) float64 {
+// solve runs right-preconditioned BiCGSTAB on A x = b from the x in
+// k.x, after factor. The recursive residual gives a free estimate of
+// g's error measure; whenever it is at most opts.Eps the solve checks
+// the true measure with one SpMV. A true measure above Eps restarts
+// the recursion from the true residual; one at most krylovAim·Eps
+// stops the solve; one in between is kept, and the best kept answer
+// is returned after krylovPolish more iterations. It gives up on a
+// breakdown, a non-finite residual, krylovStall iterations without
+// progress, or min(opts.MaxIter, krylovMaxIter) iterations. solver
+// and count name the solve and its size in opts's instrumentation,
+// and start is when it began.
+func (k *kernel) solve(g goal, opts Options, solver string, count int, start time.Time) ([]float64, error) {
+	b, x, r := k.b, k.x, k.r
+	fail := func(iters int, diff float64, err error) ([]float64, error) {
+		opts.finish(solver, start, iters, diff, false, 0)
+		return nil, err
+	}
+	trueResidual := func() {
+		k.apply(x, r, r)
+		for i := range r {
+			r[i] = b[i] - r[i]
+		}
+	}
+	trueResidual()
+
+	maxIter := min(opts.MaxIter, krylovMaxIter)
+	aim := opts.Eps * krylovAim
+	var (
+		met    []float64 // the best answer so far with a measure <= Eps
+		metRes float64   // and its measure
+		metAt  int       // the iteration that first met Eps
+	)
+	est := k.estimate(g)
+	best, bestAt := est, 0
+	var rho, alpha, omega float64
+	restart := true
+	for iter := 0; ; iter++ {
+		if math.IsNaN(est) || math.IsInf(est, 0) {
+			return fail(iter, est, fmt.Errorf("%w: non-finite residual after %d iterations", errBreakdown, iter))
+		}
+		if est <= opts.Eps {
+			ans, res := g.check(x)
+			switch {
+			case res <= aim:
+				opts.finish(solver, start, iter, est, true, res)
+				return ans, nil
+			case res <= opts.Eps:
+				if met == nil {
+					metAt = iter
+				}
+				if met == nil || res < metRes {
+					met, metRes = ans, res
+				}
+			default:
+				// The recursion has drifted from the true residual.
+				trueResidual()
+				est, restart = k.estimate(g), true
+			}
+		}
+		if met != nil && (iter-metAt >= krylovPolish || iter == maxIter) {
+			opts.finish(solver, start, iter, est, true, metRes)
+			return met, nil
+		}
+		if est < krylovGain*best {
+			best, bestAt = est, iter
+		}
+		if iter == maxIter || iter-bestAt > krylovStall {
+			_, res := g.check(x)
+			err := fmt.Errorf("linalg: %s reached residual %.3g after %d iterations (target %.3g): %w",
+				solver, res, iter, opts.Eps, ErrNotConverged)
+			opts.finish(solver, start, iter, est, false, res)
+			return nil, err
+		}
+		if iter > 0 {
+			opts.tick(solver, iter, count, est)
+		}
+
+		if restart {
+			clear(k.p)
+			clear(k.v)
+			rho, alpha, omega = 1, 1, 1
+			restart = false
+		}
+		rhoNext := dot(k.rhat, r)
+		if rhoNext == 0 { //vet:allow floatcmp: exact breakdown test
+			return fail(iter, est, fmt.Errorf("%w: rho = 0 at iteration %d", errBreakdown, iter))
+		}
+		beta := rhoNext / rho * (alpha / omega)
+		rho = rhoNext
+		for i := range k.p {
+			k.p[i] = r[i] + beta*(k.p[i]-omega*k.v[i])
+		}
+		k.precondition(k.p, k.phat)
+		den := k.apply(k.phat, k.v, k.rhat)
+		if den == 0 { //vet:allow floatcmp: exact breakdown test
+			return fail(iter, est, fmt.Errorf("%w: (r̂, v) = 0 at iteration %d", errBreakdown, iter))
+		}
+		alpha = rho / den
+		for i := range k.s {
+			k.s[i] = r[i] - alpha*k.v[i]
+		}
+		k.precondition(k.s, k.shat)
+		ts := k.apply(k.shat, k.t, k.s)
+		omega = 0
+		if tt := dot(k.t, k.t); tt > 0 {
+			omega = ts / tt
+		}
+		// Update x and r, and gather the estimate's sums in the same pass.
+		var sumX, sumR, maxR float64
+		for i := range x {
+			x[i] += alpha*k.phat[i] + omega*k.shat[i]
+			r[i] = k.s[i] - omega*k.t[i]
+			sumX += x[i]
+			sumR += r[i]
+			maxR = max(maxR, math.Abs(r[i]))
+		}
+		est = g.estimate(sumX, sumR, maxR)
+		if omega == 0 { //vet:allow floatcmp: exact breakdown test
+			// s is orthogonal to A M⁻¹ s: the next step would divide by
+			// zero, so restart from the true residual.
+			trueResidual()
+			est, restart = k.estimate(g), true
+		}
+	}
+}
+
+// stationary is the steady-state goal. The reduced iterate x stands
+// for π = [1, x]/(1 + Σx), x in reverse state order, and the measure
+// is max|πQ|.
+type stationary struct {
+	q        *CSR
+	residual []float64 // πQ
+}
+
+// estimate is max|πQ| of the iterate [1, x] implied by the reduced
+// residual r: (πQ)_j = −r_j for j ≥ 1 and (πQ)_0 = Σ r_j, since the
+// rows of Q sum to zero; normalising π divides both by 1 + Σ x. An
+// iterate whose mass is not positive is as far from stationary as can
+// be.
+func (*stationary) estimate(sumX, sumR, maxR float64) float64 {
 	if !(1+sumX > 0) {
 		return math.MaxFloat64
 	}
 	return max(maxR, math.Abs(sumR)) / (1 + sumX)
 }
 
-// stationary builds the normalised π = [1, x]/(1 + Σx), with round-off
-// negatives clamped to zero, and returns it with its max|πQ|.
-func (s *Solver) stationary(q *CSR) ([]float64, float64) {
-	n := s.pat.n
+// check builds the normalised π, with round-off negatives clamped to
+// zero, and returns it with its max|πQ|.
+func (g *stationary) check(x []float64) ([]float64, float64) {
+	n := g.q.Rows
 	pi := make([]float64, n)
 	pi[0] = 1
 	for i := 1; i < n; i++ {
-		pi[i] = max(s.x[n-1-i], 0)
+		pi[i] = max(x[n-1-i], 0)
 	}
 	numeric.Normalize(pi)
-	q.VecMulInto(pi, s.residual)
+	g.q.VecMulInto(pi, g.residual)
 	var res float64
-	for _, v := range s.residual {
+	for _, v := range g.residual {
 		res = max(res, math.Abs(v))
 	}
 	return pi, res
 }
 
-// bicgstab is SteadyState's Krylov stage: right-preconditioned
-// BiCGSTAB on the reduced system A x = b, A = reduced Qᵀ, b = −(row 0
-// of Q without its diagonal). The recursive residual gives a free
-// estimate of max|πQ|; whenever it is at most Eps the stage checks the
-// real residual with one SpMV on Q. A real residual above Eps restarts
-// the recursion from the true residual; one at most krylovAim·Eps
-// stops the solve; one in between is kept, and the best kept iterate
-// is returned after krylovPolish more iterations.
+// bicgstab is SteadyState's Krylov stage: the kernel on the reduced
+// system A x = b, A = reduced Qᵀ, b = −(row 0 of Q without its
+// diagonal), stopped on max|πQ|.
 func (s *Solver) bicgstab(q *CSR, opts Options) ([]float64, error) {
 	const solver = "bicgstab"
 	start := time.Now()
-	opts.Workers = 1
 	if s.pat == nil {
 		pat, err := NewKrylovPattern(q)
 		if err != nil {
@@ -352,134 +493,122 @@ func (s *Solver) bicgstab(q *CSR, opts Options) ([]float64, error) {
 		opts.finish(solver, start, 0, 0, true, 0)
 		return pi, nil
 	}
-	s.ensure()
-	fail := func(iters int, diff float64, err error) ([]float64, error) {
-		opts.finish(solver, start, iters, diff, false, 0)
-		return nil, err
+	k := &s.k
+	if k.a == nil {
+		p := s.pat
+		k.rowPtr, k.colIdx, k.diag = p.rowPtr, p.colIdx, p.diag
+		k.a = make([]float64, len(p.colIdx))
+		s.goal.residual = k.size(n)
 	}
-	if err := s.factor(q); err != nil {
-		return fail(0, math.Inf(1), err)
+	for e, src := range s.pat.src {
+		k.a[e] = q.Val[src]
+	}
+	if i := k.factor(); i >= 0 {
+		opts.finish(solver, start, 0, math.Inf(1), false, 0)
+		return nil, fmt.Errorf("linalg: ILU(0) pivot %g at state %d (reducible chain?)", k.lu[k.diag[i]], n-1-i)
 	}
 
-	b, x, r := s.b, s.x, s.r
-	clear(b)
-	for k := q.RowPtr[0]; k < q.RowPtr[1]; k++ {
-		if j := q.ColIdx[k]; j > 0 {
-			b[n-1-j] = -q.Val[k]
+	clear(k.b)
+	for e := q.RowPtr[0]; e < q.RowPtr[1]; e++ {
+		if j := q.ColIdx[e]; j > 0 {
+			k.b[n-1-j] = -q.Val[e]
 		}
 	}
 	if st := opts.Start; st != nil && st[0] > 0 && !math.IsInf(st[0], 0) {
 		for i := 1; i < n; i++ {
-			x[n-1-i] = st[i] / st[0]
+			k.x[n-1-i] = st[i] / st[0]
 		}
 	} else {
-		clear(x)
+		clear(k.x)
 	}
-	trueResidual := func() {
-		s.apply(x, r, r)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-	}
-	trueResidual()
+	s.goal.q = q
+	return k.solve(&s.goal, opts, solver, n, start)
+}
 
-	maxIter := min(opts.MaxIter, krylovMaxIter)
-	aim := opts.Eps * krylovAim
-	var (
-		met    []float64 // the best π so far with max|πQ| <= Eps
-		metRes float64   // and its residual
-		metAt  int       // the iteration that first met Eps
-	)
-	est := estimate(x, r)
-	best, bestAt := est, 0
-	var rho, alpha, omega float64
-	restart := true
-	for iter := 0; ; iter++ {
-		if math.IsNaN(est) || math.IsInf(est, 0) {
-			return fail(iter, est, fmt.Errorf("%w: non-finite residual after %d iterations", errBreakdown, iter))
-		}
-		if est <= opts.Eps {
-			pi, res := s.stationary(q)
-			switch {
-			case res <= aim:
-				opts.finish(solver, start, iter, est, true, res)
-				return pi, nil
-			case res <= opts.Eps:
-				if met == nil {
-					metAt = iter
-				}
-				if met == nil || res < metRes {
-					met, metRes = pi, res
-				}
-			default:
-				// The recursion has drifted from the true residual.
-				trueResidual()
-				est, restart = estimate(x, r), true
+// linearEps is SolveBiCGSTAB's stopping rule on the normwise backward
+// error: max|b − Ax| <= linearEps·(‖A‖∞·max|x| + max|b|).
+const linearEps = 1e-13
+
+// SolveBiCGSTAB solves A x = b, where −A is a nonsingular M-matrix
+// (A's diagonal negative, its other entries non-negative, as in the
+// first-passage systems of a generator), with the Krylov stage's
+// ILU(0)-preconditioned BiCGSTAB. Each row of A must store its
+// diagonal and list its columns in ascending order, as COO.ToCSR
+// does. The solve starts from x = 0 and stops when the true residual
+// has max|b − Ax| <= 1e-13·(‖A‖∞·max|x| + max|b|), checked with one
+// SpMV; that bound, unlike one on max|b| alone, stays above the
+// round-off floor of Ax when ‖A‖∞·max|x| ≫ max|b|, as for long
+// hitting times. It fails with an error wrapping ErrNotConverged when
+// the residual stagnates or 1000 iterations run out, and with an
+// error when BiCGSTAB breaks down or an ILU(0) pivot shows A
+// singular.
+func SolveBiCGSTAB(a *CSR, b []float64) ([]float64, error) {
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("linalg: need square matrix, got %dx%d", a.Rows, a.Cols)
+	}
+	m := a.Rows
+	if len(b) != m {
+		return nil, fmt.Errorf("linalg: rhs length %d != %d", len(b), m)
+	}
+	start := time.Now()
+	k := kernel{rowPtr: a.RowPtr, colIdx: make([]int32, len(a.ColIdx)), diag: make([]int, m), a: a.Val}
+	g := linear{k: &k, ax: make([]float64, m)}
+	for i := 0; i < m; i++ {
+		k.diag[i] = -1
+		var row float64
+		for e := a.RowPtr[i]; e < a.RowPtr[i+1]; e++ {
+			j := a.ColIdx[e]
+			if e > a.RowPtr[i] && j <= a.ColIdx[e-1] {
+				return nil, fmt.Errorf("linalg: row %d does not list its columns in ascending order", i)
 			}
+			k.colIdx[e] = int32(j)
+			if j == i {
+				k.diag[i] = e
+			}
+			row += math.Abs(a.Val[e])
 		}
-		if met != nil && (iter-metAt >= krylovPolish || iter == maxIter) {
-			opts.finish(solver, start, iter, est, true, metRes)
-			return met, nil
+		if k.diag[i] < 0 {
+			return nil, fmt.Errorf("linalg: zero diagonal at row %d", i)
 		}
-		if est < krylovGain*best {
-			best, bestAt = est, iter
-		}
-		if iter == maxIter || iter-bestAt > krylovStall {
-			_, res := s.stationary(q)
-			err := fmt.Errorf("linalg: %s reached residual %.3g after %d iterations (target %.3g): %w",
-				solver, res, iter, opts.Eps, ErrNotConverged)
-			opts.finish(solver, start, iter, est, false, res)
-			return nil, err
-		}
-		if iter > 0 {
-			opts.tick(solver, iter, n, est)
-		}
-
-		if restart {
-			clear(s.p)
-			clear(s.v)
-			rho, alpha, omega = 1, 1, 1
-			restart = false
-		}
-		rhoNext := dot(s.rhat, r)
-		if rhoNext == 0 { //vet:allow floatcmp: exact breakdown test
-			return fail(iter, est, fmt.Errorf("%w: rho = 0 at iteration %d", errBreakdown, iter))
-		}
-		beta := rhoNext / rho * (alpha / omega)
-		rho = rhoNext
-		for i := range s.p {
-			s.p[i] = r[i] + beta*(s.p[i]-omega*s.v[i])
-		}
-		s.precondition(s.p, s.phat)
-		den := s.apply(s.phat, s.v, s.rhat)
-		if den == 0 { //vet:allow floatcmp: exact breakdown test
-			return fail(iter, est, fmt.Errorf("%w: (r̂, v) = 0 at iteration %d", errBreakdown, iter))
-		}
-		alpha = rho / den
-		for i := range s.s {
-			s.s[i] = r[i] - alpha*s.v[i]
-		}
-		s.precondition(s.s, s.shat)
-		ts := s.apply(s.shat, s.t, s.s)
-		omega = 0
-		if tt := dot(s.t, s.t); tt > 0 {
-			omega = ts / tt
-		}
-		// Update x and r, and estimate the residual in the same pass.
-		var sumX, sumR, maxR float64
-		for i := range x {
-			x[i] += alpha*s.phat[i] + omega*s.shat[i]
-			r[i] = s.s[i] - omega*s.t[i]
-			sumX += x[i]
-			sumR += r[i]
-			maxR = max(maxR, math.Abs(r[i]))
-		}
-		est = scaledResidual(sumX, sumR, maxR)
-		if omega == 0 { //vet:allow floatcmp: exact breakdown test
-			// s is orthogonal to A M⁻¹ s: the next step would divide by
-			// zero, so restart from the true residual.
-			trueResidual()
-			est, restart = estimate(x, r), true
-		}
+		g.normA = max(g.normA, row)
 	}
+	k.size(0)
+	if i := k.factor(); i >= 0 {
+		return nil, fmt.Errorf("linalg: ILU(0) pivot %g at row %d (singular system?)", k.lu[k.diag[i]], i)
+	}
+	g.bMax = maxAbs(b)
+	if g.bMax == 0 { //vet:allow floatcmp: x = 0 solves a zero right-hand side exactly
+		return make([]float64, m), nil
+	}
+	copy(k.b, b)
+	return k.solve(g, Options{Eps: linearEps}.withDefaults(), "bicgstab", m, start)
+}
+
+// linear is SolveBiCGSTAB's goal: the iterate x itself, measured by
+// its normwise backward error max|b − Ax| / (‖A‖∞·max|x| + max|b|).
+type linear struct {
+	k           *kernel
+	ax          []float64
+	normA, bMax float64 // ‖A‖∞ and max|b|
+}
+
+func (g linear) estimate(_, _, maxR float64) float64 {
+	return maxR / (g.normA*maxAbs(g.k.x) + g.bMax)
+}
+
+func (g linear) check(x []float64) ([]float64, float64) {
+	g.k.apply(x, g.ax, g.ax)
+	var res float64
+	for i, v := range g.ax {
+		res = max(res, math.Abs(g.k.b[i]-v))
+	}
+	return slices.Clone(x), res / (g.normA*maxAbs(x) + g.bMax)
+}
+
+func maxAbs(v []float64) float64 {
+	var m float64
+	for _, x := range v {
+		m = max(m, math.Abs(x))
+	}
+	return m
 }

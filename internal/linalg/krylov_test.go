@@ -44,7 +44,7 @@ func TestBiCGSTABBirthDeathExact(t *testing.T) {
 		k          int
 		lambda, mu float64
 	}{{600, 5, 10}, {1999, 3, 4}, {500, 9, 10}} {
-		q := birthDeath(c.k, c.lambda, c.mu)
+		q := mm1kGenerator(c.lambda, c.mu, c.k).ToCSR()
 		var st obsv.SolveStats
 		pi, err := SteadyStateBiCGSTAB(q, Options{Stats: &st})
 		if err != nil {
@@ -214,7 +214,7 @@ func TestSolverCachedStructureBitIdentical(t *testing.T) {
 		}
 		prev = got
 	}
-	if _, err := solver.SteadyState(birthDeath(899, 1, 2), Options{}); err == nil {
+	if _, err := solver.SteadyState(mm1kGenerator(1, 2, 899).ToCSR(), Options{}); err == nil {
 		t.Fatal("a generator with another pattern was accepted")
 	}
 }

@@ -3,7 +3,6 @@ package linalg
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Triplet is a coordinate-format matrix entry used while assembling a
@@ -151,44 +150,6 @@ func (m *CSR) VecMulInto(x, y []float64) {
 			y[m.ColIdx[k]] += xi * m.Val[k]
 		}
 	}
-}
-
-// MulVecInto computes y = m x (a gather: row i of m dotted with x)
-// into the caller-provided y, splitting the rows into contiguous
-// chunks across workers goroutines when workers > 1. Each y[i] is
-// accumulated by exactly one worker in fixed column order, so the
-// result is bit-identical for every worker count — unlike the scatter
-// form VecMulInto, whose summation order depends on the row ordering.
-// The parallel solvers apply this to the transpose of Q to compute
-// pi Q without write contention.
-func (m *CSR) MulVecInto(x, y []float64, workers int) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic("linalg: CSR MulVecInto dimension mismatch")
-	}
-	rows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s float64
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				s += m.Val[k] * x[m.ColIdx[k]]
-			}
-			y[i] = s
-		}
-	}
-	if workers <= 1 || m.Rows < 2*workers {
-		rows(0, m.Rows)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * m.Rows / workers
-		hi := (w + 1) * m.Rows / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			rows(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // ToDense expands to a dense matrix (testing and small systems only).

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"pepatags/internal/numeric"
@@ -25,6 +24,12 @@ const (
 	DefaultEps     = 1e-12
 )
 
+// DenseCutoff is the largest system solved directly: SteadyState runs
+// GTH on generators of up to DenseCutoff states, and first-passage
+// systems of up to DenseCutoff unknowns go to LUSolve (internal/ctmc).
+// Larger ones go to the Krylov kernel.
+const DenseCutoff = 400
+
 // ErrNotConverged is returned when an iterative solver exhausts its
 // iteration budget before reaching the requested residual. Solvers
 // wrap it with the achieved difference and iteration count, so match
@@ -42,12 +47,6 @@ func notConverged(solver string, diff float64, iters int, eps float64) error {
 type Options struct {
 	MaxIter int     // maximum sweeps (default DefaultMaxIter); the Krylov stage stops at min(MaxIter, 1000) iterations
 	Eps     float64 // convergence threshold on successive-iterate l∞ difference, or on max|πQ| for the Krylov stage (default DefaultEps)
-	Omega   float64 // SOR relaxation factor; 1 = plain Gauss-Seidel
-
-	// Workers parallelises the row-partitioned solvers (power,
-	// Jacobi) across goroutines; <= 1 runs serially. Gauss-Seidel and
-	// GTH are inherently sequential and ignore it.
-	Workers int
 
 	// Stats, when non-nil, is filled with iteration counts, the final
 	// successive-iterate difference, the final max|πQ| and wall time
@@ -93,9 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Eps <= 0 {
 		o.Eps = DefaultEps
-	}
-	if o.Omega <= 0 {
-		o.Omega = 1
 	}
 	return o
 }
@@ -159,7 +155,6 @@ func (o Options) finish(solver string, start time.Time, iters int, diff float64,
 		o.Stats.FinalDiff = diff
 		o.Stats.Residual = residual
 		o.Stats.Converged = converged
-		o.Stats.Workers = max(1, o.Workers)
 		o.Stats.Elapsed = time.Since(start)
 		// tick samples the trace only on TraceEvery multiples, so a
 		// solve stopping between samples would leave the trace short of
@@ -317,13 +312,6 @@ func UniformizationConstant(q *CSR) float64 {
 // SteadyStatePower computes the stationary distribution of the sparse
 // generator q by power iteration on the uniformised DTMC
 // P = I + Q/Lambda.
-//
-// With Options.Workers > 1 the sweep runs row-partitioned over the
-// transpose of q: each worker gathers a contiguous block of
-// components of pi P, so there is no write contention and the result
-// is bit-identical for every worker count (the serial scatter path
-// sums in a different order and may differ in the last ulp; both
-// agree with GTH to solver tolerance).
 func SteadyStatePower(q *CSR, opts Options) ([]float64, error) {
 	opts = opts.withDefaults()
 	if q.Rows != q.Cols {
@@ -337,10 +325,6 @@ func SteadyStatePower(q *CSR, opts Options) ([]float64, error) {
 		return nil, err
 	}
 	tmp := make([]float64, n)
-
-	if opts.Workers > 1 {
-		return steadyStatePowerPar(q, pi, tmp, lambda, start, opts)
-	}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		// tmp = pi * Q
 		q.VecMulInto(pi, tmp)
@@ -371,190 +355,15 @@ func SteadyStatePower(q *CSR, opts Options) ([]float64, error) {
 	panic("unreachable")
 }
 
-// steadyStatePowerPar is the row-partitioned parallel power sweep. qt
-// row j holds column j of q, so gathering qt rows against pi computes
-// (pi Q)_j without scatter races.
-func steadyStatePowerPar(q *CSR, pi, tmp []float64, lambda float64, start time.Time, opts Options) ([]float64, error) {
-	n := q.Rows
-	qt := q.Transpose()
-	diffs := make([]float64, opts.Workers)
-	sweep := func(w, lo, hi int) {
-		var diff float64
-		for j := lo; j < hi; j++ {
-			var s float64
-			for k := qt.RowPtr[j]; k < qt.RowPtr[j+1]; k++ {
-				s += qt.Val[k] * pi[qt.ColIdx[k]]
-			}
-			next := pi[j] + s/lambda
-			if next < 0 {
-				next = 0
-			}
-			if d := math.Abs(next - pi[j]); d > diff {
-				diff = d
-			}
-			tmp[j] = next
-		}
-		diffs[w] = diff
-	}
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		var wg sync.WaitGroup
-		for w := 0; w < opts.Workers; w++ {
-			lo := w * n / opts.Workers
-			hi := (w + 1) * n / opts.Workers
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				sweep(w, lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		var diff float64
-		for _, d := range diffs {
-			if d > diff {
-				diff = d
-			}
-		}
-		copy(pi, tmp)
-		opts.tick("power", iter, n, diff)
-		if diff < opts.Eps {
-			numeric.Normalize(pi)
-			opts.finish("power", start, iter, diff, true, opts.residual(q, pi))
-			return pi, nil
-		}
-		if iter == opts.MaxIter {
-			numeric.Normalize(pi)
-			opts.finish("power", start, iter, diff, false, opts.residual(q, pi))
-			return pi, notConverged("power", diff, iter, opts.Eps)
-		}
-	}
-	panic("unreachable")
-}
-
-// SteadyStateJacobi computes the stationary distribution by damped
-// Jacobi sweeps on pi Q = 0:
-//
-//	pi_j <- (1-w) pi_j + w * sum_{i != j} pi_i q_ij / (-q_jj)
-//
-// computed entirely from the previous iterate, which makes every
-// component independent: with Options.Workers > 1 the sweep is
-// row-partitioned like the parallel power method and bit-identical
-// for every worker count.
-//
-// In the variables u_j = pi_j (-q_jj) the undamped sweep is power
-// iteration on the embedded jump chain, which is periodic for
-// birth-death-like models (the queueing chains of the paper), so plain
-// w = 1 can oscillate forever. The damping mixes in the identity
-// ("lazy" jump chain), which restores convergence for any irreducible
-// chain; when Options.Omega is unset the solver defaults to w = 0.75
-// rather than the Gauss-Seidel default of 1.
-func SteadyStateJacobi(q *CSR, opts Options) ([]float64, error) {
-	if opts.Omega <= 0 {
-		opts.Omega = 0.75
-	}
-	opts = opts.withDefaults()
-	if q.Rows != q.Cols {
-		return nil, fmt.Errorf("linalg: SteadyStateJacobi needs square matrix")
-	}
-	start := time.Now()
-	n := q.Rows
-	qt := q.Transpose() // row j of qt holds column j of q
-	diag := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for k := qt.RowPtr[j]; k < qt.RowPtr[j+1]; k++ {
-			if qt.ColIdx[k] == j {
-				diag[j] = qt.Val[k]
-			}
-		}
-		if diag[j] >= 0 {
-			return nil, fmt.Errorf("linalg: state %d has non-negative diagonal %g (absorbing state?)", j, diag[j])
-		}
-	}
-	pi, err := opts.initial(n)
-	if err != nil {
-		return nil, err
-	}
-	tmp := make([]float64, n)
-	w := opts.Omega
-	workers := max(1, opts.Workers)
-	diffs := make([]float64, workers)
-	sweep := func(wk, lo, hi int) {
-		var diff float64
-		for j := lo; j < hi; j++ {
-			var s float64
-			for k := qt.RowPtr[j]; k < qt.RowPtr[j+1]; k++ {
-				if i := qt.ColIdx[k]; i != j {
-					s += pi[i] * qt.Val[k]
-				}
-			}
-			next := (1-w)*pi[j] + w*s/(-diag[j])
-			if next < 0 {
-				next = 0
-			}
-			if d := math.Abs(next - pi[j]); d > diff {
-				diff = d
-			}
-			tmp[j] = next
-		}
-		diffs[wk] = diff
-	}
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		if workers <= 1 || n < 2*workers {
-			sweep(0, 0, n)
-		} else {
-			var wg sync.WaitGroup
-			for wk := 0; wk < workers; wk++ {
-				lo := wk * n / workers
-				hi := (wk + 1) * n / workers
-				wg.Add(1)
-				go func(wk, lo, hi int) {
-					defer wg.Done()
-					sweep(wk, lo, hi)
-				}(wk, lo, hi)
-			}
-			wg.Wait()
-		}
-		var diff float64
-		for _, d := range diffs[:workers] {
-			if d > diff {
-				diff = d
-			}
-		}
-		copy(pi, tmp)
-		// Renormalise periodically to avoid drift.
-		if iter%16 == 0 {
-			numeric.Normalize(pi)
-		}
-		opts.tick("jacobi", iter, n, diff)
-		if diff < opts.Eps {
-			numeric.Normalize(pi)
-			opts.finish("jacobi", start, iter, diff, true, opts.residual(q, pi))
-			return pi, nil
-		}
-	}
-	numeric.Normalize(pi)
-	finalDiff := diffs[0]
-	for _, d := range diffs[:workers] {
-		if d > finalDiff {
-			finalDiff = d
-		}
-	}
-	opts.finish("jacobi", start, opts.MaxIter, finalDiff, false, opts.residual(q, pi))
-	return pi, notConverged("jacobi", finalDiff, opts.MaxIter, opts.Eps)
-}
-
 // SteadyStateGaussSeidel computes the stationary distribution of the
-// sparse generator q by (S)SOR sweeps on pi Q = 0:
+// sparse generator q by Gauss-Seidel sweeps on pi Q = 0:
 //
-//	pi_j <- (1-w) pi_j + w * sum_{i != j} pi_i q_ij / (-q_jj)
+//	pi_j <- sum_{i != j} pi_i q_ij / (-q_jj)
 //
 // It requires column access, obtained from the transpose of q. Each
-// update reads components already updated in the same sweep, which is
-// what makes Gauss-Seidel converge faster than Jacobi but also makes
-// it inherently sequential; it serves as the serial reference for the
-// parallel solvers and ignores Options.Workers.
+// update reads components already updated in the same sweep.
 func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 	opts = opts.withDefaults()
-	opts.Workers = 1 // inherently sequential; keep Stats honest
 	if q.Rows != q.Cols {
 		return nil, fmt.Errorf("linalg: SteadyStateGaussSeidel needs square matrix")
 	}
@@ -576,7 +385,6 @@ func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := opts.Omega
 	var diff float64
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		diff = 0
@@ -588,7 +396,7 @@ func SteadyStateGaussSeidel(q *CSR, opts Options) ([]float64, error) {
 					s += pi[i] * qt.Val[k]
 				}
 			}
-			next := (1-w)*pi[j] + w*s/(-diag[j])
+			next := s / (-diag[j])
 			if next < 0 {
 				next = 0
 			}
@@ -621,16 +429,16 @@ func SteadyStateGTHSparse(q *CSR, opts Options) ([]float64, error) {
 	start := time.Now()
 	pi, err := SteadyStateGTH(q.ToDense())
 	if err == nil && opts.Stats != nil {
-		*opts.Stats = obsv.SolveStats{Solver: "gth", Converged: true, Workers: 1, Elapsed: time.Since(start), Residual: Residual(q, pi)}
+		*opts.Stats = obsv.SolveStats{Solver: "gth", Converged: true, Elapsed: time.Since(start), Residual: Residual(q, pi)}
 	}
 	return pi, err
 }
 
 // SteadyState picks a solver automatically. The cascade is GTH for
-// systems of up to 400 states, then the ILU(0)-preconditioned BiCGSTAB
+// systems of up to DenseCutoff (400) states, then the ILU(0)-preconditioned BiCGSTAB
 // stage (SteadyStateBiCGSTAB), then Gauss–Seidel, then power
 // iteration; each stage runs only when the one before it fails. opts
-// reaches every stage, so workers, a start vector, stats and metrics
+// reaches every stage, so a start vector, stats and metrics
 // instrumentation survive the automatic choice (the GTH stage fills
 // opts.Stats with its solver name, wall time and residual only). A
 // stage that fails is named, with its reason, in Stats.Fallbacks and
@@ -656,8 +464,7 @@ func (s *Solver) SteadyState(q *CSR, opts Options) ([]float64, error) {
 	if opts.Stats != nil {
 		opts.Stats.Fallbacks = nil
 	}
-	const denseCutoff = 400
-	if q.Rows <= denseCutoff {
+	if q.Rows <= DenseCutoff {
 		pi, err := SteadyStateGTHSparse(q, opts)
 		if err == nil {
 			return pi, nil
