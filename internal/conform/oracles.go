@@ -35,7 +35,7 @@ const (
 	OracleApproxBound    = "approx/error-bound"
 	OracleSimCI          = "sim/confidence-interval"
 	OracleClosedForm     = "closed-form/decomposition"
-	OracleDeriveParallel = "derive/parallel-vs-serial"
+	OracleDeriveWorkers  = "derive/workers-vs-reference"
 	OracleRoundTrip      = "derive/print-parse-roundtrip"
 	OracleStationarity   = "solver/stationarity"
 	OracleAdmissionSS    = "admission/closed-form-vs-chain"
@@ -507,8 +507,9 @@ func (ck Checker) simOracle(res *result, sc Scenario, pol sim.Policy, nodes []si
 }
 
 // ---------------------------------------------------------------
-// Random PEPA models: serial vs parallel derivation, print/parse
-// round trip, and the solver battery on the derived chain.
+// Random PEPA models: the coded engine at every worker count vs the
+// string-keyed reference, print/parse round trip, and the solver
+// battery on the derived chain.
 
 func (ck Checker) checkPEPA(sc Scenario, res *result) {
 	m, err := pepa.Parse(sc.PEPA)
@@ -516,19 +517,25 @@ func (ck Checker) checkPEPA(sc Scenario, res *result) {
 		res.failf(OracleRoundTrip, "generated model does not parse: %v", err)
 		return
 	}
-	serial, err := pepa.Derive(m, pepa.DeriveOptions{})
+	ref, err := pepa.Derive(m, pepa.DeriveOptions{Reference: true})
 	if err != nil {
-		res.failf(OracleDeriveParallel, "serial derivation failed: %v", err)
+		res.failf(OracleDeriveWorkers, "reference derivation failed: %v", err)
 		return
 	}
-	res.ran(OracleDeriveParallel)
-	par, err := pepa.Derive(m, pepa.DeriveOptions{Workers: 4})
-	if err != nil {
-		res.failf(OracleDeriveParallel, "parallel derivation failed: %v", err)
-		return
-	}
-	if msg := chainsIdentical(serial.Chain, par.Chain); msg != "" {
-		res.failf(OracleDeriveParallel, "parallel chain differs from serial: %s", msg)
+	res.ran(OracleDeriveWorkers)
+	var serial *pepa.StateSpace
+	for _, workers := range []int{1, 2, 3, 8} {
+		got, err := pepa.Derive(m, pepa.DeriveOptions{Workers: workers})
+		if err != nil {
+			res.failf(OracleDeriveWorkers, "derivation with %d workers failed: %v", workers, err)
+			return
+		}
+		if msg := chainsIdentical(ref.Chain, got.Chain); msg != "" {
+			res.failf(OracleDeriveWorkers, "chain with %d workers differs from the reference: %s", workers, msg)
+		}
+		if serial == nil {
+			serial = got
+		}
 	}
 
 	// Print -> parse -> derive must reproduce the identical chain:

@@ -8,16 +8,17 @@ import (
 )
 
 // TestSolverEvents: with an event log attached, a solve streams its
-// residual trace as "solve.residual" debug events and finishes with a
-// "solve.done" summary carrying the outcome.
+// residual as "solve.residual" debug events every tickEvery sweeps and
+// finishes with a "solve.done" summary carrying the outcome. The chain
+// needs several hundred Gauss-Seidel sweeps, so several ticks fire.
 func TestSolverEvents(t *testing.T) {
 	log := obsv.NewEventLog(obsv.EventLogConfig{RecorderSize: 1024})
-	csr := mm1kGenerator(5, 10, 10).ToCSR()
-	pi, err := SteadyStateGaussSeidel(csr, Options{TraceEvery: 1, Events: log})
+	csr := mm1kGenerator(5, 10, 100).ToCSR()
+	pi, err := SteadyStateGaussSeidel(csr, Options{Events: log})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mm1kExact(5, 10, 10)
+	want := mm1kExact(5, 10, 100)
 	if d := numeric.MaxAbsDiff(pi, want); d > 1e-9 {
 		t.Fatalf("solution drifted with events attached: diff %g", d)
 	}
@@ -42,8 +43,12 @@ func TestSolverEvents(t *testing.T) {
 	if done == nil {
 		t.Fatal("no solve.done event")
 	}
-	if done.Fields["converged"] != 1 || done.Fields["iterations"] <= 0 {
+	if done.Fields["converged"] != 1 || done.Fields["iterations"] < tickEvery {
 		t.Fatalf("solve.done fields: %+v", done.Fields)
+	}
+	if want := int(done.Fields["iterations"]) / tickEvery; residuals != want {
+		t.Fatalf("%d solve.residual events over %g sweeps, want one every %d (%d)",
+			residuals, done.Fields["iterations"], tickEvery, want)
 	}
 	if done.Fields["final_diff"] >= DefaultEps {
 		t.Fatalf("solve.done final_diff %g not below eps", done.Fields["final_diff"])

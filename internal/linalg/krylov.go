@@ -145,7 +145,7 @@ func NewSolver(p *KrylovPattern) *Solver { return &Solver{pat: p} }
 // aims a decade lower while that takes only a few more steps). It
 // honours Options.Start (scaled so that its entry 0 is 1; a start
 // whose entry 0 is not positive cannot be scaled and is ignored), Stats,
-// Metrics, Progress, TraceEvery and Events. It fails, instead of
+// Metrics, Progress and Events. It fails, instead of
 // returning NaNs, when the chain is reducible, when BiCGSTAB breaks
 // down, and when the residual stagnates or the budget of
 // min(MaxIter, 1000) iterations runs out.

@@ -62,15 +62,9 @@ type Options struct {
 	// nothing on the iteration hot path.
 	Metrics *obsv.Registry
 
-	// Progress, when non-nil, is called every TraceEvery sweeps (or
-	// every 64 when TraceEvery is 0) with the current difference.
+	// Progress, when non-nil, is called every tickEvery sweeps with the
+	// current difference.
 	Progress obsv.ProgressFunc
-
-	// TraceEvery samples the successive-iterate difference into
-	// Stats.ResidualTrace every TraceEvery sweeps (0 = no trace). The
-	// final difference is always included, so the trace ends at the
-	// value the solve converged (or gave up) at.
-	TraceEvery int
 
 	// Events, when non-nil, receives a "solve.residual" debug event on
 	// the same cadence as Progress (so the residual trace streams over
@@ -122,17 +116,13 @@ func (o Options) checkStart(n int) error {
 	return nil
 }
 
+// tickEvery is the sweep cadence of Progress and solve.residual events.
+const tickEvery = 64
+
 // tick drives the per-sweep instrumentation shared by the iterative
-// solvers: trace sampling and progress callbacks.
+// solvers: progress callbacks and residual events.
 func (o Options) tick(solver string, iter, n int, diff float64) {
-	every := o.TraceEvery
-	if o.TraceEvery > 0 && iter%o.TraceEvery == 0 && o.Stats != nil {
-		o.Stats.ResidualTrace = append(o.Stats.ResidualTrace, diff)
-	}
-	if every <= 0 {
-		every = 64
-	}
-	if iter%every == 0 {
+	if iter%tickEvery == 0 {
 		if o.Progress != nil {
 			o.Progress(obsv.Progress{Phase: solver, Step: iter, Count: n, Value: diff})
 		}
@@ -156,12 +146,6 @@ func (o Options) finish(solver string, start time.Time, iters int, diff float64,
 		o.Stats.Residual = residual
 		o.Stats.Converged = converged
 		o.Stats.Elapsed = time.Since(start)
-		// tick samples the trace only on TraceEvery multiples, so a
-		// solve stopping between samples would leave the trace short of
-		// the converged value; append the final diff in that case.
-		if o.TraceEvery > 0 && iters%o.TraceEvery != 0 {
-			o.Stats.ResidualTrace = append(o.Stats.ResidualTrace, diff)
-		}
 	}
 	if o.Metrics != nil {
 		o.Metrics.Counter(metricSolveCount).Inc()

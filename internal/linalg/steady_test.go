@@ -398,35 +398,6 @@ func TestSolveBiCGSTABValidation(t *testing.T) {
 	}
 }
 
-// TestResidualTraceEndsAtFinalDiff pins the fix for traces that
-// stopped one sample short: whatever TraceEvery is, the last trace
-// entry must be the final (converged) difference.
-func TestResidualTraceEndsAtFinalDiff(t *testing.T) {
-	q := mm1kGenerator(5, 10, 20).ToCSR()
-	for _, every := range []int{1, 3, 7, 1000000} {
-		var st obsv.SolveStats
-		if _, err := SteadyStateGaussSeidel(q, Options{Stats: &st, TraceEvery: every}); err != nil {
-			t.Fatalf("TraceEvery=%d: %v", every, err)
-		}
-		if len(st.ResidualTrace) == 0 {
-			t.Fatalf("TraceEvery=%d: empty trace", every)
-		}
-		last := st.ResidualTrace[len(st.ResidualTrace)-1]
-		if last != st.FinalDiff {
-			t.Fatalf("TraceEvery=%d: trace ends at %g, final diff %g (iterations %d)",
-				every, last, st.FinalDiff, st.Iterations)
-		}
-		if last >= DefaultEps {
-			t.Fatalf("TraceEvery=%d: trace does not end converged: %g", every, last)
-		}
-		// No duplicate tail when the iteration count lands on a sample.
-		if st.Iterations%every == 0 && len(st.ResidualTrace) >= 2 &&
-			st.ResidualTrace[len(st.ResidualTrace)-2] == last {
-			t.Fatalf("TraceEvery=%d: final diff appended twice", every)
-		}
-	}
-}
-
 // TestSolveMetrics checks the per-solve registry aggregates.
 func TestSolveMetrics(t *testing.T) {
 	q := mm1kGenerator(5, 10, 20).ToCSR()
@@ -474,9 +445,8 @@ func TestSolveStatsAndTrace(t *testing.T) {
 	var st obsv.SolveStats
 	var ticks int
 	pi, err := SteadyStatePower(q, Options{
-		Stats:      &st,
-		TraceEvery: 10,
-		Progress:   func(obsv.Progress) { ticks++ },
+		Stats:    &st,
+		Progress: func(obsv.Progress) { ticks++ },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -487,17 +457,10 @@ func TestSolveStatsAndTrace(t *testing.T) {
 	if st.Solver != "power" || !st.Converged || st.Iterations <= 0 || st.Elapsed <= 0 {
 		t.Fatalf("implausible stats %+v", st)
 	}
-	if len(st.ResidualTrace) == 0 || ticks == 0 {
-		t.Fatalf("trace/progress missing: %d samples, %d ticks", len(st.ResidualTrace), ticks)
-	}
-	// Trace must be (weakly) decreasing in order of magnitude overall.
-	if st.ResidualTrace[len(st.ResidualTrace)-1] > st.ResidualTrace[0] {
-		t.Fatalf("residual trace not decreasing: %v", st.ResidualTrace)
+	if ticks == 0 {
+		t.Fatal("progress callback never fired")
 	}
 	if s := st.String(); !strings.Contains(s, "power") {
 		t.Fatalf("stats string %q", s)
-	}
-	if s := st.TraceString(); s == "(no trace)" {
-		t.Fatalf("trace string empty despite samples")
 	}
 }

@@ -17,7 +17,7 @@ func sampleManifest() *Manifest {
 	m.Workers = 4
 	m.Derive = &DeriveStats{States: 4331, Transitions: 25000, Levels: 40, Workers: 4, Elapsed: 12 * time.Millisecond}
 	m.Solve = &SolveStats{Solver: "gauss-seidel", Iterations: 321, FinalDiff: 9.9e-13,
-		ResidualTrace: []float64{1e-3, 1e-8, 9.9e-13}, Converged: true, Elapsed: time.Millisecond}
+		Converged: true, Elapsed: time.Millisecond}
 	m.Measures = map[string]float64{"throughput.service1": 4.32109876543, "states": 4331}
 	m.Artefacts = []ArtefactRecord{{
 		ID: "figure6", Title: "Average queue length", XLabel: "rate", YLabel: "L",

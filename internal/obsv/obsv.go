@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"fmt"
-	"strings"
 	"time"
 )
 
@@ -17,7 +16,7 @@ type DeriveStats struct {
 	Transitions int           `json:"transitions"` // labelled transitions recorded
 	Levels      int           `json:"levels"`      // BFS frontier depth (number of levels explored)
 	DedupHits   int64         `json:"dedup_hits"`  // successor states that were already interned
-	Workers     int           `json:"workers"`     // worker goroutines used (1 = serial reference path)
+	Workers     int           `json:"workers"`     // worker pool size (1 = inline on the caller, and the reference engine)
 	Elapsed     time.Duration `json:"elapsed_ns"`  // wall time of the exploration
 
 	// Integer-coded engine counters (zero on the legacy string-keyed
@@ -53,14 +52,13 @@ func (s *DeriveStats) String() string {
 // SolveStats records one steady-state solve. A caller passes a pointer
 // via linalg.Options.Stats.
 type SolveStats struct {
-	Solver        string        `json:"solver"`                   // the stage that answered: "gth", "bicgstab", "gauss-seidel" or "power"
-	Iterations    int           `json:"iterations"`               // sweeps or Krylov steps performed
-	FinalDiff     float64       `json:"final_diff"`               // last successive-iterate l-inf difference (bicgstab: residual estimate)
-	Residual      float64       `json:"residual,omitempty"`       // max|πQ| of the returned π
-	ResidualTrace []float64     `json:"residual_trace,omitempty"` // FinalDiff sampled every TraceEvery iterations
-	Converged     bool          `json:"converged"`                // reached the requested tolerance
-	Elapsed       time.Duration `json:"elapsed_ns"`               // wall time of the solve
-	Fallbacks     []string      `json:"fallbacks,omitempty"`      // why each earlier stage of linalg.SteadyState failed
+	Solver     string        `json:"solver"`              // the stage that answered: "gth", "bicgstab", "gauss-seidel" or "power"
+	Iterations int           `json:"iterations"`          // sweeps or Krylov steps performed
+	FinalDiff  float64       `json:"final_diff"`          // last successive-iterate l-inf difference (bicgstab: residual estimate)
+	Residual   float64       `json:"residual,omitempty"`  // max|πQ| of the returned π
+	Converged  bool          `json:"converged"`           // reached the requested tolerance
+	Elapsed    time.Duration `json:"elapsed_ns"`          // wall time of the solve
+	Fallbacks  []string      `json:"fallbacks,omitempty"` // why each earlier stage of linalg.SteadyState failed
 }
 
 func (s *SolveStats) String() string {
@@ -74,18 +72,6 @@ func (s *SolveStats) String() string {
 		out += "; after fallback: " + f
 	}
 	return out
-}
-
-// TraceString renders the residual trace compactly for logs.
-func (s *SolveStats) TraceString() string {
-	if len(s.ResidualTrace) == 0 {
-		return "(no trace)"
-	}
-	parts := make([]string, len(s.ResidualTrace))
-	for i, r := range s.ResidualTrace {
-		parts[i] = fmt.Sprintf("%.2g", r)
-	}
-	return strings.Join(parts, " ")
 }
 
 // Progress is one tick of a long-running computation: a BFS level

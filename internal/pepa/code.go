@@ -388,18 +388,11 @@ func equalTuple(a, b []uint32) bool {
 	return true
 }
 
-// cedge is one discovered transition in the serial coded engine, with
-// both endpoints already final.
-type cedge struct {
-	rate     float64
-	from, to int32
-	act      int32
-}
-
-// u32slab allocates fixed-size []uint32 views from large blocks,
-// trading one make per ~64K codes for the per-state slice allocations
-// the string engine paid. Views remain valid forever: full blocks are
-// retained by the views into them and never reallocated.
+// u32slab allocates fixed-size []uint32 views from blocks that double
+// up to u32slabBlock codes, trading one make per ~64K codes for the
+// per-state slice allocations the string engine paid while keeping a
+// tiny model's footprint small. Views remain valid forever: full blocks
+// are retained by the views into them and never reallocated.
 type u32slab struct {
 	block []uint32
 }
@@ -408,11 +401,8 @@ const u32slabBlock = 1 << 16
 
 func (s *u32slab) alloc(n int) []uint32 {
 	if len(s.block)+n > cap(s.block) {
-		size := u32slabBlock
-		if n > size {
-			size = n
-		}
-		s.block = make([]uint32, 0, size)
+		size := min(max(2*cap(s.block), 64), u32slabBlock)
+		s.block = make([]uint32, 0, max(size, n))
 	}
 	lo := len(s.block)
 	s.block = s.block[:lo+n]

@@ -66,19 +66,25 @@ type leafChange struct {
 
 // compiled composition: leaves are numbered left to right. The caches
 // make repeated per-state work (constant resolution, canonical keys,
-// per-Coop apparent-rate action lists) O(1) after first sight; they use
-// sync.Map so serial and parallel exploration share one code path.
+// per-Coop apparent-rate action lists) O(1) after first sight. Only
+// encode and the reference engine fill them, each on one goroutine.
 type compiled struct {
 	model    *Model
 	node     Composition
 	leaves   []*Leaf
-	coopActs map[*Coop][]string // sorted cooperation-set names, fixed at compile time
-	trMemo   sync.Map           // Process -> []transition (resolved sequential moves)
-	keyMemo  sync.Map           // Process -> string (canonical derivative key)
+	coopActs map[*Coop][]string       // sorted cooperation-set names, fixed at compile time
+	trMemo   map[Process][]transition // resolved sequential moves
+	keyMemo  map[Process]string       // canonical derivative key
 }
 
 func compile(m *Model, c Composition) *compiled {
-	cc := &compiled{model: m, node: c, coopActs: make(map[*Coop][]string)}
+	cc := &compiled{
+		model:    m,
+		node:     c,
+		coopActs: make(map[*Coop][]string),
+		trMemo:   make(map[Process][]transition),
+		keyMemo:  make(map[Process]string),
+	}
 	var walk func(Composition)
 	walk = func(n Composition) {
 		switch t := n.(type) {
@@ -102,27 +108,27 @@ func compile(m *Model, c Composition) *compiled {
 // Erlang-style chains make Key() linear in the remaining phase count,
 // so caching turns the per-state cost from O(phases^2) into O(1).
 func (cc *compiled) key(p Process) string {
-	if k, ok := cc.keyMemo.Load(p); ok {
-		return k.(string)
+	if k, ok := cc.keyMemo[p]; ok {
+		return k
 	}
 	k := p.Key()
-	cc.keyMemo.Store(p, k)
+	cc.keyMemo[p] = k
 	return k
 }
 
 // seqMoves returns the sequential transitions of derivative p,
 // memoised per AST node. The underlying Model is never mutated during
-// derivation, so the cached slices are shared read-only across
-// workers; callers must not modify them.
+// derivation, so the cached slices are shared read-only; callers must
+// not modify them.
 func (cc *compiled) seqMoves(p Process) ([]transition, error) {
-	if v, ok := cc.trMemo.Load(p); ok {
-		return v.([]transition), nil
+	if trs, ok := cc.trMemo[p]; ok {
+		return trs, nil
 	}
 	trs, err := cc.model.seqTransitions(p)
 	if err != nil {
 		return nil, err
 	}
-	cc.trMemo.Store(p, trs)
+	cc.trMemo[p] = trs
 	return trs, nil
 }
 
@@ -243,10 +249,10 @@ func (cc *compiled) stateKey(s []Process) string {
 type DeriveOptions struct {
 	MaxStates int // cap on explored states (default DefaultMaxStates)
 
-	// Workers selects the exploration strategy: <= 1 runs the serial
-	// coded BFS, > 1 runs the sharded level-synchronous worker pool
-	// (see parallel.go). All paths produce bit-identical chains; 0
-	// means serial, and a negative value means "one per CPU".
+	// Workers sets the size of the coded engine's worker pool (see
+	// parallel.go): 0 or 1 expands every BFS level on the calling
+	// goroutine, and a negative value means "one per CPU". Every worker
+	// count produces the bit-identical chain.
 	Workers int
 
 	// Reference forces the legacy string-keyed serial exploration that
@@ -270,7 +276,8 @@ type DeriveOptions struct {
 	Stats *obsv.DeriveStats
 
 	// Progress, when non-nil, is called once per completed BFS level
-	// from the coordinating goroutine.
+	// from the coordinating goroutine. The coded engine completes D+1
+	// levels for BFS depth D, the last with an empty frontier.
 	Progress obsv.ProgressFunc
 
 	// Span, when non-nil, receives "compile" and "explore" child spans
@@ -308,8 +315,8 @@ func (o DeriveOptions) workers() int {
 //
 // States are numbered in BFS discovery order (the initial state is 0)
 // and the numbering is deterministic: shared-action expansion follows
-// sorted action order, so repeated runs — serial or parallel, coded or
-// reference, any worker count — yield identical chains.
+// sorted action order, so repeated runs — coded or reference, any
+// worker count — yield identical chains.
 //
 // Errors are returned for undefined constants, unguarded recursion,
 // passive activities that remain unsynchronised at the top level,
@@ -383,13 +390,10 @@ func Derive(m *Model, opts DeriveOptions) (*StateSpace, error) {
 	}
 	var ss *StateSpace
 	var err error
-	switch {
-	case opts.Reference:
+	if opts.Reference {
 		ss, err = deriveReference(cc, nLeaf, maxStates, opts)
-	case opts.workers() > 1:
-		ss, err = deriveParallel(cd, maxStates, opts.workers(), opts)
-	default:
-		ss, err = deriveSerial(cd, maxStates, opts)
+	} else {
+		ss, err = deriveCoded(cd, maxStates, opts.workers(), opts)
 	}
 	if exploreSpan != nil {
 		exploreSpan.End()
@@ -415,118 +419,6 @@ func Derive(m *Model, opts DeriveOptions) (*StateSpace, error) {
 		}
 	}
 	return ss, err
-}
-
-// deriveSerial is the single-threaded coded exploration: a FIFO BFS
-// over integer state tuples. Because FIFO discovery order equals index
-// order, the queue is implicit — the loop walks state indices as the
-// table grows. parallel.go reproduces exactly this numbering level by
-// level; the differential tests additionally hold both against the
-// string-keyed deriveReference.
-func deriveSerial(cd *coded, maxStates int, opts DeriveOptions) (*StateSpace, error) {
-	start := time.Now()
-	stats := opts.Stats
-	if stats != nil {
-		*stats = obsv.DeriveStats{Workers: 1, LeafCodes: len(cd.keys)}
-		defer func() { stats.Elapsed = time.Since(start) }()
-	}
-	nLeaf := cd.nLeaf
-
-	// State i's codes live at arena[i*nLeaf:(i+1)*nLeaf]. The visited
-	// set maps tuple hash -> head of an intrusive chain (hchain) over
-	// states sharing that 64-bit hash; collisions are broken by tuple
-	// comparison against the arena.
-	arena := make([]uint32, 0, 256*nLeaf)
-	heads := make(map[uint64]int32, 256)
-	var hchain []int32
-	var levelOf []int32
-
-	intern := func(t []uint32) (int32, bool) {
-		h := hashTuple(t)
-		head, seen := heads[h]
-		if seen {
-			for i := head; i >= 0; i = hchain[i] {
-				if equalTuple(arena[int(i)*nLeaf:(int(i)+1)*nLeaf], t) {
-					if stats != nil {
-						stats.DedupHits++
-					}
-					return i, false
-				}
-			}
-			if stats != nil {
-				stats.HashCollisions++
-			}
-		}
-		id := int32(len(hchain))
-		arena = append(arena, t...)
-		next := int32(-1)
-		if seen {
-			next = head
-		}
-		hchain = append(hchain, next)
-		heads[h] = id
-		return id, true
-	}
-
-	intern(cd.initState)
-	levelOf = append(levelOf, 0)
-	var edges []cedge
-	levels := 1
-	sc := &evalScratch{}
-
-	for cur := 0; cur < len(levelOf); cur++ {
-		curLevel := int(levelOf[cur])
-		if curLevel+1 > levels {
-			levels = curLevel + 1
-			if opts.Progress != nil {
-				n := len(levelOf)
-				opts.Progress(obsv.Progress{Phase: "derive", Step: curLevel, Count: n, Value: float64(n - cur)})
-			}
-		}
-		// The view stays readable across the interning appends below:
-		// a grown arena copies the prefix, and state contents never
-		// mutate, so a stale backing array holds the same values.
-		state := arena[cur*nLeaf : (cur+1)*nLeaf]
-		lo, hi, err := cd.genMoves(state, sc)
-		if err != nil {
-			return nil, err
-		}
-		if hi == lo {
-			return nil, deadlockError(cd.label(state))
-		}
-		for k := lo; k < hi; k++ {
-			mv := &sc.moves[k]
-			if mv.rate.Passive {
-				return nil, unsyncPassiveError(cd.actNames[mv.act], cd.label(state))
-			}
-			succ := cd.successor(state, mv, sc)
-			ni, fresh := intern(succ)
-			if fresh {
-				levelOf = append(levelOf, int32(curLevel+1))
-				if len(levelOf) > maxStates {
-					return nil, fmt.Errorf("pepa: state space exceeds %d states", maxStates)
-				}
-			}
-			edges = append(edges, cedge{rate: mv.rate.Value, from: int32(cur), to: ni, act: mv.act})
-		}
-		if stats != nil {
-			stats.States = len(levelOf)
-			stats.Transitions = len(edges)
-			stats.Levels = levels
-		}
-	}
-
-	n := len(levelOf)
-	trans := make([]ctmc.Transition, len(edges))
-	for k, e := range edges {
-		trans[k] = ctmc.Transition{From: int(e.from), To: int(e.to), Rate: e.rate, Action: cd.actNames[e.act]}
-	}
-	return &StateSpace{
-		Chain:    ctmc.NewChain(cd.buildLabels(arena, n, 1), trans),
-		NumLeaf:  nLeaf,
-		codes:    arena[:n*nLeaf],
-		codeKeys: cd.keys,
-	}, nil
 }
 
 // buildLabels materialises the chain's state labels from the coded

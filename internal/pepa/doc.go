@@ -29,22 +29,22 @@
 // scratch buffers. State label strings are materialised once, at the
 // end, straight into the exact-size slices ctmc.NewChain retains.
 //
-// Three engines share that semantics:
+// Two engines share that semantics:
 //
-//   - the coded serial engine (derive.go): a FIFO BFS interning
-//     tuples in discovery order;
-//   - a sharded worker pool (parallel.go, DeriveOptions.Workers > 1):
-//     level-synchronous frontier expansion with a lock-striped
-//     visited set, per-worker slabs and edge buffers, and a
-//     deterministic rank-sort renumbering per level;
+//   - the coded engine (parallel.go): level-synchronous frontier
+//     expansion with a lock-striped visited set, per-worker slabs and
+//     edge buffers, a deterministic rank-sort renumbering per level,
+//     and a MaxStates bound checked per interned state.
+//     DeriveOptions.Workers only sets its pool size; with one worker
+//     every level is expanded on the calling goroutine;
 //   - the legacy string-keyed serial engine
 //     (DeriveOptions.Reference): the original direct-semantics
 //     implementation, kept as the differential-testing oracle.
 //
-// All three produce bit-identical chains — same state numbering, same
+// Both produce bit-identical chains — same state numbering, same
 // label strings, same transition order — for any worker count,
 // because shared-action expansion follows sorted action order and the
-// parallel path sorts each level's discoveries by their serial
+// coded engine sorts each level's discoveries by their FIFO
 // discovery rank. docs/PERFORMANCE.md covers the design and the
 // measured numbers.
 //

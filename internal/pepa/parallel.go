@@ -1,16 +1,19 @@
 package pepa
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pepatags/internal/ctmc"
 	"pepatags/internal/obsv"
 )
 
-// Parallel state-space derivation over integer-coded states.
+// Coded state-space derivation: the one engine over integer-coded
+// states, for every worker count.
 //
 // The exploration is level-synchronous BFS: all states at frontier
 // depth d are expanded before any state at depth d+1. Within a level
@@ -18,35 +21,47 @@ import (
 // worker generates successors through its own reusable evaluation
 // scratch (code.go), materialises fresh states into its own slab
 // arenas, and interns them into a visited set sharded by the integer
-// tuple hash. No strings are built and no per-state heap objects are
-// allocated on the exploration path; labels and the transition list
-// are assembled once at the end, in parallel chunks.
+// tuple hash. With one worker, and for thin levels at any worker count,
+// the whole level is expanded inline on the coordinating goroutine. No
+// strings are built and no per-state heap objects are allocated on the
+// exploration path; labels and the transition list are assembled once
+// at the end, in parallel chunks.
 //
-// Determinism: the serial engine (derive.go) numbers states in FIFO
-// discovery order, i.e. sorted by (level, position of the discovering
-// parent within its level, index of the discovering move). Workers
-// record exactly that discovery rank on every tentative state — taking
-// the minimum under the shard lock when several parents of one level
-// reach the same state — and a post-pass sort per level assigns final
-// indices in rank order. Edges are emitted per worker in (parent,
-// move) order and workers own contiguous parent ranges, so
-// concatenating the per-worker edge chunks in worker order, level by
-// level, reproduces the serial transition list exactly. The result is
-// bit-identical to deriveSerial (and to the string-keyed
-// deriveReference) for any worker count.
+// Determinism: states are numbered in FIFO discovery order, i.e.
+// sorted by (level, position of the discovering parent within its
+// level, index of the discovering move) — the order of a plain serial
+// BFS and of the string-keyed deriveReference. Workers record that
+// discovery rank on every tentative state, taking the minimum under
+// the shard lock when several parents of one level reach the same
+// state, and a sort per level assigns final indices in rank order.
+// Edges are emitted per worker in (parent, move) order and workers own
+// contiguous parent ranges, so concatenating the per-worker edge
+// chunks in worker order, level by level, reproduces the serial
+// transition list. The result is bit-identical to deriveReference for
+// any worker count.
+//
+// Bounds and errors: MaxStates is enforced per interned state through
+// one shared count, so an oversized model stops after at most
+// MaxStates+workers states, not at the end of a level. A deadlock or an
+// unsynchronised passive action stops the worker that meets it, and the
+// one at the earliest frontier position wins, which is the error a
+// serial scan meets first. When a multi-worker level overflows, which
+// of its states a serial scan would have counted first is not known, so
+// the level is rolled back and expanded again inline; the error is then
+// exactly the serial one.
 //
 // Scaling: each worker's per-level work is pure CPU over its own
-// memory; the only shared mutable structure is the striped visited
+// memory; the only shared mutable structures are the striped visited
 // set, whose critical section is a hash-chain walk of a few integer
-// comparisons. On a machine that exposes a single CPU the pool
-// degenerates gracefully — small frontiers are expanded inline on the
-// coordinator, so the remaining cost over serial is one goroutine
-// spawn per worker per large level.
+// comparisons, and the state count. On a machine that exposes a single
+// CPU the pool degenerates gracefully: the remaining cost over one
+// worker is one goroutine spawn per worker per large level.
 
 // numShards stripes the visited-state hash. A power of two well above
 // typical worker counts keeps lock contention negligible; selection
 // uses the top bits of the tuple hash, whose low bits the shard map
-// uses for its own buckets.
+// uses for its own buckets. The maps start empty, so a small model
+// pays for the shards it touches only.
 const numShards = 128
 
 // minStatesPerWorker bounds how thin a level may be sliced: spawning a
@@ -54,9 +69,8 @@ const numShards = 128
 // inline, so levels below 2*minStatesPerWorker run on the coordinator.
 const minStatesPerWorker = 8
 
-// prec is one interned global state during parallel exploration. The
-// records live in per-worker slabs; codes points into a per-worker
-// u32slab block.
+// prec is one interned global state. The records live in per-worker
+// slabs; codes points into a per-worker u32slab block.
 type prec struct {
 	codes []uint32
 	next  *prec  // hash-chain link among states sharing a 64-bit hash
@@ -76,18 +90,21 @@ type shard struct {
 	m  map[uint64]*prec
 }
 
-// pedge is a discovered transition; the target is resolved to its
-// final index only after the level's rank sort.
+// pedge is a discovered transition. Its target's final index is known
+// only after the level's rank sort, so during the level the target
+// record sits in the worker's targets slice, and to is filled when the
+// level commits. Committed edges then hold no pointers for the
+// collector to scan.
 type pedge struct {
-	to   *prec
-	rate float64
-	from int32
-	act  int32
+	rate     float64
+	from, to int32
+	act      int32
 }
 
 // precSlab block-allocates prec records so a million interned states
-// cost a few hundred allocations. Pointers into a block stay valid:
-// blocks are abandoned when full, never grown.
+// cost a few hundred allocations. Blocks start small and double up to
+// precSlabBlock, so a tiny model allocates a few hundred bytes. Pointers
+// into a block stay valid: blocks are abandoned when full, never grown.
 type precSlab struct {
 	block []prec
 }
@@ -96,7 +113,7 @@ const precSlabBlock = 2048
 
 func (s *precSlab) alloc() *prec {
 	if len(s.block) == cap(s.block) {
-		s.block = make([]prec, 0, precSlabBlock)
+		s.block = make([]prec, 0, min(max(2*cap(s.block), 16), precSlabBlock))
 	}
 	s.block = s.block[:len(s.block)+1]
 	return &s.block[len(s.block)-1]
@@ -104,18 +121,19 @@ func (s *precSlab) alloc() *prec {
 
 // pworker is the per-worker mutable state, reused across levels.
 type pworker struct {
-	sc     evalScratch
-	codes  u32slab
-	precs  precSlab
-	fresh  []*prec
-	edges  []pedge
-	dedup  int64
-	coll   int64
-	err    error
-	errPos int // parent position of err within the level (for first-error order)
+	sc      evalScratch
+	codes   u32slab
+	precs   precSlab
+	fresh   []*prec
+	edges   []pedge
+	targets []*prec // targets[i] is the target of edges[i]
+	dedup   int64
+	coll    int64
+	err     error
+	errPos  int // parent position of err within the level (for first-error order)
 }
 
-func deriveParallel(cd *coded, maxStates, workers int, opts DeriveOptions) (*StateSpace, error) {
+func deriveCoded(cd *coded, maxStates, workers int, opts DeriveOptions) (*StateSpace, error) {
 	start := time.Now()
 	stats := opts.Stats
 	if stats != nil {
@@ -123,10 +141,11 @@ func deriveParallel(cd *coded, maxStates, workers int, opts DeriveOptions) (*Sta
 		defer func() { stats.Elapsed = time.Since(start) }()
 	}
 	nLeaf := cd.nLeaf
+	overflow := fmt.Errorf("pepa: state space exceeds %d states", maxStates)
 
 	shards := make([]shard, numShards)
 	for i := range shards {
-		shards[i].m = make(map[uint64]*prec, 64)
+		shards[i].m = make(map[uint64]*prec)
 	}
 	shardOf := func(h uint64) *shard { return &shards[h>>(64-7)] } // top log2(numShards) bits
 
@@ -140,8 +159,13 @@ func deriveParallel(cd *coded, maxStates, workers int, opts DeriveOptions) (*Sta
 
 	states := []*prec{root} // in final-index order
 	var edgeChunks [][]pedge
+	nEdges := 0
 	frontier := []*prec{root}
 	level := 0
+	// interned counts every state in the visited set, tentative ones
+	// included; it is the MaxStates bound.
+	var interned atomic.Int64
+	interned.Store(1)
 
 	ws := make([]*pworker, workers)
 	for i := range ws {
@@ -149,13 +173,12 @@ func deriveParallel(cd *coded, maxStates, workers int, opts DeriveOptions) (*Sta
 	}
 
 	// explore expands the frontier chunk [lo, hi) into w's buffers and
-	// interns successors. Fresh-state materialisation reserves slab
-	// space before taking the shard lock and rolls the reservation back
-	// on a lost race, so the critical section is a chain walk plus a
-	// map write.
+	// interns successors. Fresh-state materialisation happens under the
+	// shard lock, so the critical section is a chain walk, a count
+	// increment and a map write.
 	explore := func(w *pworker, lo, hi int) {
-		w.fresh = w.fresh[:0]
-		w.edges = w.edges[:0]
+		w.fresh, w.edges, w.targets, w.err = w.fresh[:0], w.edges[:0], w.targets[:0], nil
+		w.dedup, w.coll = 0, 0
 		for pos := lo; pos < hi; pos++ {
 			cur := frontier[pos]
 			mlo, mhi, err := cd.genMoves(cur.codes, &w.sc)
@@ -187,6 +210,11 @@ func deriveParallel(cd *coded, maxStates, workers int, opts DeriveOptions) (*Sta
 					}
 				}
 				if rec == nil {
+					if interned.Add(1) > int64(maxStates) {
+						sh.mu.Unlock()
+						w.err, w.errPos = overflow, pos
+						return
+					}
 					rec = w.precs.alloc()
 					rec.codes = w.codes.alloc(nLeaf)
 					copy(rec.codes, succ)
@@ -202,33 +230,51 @@ func deriveParallel(cd *coded, maxStates, workers int, opts DeriveOptions) (*Sta
 				} else {
 					if rec.id < 0 && rank < rec.rank {
 						// Tentative in this level: keep the earliest
-						// discovery so the post-sort matches serial.
+						// discovery so the rank sort matches serial BFS.
 						rec.rank = rank
 					}
 					sh.mu.Unlock()
 					w.dedup++
 				}
-				w.edges = append(w.edges, pedge{to: rec, rate: mv.rate.Value, from: cur.id, act: mv.act})
+				w.edges = append(w.edges, pedge{rate: mv.rate.Value, from: cur.id, act: mv.act})
+				w.targets = append(w.targets, rec)
 			}
 		}
 	}
 
+	// rollback unlinks the tentative states of the current level from
+	// the visited set. They were prepended to their hash chains after
+	// every state of earlier levels, so each chain loses a prefix.
+	rollback := func(used int) {
+		for _, w := range ws[:used] {
+			for _, rec := range w.fresh {
+				h := hashTuple(rec.codes)
+				sh := shardOf(h)
+				head := sh.m[h]
+				for head != nil && head.id < 0 {
+					head = head.next
+				}
+				if head == nil {
+					delete(sh.m, h)
+				} else {
+					sh.m[h] = head
+				}
+			}
+		}
+		interned.Store(int64(len(states)))
+	}
+
 	for len(frontier) > 0 {
 		// Thin levels are not worth fanning out; expand them inline.
-		w := len(frontier) / minStatesPerWorker
-		if w > workers {
-			w = workers
-		}
-		if w <= 1 {
+		used := min(len(frontier)/minStatesPerWorker, workers)
+		if used <= 1 {
+			used = 1
 			explore(ws[0], 0, len(frontier))
-			if ws[0].err != nil {
-				return nil, ws[0].err
-			}
 		} else {
 			var wg sync.WaitGroup
-			for i := 0; i < w; i++ {
-				lo := i * len(frontier) / w
-				hi := (i + 1) * len(frontier) / w
+			for i := 0; i < used; i++ {
+				lo := i * len(frontier) / used
+				hi := (i + 1) * len(frontier) / used
 				wg.Add(1)
 				go func(w *pworker, lo, hi int) {
 					defer wg.Done()
@@ -236,53 +282,66 @@ func deriveParallel(cd *coded, maxStates, workers int, opts DeriveOptions) (*Sta
 				}(ws[i], lo, hi)
 			}
 			wg.Wait()
-			// Surface the error the serial scan would have hit first.
-			var firstErr error
-			firstPos := -1
-			for i := 0; i < w; i++ {
-				if ws[i].err != nil && (firstPos < 0 || ws[i].errPos < firstPos) {
-					firstErr, firstPos = ws[i].err, ws[i].errPos
+		}
+
+		// Surface the error a serial scan would have hit first.
+		var firstErr error
+		firstPos, overflowed := -1, false
+		for _, w := range ws[:used] {
+			if w.err != nil && (firstPos < 0 || w.errPos < firstPos) {
+				firstErr, firstPos = w.err, w.errPos
+			}
+			overflowed = overflowed || w.err == overflow
+		}
+		if overflowed && used > 1 {
+			rollback(used)
+			used = 1
+			explore(ws[0], 0, len(frontier))
+			firstErr = ws[0].err
+		}
+		if firstErr != nil {
+			if stats != nil {
+				stats.States = int(interned.Load())
+				stats.Levels = level + 1
+				stats.Transitions = nEdges
+				for _, w := range ws[:used] {
+					stats.Transitions += len(w.edges)
+					stats.DedupHits += w.dedup
+					stats.HashCollisions += w.coll
 				}
 			}
-			if firstErr != nil {
-				return nil, firstErr
-			}
-		}
-		used := 1
-		if w > 1 {
-			used = w
+			return nil, firstErr
 		}
 
 		// Deterministic renumbering: collect this level's tentative
 		// states and sort by discovery rank == serial FIFO order.
 		var fresh []*prec
-		for i := 0; i < used; i++ {
-			fresh = append(fresh, ws[i].fresh...)
+		for _, w := range ws[:used] {
+			fresh = append(fresh, w.fresh...)
 			if stats != nil {
-				stats.DedupHits += ws[i].dedup
-				stats.HashCollisions += ws[i].coll
+				stats.DedupHits += w.dedup
+				stats.HashCollisions += w.coll
 			}
-			ws[i].dedup, ws[i].coll = 0, 0
 		}
-		sort.Slice(fresh, func(a, b int) bool { return fresh[a].rank < fresh[b].rank })
+		slices.SortFunc(fresh, func(a, b *prec) int { return cmp.Compare(a.rank, b.rank) })
 		for _, rec := range fresh {
 			rec.id = int32(len(states))
 			states = append(states, rec)
 		}
-		if len(states) > maxStates {
-			return nil, fmt.Errorf("pepa: state space exceeds %d states", maxStates)
-		}
-		for i := 0; i < used; i++ {
-			if len(ws[i].edges) > 0 {
-				chunk := make([]pedge, len(ws[i].edges))
-				copy(chunk, ws[i].edges)
-				edgeChunks = append(edgeChunks, chunk)
+		for _, w := range ws[:used] {
+			if len(w.edges) > 0 {
+				for i, rec := range w.targets {
+					w.edges[i].to = rec.id
+				}
+				edgeChunks = append(edgeChunks, slices.Clone(w.edges))
+				nEdges += len(w.edges)
 			}
 		}
 
 		level++
 		if stats != nil {
 			stats.States = len(states)
+			stats.Transitions = nEdges
 			stats.Levels = level
 		}
 		if opts.Progress != nil {
@@ -306,18 +365,15 @@ func deriveParallel(cd *coded, maxStates, workers int, opts DeriveOptions) (*Sta
 	for i, ch := range edgeChunks {
 		offs[i+1] = offs[i] + len(ch)
 	}
-	trans := make([]ctmc.Transition, offs[len(edgeChunks)])
+	trans := make([]ctmc.Transition, nEdges)
 	parallelFor(workers, len(edgeChunks), func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			out := trans[offs[ci]:]
 			for k, e := range edgeChunks[ci] {
-				out[k] = ctmc.Transition{From: int(e.from), To: int(e.to.id), Rate: e.rate, Action: cd.actNames[e.act]}
+				out[k] = ctmc.Transition{From: int(e.from), To: int(e.to), Rate: e.rate, Action: cd.actNames[e.act]}
 			}
 		}
 	})
-	if stats != nil {
-		stats.Transitions = len(trans)
-	}
 	return &StateSpace{
 		Chain:    ctmc.NewChain(cd.buildLabels(codes, n, workers), trans),
 		NumLeaf:  nLeaf,

@@ -43,25 +43,27 @@ func requireIdentical(t *testing.T, want, got *StateSpace) {
 	}
 }
 
+// deriveWorkerCounts are the pool sizes every differential check runs
+// the coded engine at: the inline path, a pool smaller than, at and
+// above the usual CPU count.
+var deriveWorkerCounts = []int{1, 2, 3, 8}
+
+// TestParallelDeriveMatchesSerialOnRandomModels holds the coded engine
+// at every worker count against the string-keyed serial reference.
 func TestParallelDeriveMatchesSerialOnRandomModels(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 2026))
 	for trial := 0; trial < 20; trial++ {
 		m := randomModel(rng)
-		serial, err := Derive(m, DeriveOptions{})
-		if err != nil {
-			t.Fatalf("trial %d: serial derive: %v", trial, err)
-		}
 		ref, err := Derive(m, DeriveOptions{Reference: true})
 		if err != nil {
 			t.Fatalf("trial %d: reference derive: %v", trial, err)
 		}
-		requireIdentical(t, ref, serial)
-		for _, workers := range []int{2, 3, 8} {
-			par, err := Derive(m, DeriveOptions{Workers: workers})
+		for _, workers := range deriveWorkerCounts {
+			got, err := Derive(m, DeriveOptions{Workers: workers})
 			if err != nil {
-				t.Fatalf("trial %d: parallel derive (%d workers): %v", trial, workers, err)
+				t.Fatalf("trial %d: coded derive (%d workers): %v", trial, workers, err)
 			}
-			requireIdentical(t, serial, par)
+			requireIdentical(t, ref, got)
 		}
 	}
 }
@@ -76,20 +78,22 @@ func TestParallelDeriveMatchesSerialOnAppendixModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		serial, err := Derive(m, DeriveOptions{})
+		ref, err := Derive(m, DeriveOptions{Reference: true})
 		if err != nil {
-			t.Fatalf("%s: serial: %v", name, err)
+			t.Fatalf("%s: reference: %v", name, err)
 		}
-		par, err := Derive(m, DeriveOptions{Workers: 4})
-		if err != nil {
-			t.Fatalf("%s: parallel: %v", name, err)
+		for _, workers := range deriveWorkerCounts {
+			got, err := Derive(m, DeriveOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %d workers: %v", name, workers, err)
+			}
+			requireIdentical(t, ref, got)
 		}
-		requireIdentical(t, serial, par)
 	}
 }
 
-// The parallel path must report the same errors as the serial path,
-// and both must match the shared sentinels with errors.Is.
+// Every worker count must report the same errors as the reference
+// engine, and all must match the shared sentinels with errors.Is.
 func TestParallelDeriveErrors(t *testing.T) {
 	check := func(src string, want error, opts DeriveOptions) {
 		t.Helper()
@@ -97,18 +101,25 @@ func TestParallelDeriveErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sopts, popts := opts, opts
-		popts.Workers = 4
-		_, serr := Derive(m, sopts)
-		_, perr := Derive(m, popts)
-		if serr == nil || perr == nil {
-			t.Fatalf("expected errors, got serial=%v parallel=%v", serr, perr)
+		ropts := opts
+		ropts.Reference = true
+		_, rerr := Derive(m, ropts)
+		if !errors.Is(rerr, want) {
+			t.Fatalf("reference error %v is not %v", rerr, want)
 		}
-		if !errors.Is(perr, want) {
-			t.Fatalf("parallel error %q is not %v", perr, want)
-		}
-		if serr.Error() != perr.Error() {
-			t.Fatalf("errors differ:\n  serial:   %v\n  parallel: %v", serr, perr)
+		for _, workers := range []int{1, 4} {
+			popts := opts
+			popts.Workers = workers
+			_, perr := Derive(m, popts)
+			if perr == nil {
+				t.Fatalf("%d workers: expected an error, got none", workers)
+			}
+			if !errors.Is(perr, want) {
+				t.Fatalf("%d workers: error %q is not %v", workers, perr, want)
+			}
+			if rerr.Error() != perr.Error() {
+				t.Fatalf("errors differ:\n  reference: %v\n  %d workers: %v", rerr, workers, perr)
+			}
 		}
 	}
 	// Dead sync: after the free a-step, P1 only offers sync (blocked:
@@ -142,6 +153,68 @@ func TestParallelDeriveMaxStatesOverflow(t *testing.T) {
 	}
 	if serr.Error() != perr.Error() {
 		t.Fatalf("errors differ:\n  serial:   %v\n  parallel: %v", serr, perr)
+	}
+}
+
+// cyclesSource renders n independent 4-cycles in parallel: 4^n states,
+// with BFS levels wide enough to fan out over any worker count.
+func cyclesSource(n int) string {
+	var sb strings.Builder
+	sb.WriteString("C0 = (c, 1.0).C1;\nC1 = (c, 1.0).C2;\nC2 = (c, 1.0).C3;\nC3 = (c, 1.0).C0;\n")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteString(" || ")
+		}
+		sb.WriteString("C0")
+	}
+	return sb.String()
+}
+
+// MaxStates bounds every interned state, not every completed level:
+// the 268-million-state product of 14 cycles must stop within one
+// state per worker of the cap, and the partial count in DeriveStats
+// must say where it stopped.
+func TestDeriveMaxStatesBoundsInternedStates(t *testing.T) {
+	m, err := Parse(cyclesSource(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxStates = 40000
+	for _, workers := range []int{1, 4} {
+		var st obsv.DeriveStats
+		_, err := Derive(m, DeriveOptions{MaxStates: maxStates, Workers: workers, Stats: &st})
+		if err == nil || err.Error() != "pepa: state space exceeds 40000 states" {
+			t.Fatalf("%d workers: want the overflow error, got %v", workers, err)
+		}
+		if st.States <= maxStates || st.States > maxStates+workers {
+			t.Fatalf("%d workers: stopped at %d states, want (%d, %d]", workers, st.States, maxStates, maxStates+workers)
+		}
+	}
+}
+
+// An overflow and a model error can fall in the same BFS level; every
+// worker count must report the one a serial scan meets first, for every
+// cap. P walks to a state whose passive action is unsynchronised while
+// three cycles widen each level.
+func TestDeriveFirstErrorAcrossCaps(t *testing.T) {
+	src := "C0 = (c, 1.0).C1;\nC1 = (c, 1.0).C2;\nC2 = (c, 1.0).C3;\nC3 = (c, 1.0).C0;\n" +
+		"P0 = (a, 1.0).P1;\nP1 = (a, 1.0).P2;\nP2 = (a, 1.0).P3;\nP3 = (p, T).P3;\n" +
+		"C0 || C0 || C0 || P0"
+	m, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for maxStates := 1; maxStates <= 260; maxStates++ {
+		_, rerr := Derive(m, DeriveOptions{MaxStates: maxStates, SkipLint: true, Reference: true})
+		if rerr == nil {
+			t.Fatalf("cap %d: reference derived a model with an unsynchronised passive", maxStates)
+		}
+		for _, workers := range deriveWorkerCounts {
+			_, err := Derive(m, DeriveOptions{MaxStates: maxStates, SkipLint: true, Workers: workers})
+			if err == nil || err.Error() != rerr.Error() {
+				t.Fatalf("cap %d, %d workers: got %v, reference %v", maxStates, workers, err, rerr)
+			}
+		}
 	}
 }
 
@@ -185,7 +258,7 @@ func TestDeriveStatsFilled(t *testing.T) {
 func TestDeriveAutoWorkers(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	m := randomModel(rng)
-	serial, err := Derive(m, DeriveOptions{})
+	ref, err := Derive(m, DeriveOptions{Reference: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,5 +266,5 @@ func TestDeriveAutoWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, serial, par)
+	requireIdentical(t, ref, par)
 }
