@@ -14,9 +14,10 @@
 //     parameterisation of one product derivation (product.go): the
 //     arrival phase times, per node, the queue length and the head
 //     job's H2 branch, stage (repeat or race) and timer phase. Measures
-//     read queue lengths from the decoded product states, and one
-//     absorbing chain (tagged.go) gives the tagged-job response of
-//     TAGExp and of either TAGH2 class.
+//     read queue lengths from the decoded product states. The
+//     tagged-job response of TAGExp and of either TAGH2 class is an
+//     absorbing chain (tagged.go) derived from the same product
+//     transitions, with the tagged job kept last at its node.
 //   - TAGExp is the oracle the product derivation is tested against:
 //     its own derivation and label-decoded measures stay independent,
 //     and internal/conform asserts the product at TAGExp's parameters

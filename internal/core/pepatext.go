@@ -22,75 +22,72 @@ func (m TAGExp) PEPASource() string {
 	m.validate()
 	top := m.phases() - 1
 	var sb strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&sb, format, args...) }
-
-	w("// TAG two-node system, Figure 3 (exponential service)\n")
-	w("lambda = %g;\nmu = %g;\nt = %g;\n\n", m.Lambda, m.Mu, m.T)
-
-	// Queue 1.
-	if m.K1 == 1 {
-		w("QA0 = (arrival, lambda).QA1;\n")
-		w("QA1 = (service1, mu).QA0 + (timeout, T).QA0 + (tick1, T).QA1;\n\n")
-	} else {
-		w("QA0 = (arrival, lambda).QA1;\n")
-		for i := 1; i < m.K1; i++ {
-			w("QA%d = (arrival, lambda).QA%d + (service1, mu).QA%d + (timeout, T).QA%d + (tick1, T).QA%d;\n",
-				i, i+1, i-1, i-1, i)
-		}
-		w("QA%d = (service1, mu).QA%d + (timeout, T).QA%d + (tick1, T).QA%d;\n\n",
-			m.K1, m.K1-1, m.K1-1, m.K1)
+	sb.WriteString("// TAG two-node system, Figure 3 (exponential service)\n")
+	fmt.Fprintf(&sb, "lambda = %g;\nmu = %g;\nt = %g;\n\n", m.Lambda, m.Mu, m.T)
+	sb.WriteString("QA0 = (arrival, lambda).QA1;\n")
+	for i := 1; i < m.K1; i++ {
+		fmt.Fprintf(&sb, "QA%d = (arrival, lambda).QA%d + (service1, mu).QA%d + (timeout, T).QA%d + (tick1, T).QA%d;\n",
+			i, i+1, i-1, i-1, i)
 	}
-
-	// Timer 1: phases top..1 tick, phase 0 fires the timeout; service1
-	// resets it from any phase.
-	w("TimerA0 = (timeout, t).TimerA%d + (service1, T).TimerA%d;\n", top, top)
-	for i := 1; i <= top; i++ {
-		w("TimerA%d = (tick1, t).TimerA%d + (service1, T).TimerA%d;\n", i, i-1, top)
-	}
+	fmt.Fprintf(&sb, "QA%d = (service1, mu).QA%d + (timeout, T).QA%d + (tick1, T).QA%d;\n\n",
+		m.K1, m.K1-1, m.K1-1, m.K1)
+	writeTimer1(&sb, top)
 	if top == 0 {
 		// Single-phase timer: the tick action never occurs, but the
 		// queue still offers it passively; add an always-blocked timer
 		// participant so tick1 stays synchronised (no-op).
-		w("// single-phase timer: no ticks\n")
+		sb.WriteString("// single-phase timer: no ticks\n")
 	}
-	w("\n")
-
-	// Queue 2. QB = waiting (Q2), QBS = in residual service (Q2').
-	tickQBS := ""
-	if m.tick2DuringService() {
-		tickQBS = " + (tick2, T).QBS%d"
-	}
-	w("QB0 = (timeout, T).QB1;\n")
-	for i := 1; i < m.K2; i++ {
-		w("QB%d = (timeout, T).QB%d + (tick2, T).QB%d + (repeatservice, T).QBS%d;\n",
-			i, i+1, i, i)
-		if m.tick2DuringService() {
-			w("QBS%d = (timeout, T).QBS%d"+fmt.Sprintf(tickQBS, i)+" + (service2, mu).QB%d;\n",
-				i, i+1, i-1)
-		} else {
-			w("QBS%d = (timeout, T).QBS%d + (service2, mu).QB%d;\n", i, i+1, i-1)
-		}
-	}
-	w("QB%d = (timeout, T).QB%d + (tick2, T).QB%d + (repeatservice, T).QBS%d;\n",
-		m.K2, m.K2, m.K2, m.K2)
-	if m.tick2DuringService() {
-		w("QBS%d = (timeout, T).QBS%d"+fmt.Sprintf(tickQBS, m.K2)+" + (service2, mu).QB%d;\n\n",
-			m.K2, m.K2, m.K2-1)
-	} else {
-		w("QBS%d = (timeout, T).QBS%d + (service2, mu).QB%d;\n\n", m.K2, m.K2, m.K2-1)
-	}
-
-	// Timer 2.
-	w("TimerB0 = (repeatservice, t).TimerB%d;\n", top)
-	for i := 1; i <= top; i++ {
-		w("TimerB%d = (tick2, t).TimerB%d;\n", i, i-1)
-	}
-	w("\n")
-
-	// Note: unlike Timer1 (which is reset by service1), Timer2 has no
-	// service2 activity, so service2 must not appear in the Node-2
-	// cooperation set — it would block forever.
-	w("(TimerA%d <timeout, service1, tick1> QA0) <timeout> (TimerB%d <repeatservice, tick2> QB0)\n",
-		top, top)
+	sb.WriteString("\n")
+	writeExpNode2(&sb, m.K2, m.tick2DuringService())
+	writeTimer2(&sb, top)
+	writeSystem(&sb, top)
 	return sb.String()
+}
+
+// The blocks below are shared by the generators. Each writes its
+// lines to sb; every block but the first timer ends with a blank line.
+
+// writeTimer1 writes the node-1 timer: phases top..1 tick, phase 0
+// fires the timeout; service1 resets it from any phase. The caller
+// ends the block.
+func writeTimer1(sb *strings.Builder, top int) {
+	fmt.Fprintf(sb, "TimerA0 = (timeout, t).TimerA%d + (service1, T).TimerA%d;\n", top, top)
+	for i := 1; i <= top; i++ {
+		fmt.Fprintf(sb, "TimerA%d = (tick1, t).TimerA%d + (service1, T).TimerA%d;\n", i, i-1, top)
+	}
+}
+
+// writeExpNode2 writes the exponential node-2 queue: QB{i} waits out
+// the repeat period, QBS{i} serves the residual; a timeout into a full
+// queue is a self-loop (the job is dropped). tick2 lets the node-2
+// timer run during the residual service, as the printed Figure 3 does.
+func writeExpNode2(sb *strings.Builder, k2 int, tick2 bool) {
+	sb.WriteString("QB0 = (timeout, T).QB1;\n")
+	for i := 1; i <= k2; i++ {
+		next := min(i+1, k2)
+		fmt.Fprintf(sb, "QB%d = (timeout, T).QB%d + (tick2, T).QB%d + (repeatservice, T).QBS%d;\n", i, next, i, i)
+		fmt.Fprintf(sb, "QBS%d = (timeout, T).QBS%d", i, next)
+		if tick2 {
+			fmt.Fprintf(sb, " + (tick2, T).QBS%d", i)
+		}
+		fmt.Fprintf(sb, " + (service2, mu).QB%d;\n", i-1)
+	}
+	sb.WriteString("\n")
+}
+
+// writeTimer2 writes the node-2 timer. Unlike Timer1 (which service1
+// resets), it has no service2 activity, so service2 must stay out of
+// the node-2 cooperation set, where it would block forever.
+func writeTimer2(sb *strings.Builder, top int) {
+	fmt.Fprintf(sb, "TimerB0 = (repeatservice, t).TimerB%d;\n", top)
+	for i := 1; i <= top; i++ {
+		fmt.Fprintf(sb, "TimerB%d = (tick2, t).TimerB%d;\n", i, i-1)
+	}
+	sb.WriteString("\n")
+}
+
+// writeSystem writes the Figure 3/5 system equation.
+func writeSystem(sb *strings.Builder, top int) {
+	fmt.Fprintf(sb, "(TimerA%d <timeout, service1, tick1> QA0) <timeout> (TimerB%d <repeatservice, tick2> QB0)\n", top, top)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"pepatags/internal/ctmc"
 	"pepatags/internal/numeric"
@@ -57,13 +58,19 @@ func (s prodState) clone() prodState {
 	return s
 }
 
+// label encodes the state as "P<arrival>[R<rr>]" and one
+// "|<q>.<branch>.<stage>.<phase>" per node.
 func (s prodState) label() string {
-	b := fmt.Appendf(nil, "P%d", s.arrival)
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], 'P'), int64(s.arrival), 10)
 	if s.rr != 0 {
-		b = fmt.Appendf(b, "R%d", s.rr)
+		b = strconv.AppendInt(append(b, 'R'), int64(s.rr), 10)
 	}
 	for _, n := range s.nodes {
-		b = fmt.Appendf(b, "|%d.%d.%d.%d", n.q, n.branch, n.stage, n.phase)
+		b = strconv.AppendInt(append(b, '|'), int64(n.q), 10)
+		b = strconv.AppendInt(append(b, '.'), int64(n.branch), 10)
+		b = strconv.AppendInt(append(b, '.'), int64(n.stage), 10)
+		b = strconv.AppendInt(append(b, '.'), int64(n.phase), 10)
 	}
 	return string(b)
 }
@@ -196,15 +203,21 @@ func (p tagProduct) dispatch(s prodState, join func(j int, half bool)) {
 	}
 }
 
-// step emits every transition out of s, in derivation order: arrival
-// phase switch, arrival, then each node's head.
+// step emits every transition out of s, in derivation order. An edge
+// whose slot or coefficient is zero at the product's rates is absent.
 func (p tagProduct) step(s prodState, emit emitFunc) {
 	slots, coeffs := p.rates.slots(), p.rates.coeffs()
-	emitLive := func(to prodState, slot RateSlot, coeff Coeff, action string) {
+	p.edges(s, func(to prodState, slot RateSlot, coeff Coeff, action string) {
 		if slots[slot] != 0 && coeffs[coeff] != 0 { //vet:allow floatcmp: structural sparsity
 			emit(to, slot, coeff, action)
 		}
-	}
+	})
+}
+
+// edges emits the transitions out of s whatever the rates, in
+// derivation order: arrival phase switch, arrival, then each node's
+// head.
+func (p tagProduct) edges(s prodState, emit emitFunc) {
 	arrive, half := SlotLambda, slotHalfLambda
 	if p.mmpp {
 		flip, sw := s.clone(), SlotSwitch1
@@ -212,7 +225,7 @@ func (p tagProduct) step(s prodState, emit emitFunc) {
 		if s.arrival == 1 {
 			arrive, half, sw = SlotLambda2, slotHalfLambda2, SlotSwitch2
 		}
-		emitLive(flip, sw, CoeffOne, actSwitch)
+		emit(flip, sw, CoeffOne, actSwitch)
 	}
 	next := s
 	if p.route == routeAlternate {
@@ -229,13 +242,13 @@ func (p tagProduct) step(s prodState, emit emitFunc) {
 		to := next.clone()
 		to.nodes[j].q++
 		if to.nodes[j].q == 1 && p.nodes[j].repeat == 0 {
-			p.race(to, j, slot, ActArrival, emitLive)
+			p.race(to, j, slot, ActArrival, emit)
 		} else {
-			emitLive(to, slot, CoeffOne, ActArrival)
+			emit(to, slot, CoeffOne, ActArrival)
 		}
 	})
 	if lost {
-		emitLive(next, arrive, CoeffOne, ActLossArrival)
+		emit(next, arrive, CoeffOne, ActLossArrival)
 	}
 	for j, spec := range p.nodes {
 		n := s.nodes[j]
@@ -244,18 +257,18 @@ func (p tagProduct) step(s prodState, emit emitFunc) {
 		case n.stage == stageRepeat && n.phase > 0:
 			to := s.clone()
 			to.nodes[j].phase--
-			emitLive(to, spec.clock, CoeffOne, spec.act.repeat)
+			emit(to, spec.clock, CoeffOne, spec.act.repeat)
 		case n.stage == stageRepeat:
-			p.race(s, j, spec.clock, spec.act.begin, emitLive)
+			p.race(s, j, spec.clock, spec.act.begin, emit)
 		default:
-			p.depart(s.clone(), j, spec.mu[n.branch-1], spec.act.service, emitLive)
+			p.depart(s.clone(), j, spec.mu[n.branch-1], spec.act.service, emit)
 			if !spec.timeout {
 				break
 			}
 			if n.phase > 0 {
 				to := s.clone()
 				to.nodes[j].phase--
-				emitLive(to, spec.clock, CoeffOne, spec.act.tick)
+				emit(to, spec.clock, CoeffOne, spec.act.tick)
 			} else if !(spec.alone && n.q == 1) {
 				// Timeout: the head restarts at node j+1, which (having a
 				// repeat period) keeps its idle head configuration.
@@ -264,7 +277,7 @@ func (p tagProduct) step(s prodState, emit emitFunc) {
 					to.nodes[j+1].q++
 					action = spec.act.timeout
 				}
-				p.depart(to, j, spec.clock, action, emitLive)
+				p.depart(to, j, spec.clock, action, emit)
 			}
 		}
 	}

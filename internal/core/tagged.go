@@ -9,12 +9,15 @@ import (
 
 // Tagged-job analysis: the full response-time distribution of an
 // admitted job under TAG, not just the Little's-law mean. A tagged
-// arrival is followed through an absorbing CTMC whose state tracks
-// everything that can still affect it: its position and the timer at
-// node 1, and the node-2 configuration (which decides whether a
-// timed-out tagged job is admitted or lost, and how long node 2 takes
-// once the tagged job is there). Jobs behind the tagged job are
-// irrelevant under FIFO and are not tracked.
+// arrival is followed through an absorbing CTMC derived from the TAG
+// product's own transitions (tagProduct.edges, product.go), so no node
+// rule is written twice. A chain state is a product state in which the
+// tagged job is the last job at its node: jobs behind it are
+// irrelevant under FIFO, so arrivals are not tracked, and the node it
+// has left is empty. The tagged job's own H2 branch is fixed;
+// background jobs ahead of it follow the Figure 5 semantics (head
+// branches sampled at alpha, node-2 residual branches at alpha'). The
+// exponential model is the one-branch case.
 //
 // The initial state distribution follows PASTA: the tagged arrival
 // observes the stationary system conditioned on node 1 having room.
@@ -24,37 +27,6 @@ import (
 // between the paper's Little's-law W (which counts time accrued by
 // jobs later dropped at node 2) and the true mean response time of
 // successful jobs.
-
-// taggedState is the absorbing-chain state. The tagged job's own H2
-// branch is known throughout; background jobs ahead of it follow the
-// Figure 5 semantics (head branches sampled at alpha, node-2 residual
-// branches at alpha'). The exponential model is the one-branch case
-// (alpha = alpha' = 1).
-type taggedState struct {
-	loc int // 0 = at node 1, 1 = at node 2, 2 = done, 3 = lost
-
-	// Node 1 (loc 0): the tagged position (1 = in service), the head's
-	// branch (the tagged job's own when pos1 == 1) and the timer.
-	pos1, headTy, tm1 int
-
-	// Node 2: the queue length (loc 0) or the tagged position (loc 1),
-	// the head's stage (0 repeat period, 1/2 residual branch) and its
-	// timer (frozen at top while the head serves).
-	q2, sv2, tm2 int
-}
-
-func (s taggedState) label() string {
-	switch s.loc {
-	case 2:
-		return "DONE"
-	case 3:
-		return "LOST"
-	case 0:
-		return fmt.Sprintf("N1.p%d.h%d.t%d|%d.%d.%d", s.pos1, s.headTy, s.tm1, s.q2, s.sv2, s.tm2)
-	default:
-		return fmt.Sprintf("N2.p%d.%d.t%d", s.q2, s.sv2, s.tm2)
-	}
-}
 
 // TaggedResponse is the computed absorbing chain plus its initial
 // distribution.
@@ -67,38 +39,18 @@ type TaggedResponse struct {
 	meanCond    float64
 }
 
-// taggedSystem is the two-node system a tagged job traverses.
-type taggedSystem struct {
-	k1, k2, top int        // capacities and the timer reset phase (N-1)
-	t           float64    // timer phase rate
-	mu          [3]float64 // service rate by branch (1 short, 2 long)
-	alpha, ap   float64    // head branch probabilities at node 1 and node 2
-}
-
 // TaggedJob builds and solves the tagged-job chain.
 func (m TAGExp) TaggedJob() (*TaggedResponse, error) {
 	m.validate()
 	if m.LiteralFigure3 {
 		return nil, fmt.Errorf("core: tagged-job analysis implements the calibrated semantics only")
 	}
-	c := m.Build()
-	pi, err := c.SteadyState()
+	p := tagProduct{shape: m.Shape(), phases: m.N, rates: m.RateValues(), nodes: twoNode(m.N, m.K1, m.K2, false)}
+	pi, states, err := p.solve(p.build())
 	if err != nil {
 		return nil, err
 	}
-	states := m.stateInfo(c)
-	bg := make([]taggedState, len(states))
-	for i, s := range states {
-		bg[i] = taggedState{pos1: s.q1, tm1: s.tm1, q2: s.q2, tm2: s.tm2}
-		if s.q1 > 0 {
-			bg[i].headTy = 1
-		}
-		if s.sv2 {
-			bg[i].sv2 = 1
-		}
-	}
-	sys := taggedSystem{k1: m.K1, k2: m.K2, top: m.phases() - 1, t: m.T, mu: [3]float64{0, m.Mu, m.Mu}, alpha: 1, ap: 1}
-	return sys.taggedJob(1, pi, bg)
+	return p.taggedJob(1, pi, states)
 }
 
 // TaggedJob builds and solves the absorbing chain for a tagged job of
@@ -119,147 +71,104 @@ func (m TAGH2) TaggedJob(jobType int) (*TaggedResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	bg := make([]taggedState, len(states))
-	for i, s := range states {
-		n1, n2 := s.nodes[0], s.nodes[1]
-		bg[i] = taggedState{pos1: n1.q, headTy: n1.branch, tm1: n1.phase, q2: n2.q, sv2: n2.branch, tm2: n2.phase}
-	}
-	sys := taggedSystem{k1: m.K1, k2: m.K2, top: m.N - 1, t: m.T,
-		mu: [3]float64{0, m.Service.Mu[0], m.Service.Mu[1]}, alpha: m.Service.Alpha[0], ap: m.AlphaPrime()}
-	return sys.taggedJob(jobType, pi, bg)
+	return p.taggedJob(jobType, pi, states)
 }
 
 // taggedJob derives and solves the absorbing chain of a tagged job of
-// branch jobType. pi is the stationary system distribution and bg[i]
-// system state i in node-1-phase form, with pos1 its node-1 queue
-// length.
-func (m taggedSystem) taggedJob(jobType int, pi []float64, bg []taggedState) (*TaggedResponse, error) {
-	top := m.top
+// branch jobType. pi is the product's stationary distribution and
+// states its decoded states. Each product edge out of a chain state
+// is dropped (an arrival, which joins behind the tagged job), sent to
+// DONE, LOST or the next node (the tagged job leaves its node), kept
+// only for the tagged job's own branch at the bare slot rate (the
+// tagged job reaches its server), or else kept at slot × coeff. It
+// reads the edges whatever the rates, so a tagged branch the system
+// samples with probability zero still has a response.
+func (p tagProduct) taggedJob(jobType int, pi []float64, states []prodState) (*TaggedResponse, error) {
+	slots, coeffs := p.rates.slots(), p.rates.coeffs()
 	b := ctmc.NewBuilder()
-	done := b.State(taggedState{loc: 2}.label())
-	lost := b.State(taggedState{loc: 3}.label())
+	done := b.State("DONE")
+	lost := b.State("LOST")
 
-	// visit interns a state; DONE and LOST are interned above, so every
-	// new state is transient and joins the frontier.
-	var frontier []taggedState
-	visit := func(s taggedState) int {
-		l := s.label()
-		if !b.HasState(l) {
-			frontier = append(frontier, s)
+	// visit interns the state with the tagged job last at node at; at
+	// is the first busy node, so the product label names the chain
+	// state. DONE and LOST are interned above, so every new state is
+	// transient and joins the frontier: chain state i is frontier[i-2].
+	type pending struct {
+		at int
+		s  prodState
+	}
+	var frontier []pending
+	visit := func(at int, s prodState) int {
+		n := b.NumStates()
+		i := b.State(s.label())
+		if i == n {
+			frontier = append(frontier, pending{at, s})
 		}
-		return b.State(l)
+		return i
 	}
 
 	// PASTA initial distribution: the tagged arrival observes the
-	// stationary system conditioned on node 1 having room.
+	// stationary system conditioned on its node having room. weights is
+	// indexed by chain state.
 	var admitted float64
-	weights := map[int]float64{}
-	for i, st := range bg {
-		if st.pos1 >= m.k1 {
-			continue
-		}
-		admitted += pi[i]
-		ts := st
-		ts.pos1++
-		if st.pos1 == 0 {
-			ts.headTy = jobType // the tagged job starts service at once
-			ts.tm1 = top
-		}
-		weights[visit(ts)] += pi[i]
+	weights := make([]float64, 2)
+	for i, s := range states {
+		p.dispatch(s, func(j int, half bool) {
+			w := pi[i]
+			if half {
+				w /= 2
+			}
+			admitted += w
+			to := s.clone()
+			to.nodes[j].q++
+			if to.nodes[j].q == 1 && p.nodes[j].repeat == 0 {
+				// The tagged job starts its race at once.
+				to.nodes[j].branch, to.nodes[j].stage, to.nodes[j].phase = jobType, stageRace, p.phases-1
+			}
+			k := visit(j, to)
+			if k == len(weights) {
+				weights = append(weights, 0)
+			}
+			weights[k] += w
+		})
 	}
 	if admitted <= 0 {
 		return nil, fmt.Errorf("core: no admitting states")
 	}
 
-	type branch struct {
-		ty int
-		p  float64
-	}
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		from := b.State(s.label())
-		emit := func(to taggedState, rate float64) {
-			if rate <= 0 {
-				return
+	for k := 0; k < len(frontier); k++ {
+		at, s := frontier[k].at, frontier[k].s
+		from := k + 2
+		p.edges(s, func(to prodState, slot RateSlot, coeff Coeff, action string) {
+			if action == ActArrival || action == ActLossArrival || action == actSwitch {
+				return // arrivals join behind the tagged job
 			}
-			b.Transition(from, visit(to), rate, "move")
-		}
-		// branches lists the head branches a job can start with: the
-		// tagged job's own, or background branches at probability p.
-		branches := func(tagged bool, p float64) []branch {
-			if tagged {
-				return []branch{{jobType, 1}}
-			}
-			return []branch{{1, p}, {2, 1 - p}}
-		}
-		// departAhead removes a job ahead of the tagged one at node 1;
-		// the next job reaches the server.
-		departAhead := func(to taggedState, rate float64) {
-			to.pos1 = s.pos1 - 1
-			to.tm1 = top
-			for _, br := range branches(to.pos1 == 1, m.alpha) {
-				to.headTy = br.ty
-				emit(to, rate*br.p)
-			}
-		}
-		// node2 evolves node 2's head: the repeat clock, the residual
-		// branch sampled at its end, and the residual service.
-		node2 := func(tagged bool) {
+			f, t := s.nodes[at], to.nodes[at]
+			rate := slots[slot]
 			switch {
-			case s.sv2 == 0 && s.tm2 > 0:
-				to := s
-				to.tm2--
-				emit(to, m.t)
-			case s.sv2 == 0:
-				for _, br := range branches(tagged, m.ap) {
-					to := s
-					to.sv2 = br.ty
-					to.tm2 = top
-					emit(to, m.t*br.p)
+			case t.q == 0: // the tagged job leaves its node
+				switch action {
+				case ActLossTransfer:
+					b.Transition(from, lost, rate, action)
+				case p.nodes[at].act.timeout:
+					b.Transition(from, visit(at+1, to), rate, action)
+				default:
+					b.Transition(from, done, rate, action)
 				}
-			case tagged:
-				emit(taggedState{loc: 2}, m.mu[s.sv2])
-			default:
-				to := s
-				to.q2--
-				to.sv2 = 0
-				to.tm2 = top
-				emit(to, m.mu[s.sv2])
+				return
+			case t.q == 1 && t.branch != 0 && (f.q > 1 || f.branch == 0):
+				// The tagged job reaches its server and samples its own
+				// branch.
+				if t.branch != jobType {
+					return
+				}
+			case coeff != CoeffOne:
+				rate *= coeffs[coeff]
 			}
-		}
-
-		if s.loc == 1 {
-			node2(s.q2 == 1)
-			continue
-		}
-		// Head service (the tagged job's own when pos1 == 1).
-		if s.pos1 == 1 {
-			emit(taggedState{loc: 2}, m.mu[s.headTy])
-		} else {
-			departAhead(s, m.mu[s.headTy])
-		}
-		switch {
-		case s.tm1 > 0:
-			to := s
-			to.tm1--
-			emit(to, m.t)
-		case s.pos1 > 1:
-			// A job ahead times out and restarts at node 2 (or is lost).
-			to := s
-			if s.q2 < m.k2 {
-				to.q2++
+			if rate != 0 { //vet:allow floatcmp: structural sparsity
+				b.Transition(from, visit(at, to), rate, action)
 			}
-			departAhead(to, m.t)
-		case s.q2 < m.k2:
-			// The tagged job times out and restarts at node 2.
-			emit(taggedState{loc: 1, q2: s.q2 + 1, sv2: s.sv2, tm2: s.tm2}, m.t)
-		default:
-			emit(taggedState{loc: 3}, m.t)
-		}
-		if s.q2 > 0 {
-			node2(false)
-		}
+		})
 	}
 	chain := b.Build()
 	init := make([]float64, chain.NumStates())
@@ -274,14 +183,14 @@ func (m taggedSystem) taggedJob(jobType int, pi []float64, bg []taggedState) (*T
 		return nil, err
 	}
 	tr := &TaggedResponse{chain: chain, init: init, doneIdx: done, lostIdx: lost}
-	var p, g numeric.Accumulator
+	var ps, g numeric.Accumulator
 	for i, w := range init {
 		if w > 0 {
-			p.Add(w * probs[i])
+			ps.Add(w * probs[i])
 			g.Add(w * probs[i] * times[i])
 		}
 	}
-	tr.successProb = p.Sum()
+	tr.successProb = ps.Sum()
 	if tr.successProb > 0 {
 		tr.meanCond = g.Sum() / tr.successProb
 	}
@@ -356,11 +265,17 @@ type ClassResponse struct {
 }
 
 // ClassResponses computes both branches' conditional responses and
-// slowdowns.
+// slowdowns from one solve of the system chain.
 func (m TAGH2) ClassResponses() ([2]ClassResponse, error) {
+	m.validate()
 	var out [2]ClassResponse
+	p := m.product()
+	pi, states, err := p.solve(p.build())
+	if err != nil {
+		return out, err
+	}
 	for ty := 1; ty <= 2; ty++ {
-		tr, err := m.TaggedJob(ty)
+		tr, err := p.taggedJob(ty, pi, states)
 		if err != nil {
 			return out, err
 		}

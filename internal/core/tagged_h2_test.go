@@ -29,6 +29,25 @@ func TestTAGH2TaggedDegenerateMatchesExp(t *testing.T) {
 	}
 }
 
+func TestTAGH2TaggedZeroProbabilityClass(t *testing.T) {
+	// At alpha = 1 the system never samples a long job, but a tagged
+	// long job still has a response: the limit as alpha tends to 1.
+	at := func(alpha float64) *TaggedResponse {
+		tr, err := NewTAGH2(9, dist.NewH2(alpha, 10, 3), 28, 4, 6, 6).TaggedJob(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	got, near := at(1), at(1-1e-9)
+	if math.Abs(got.MeanResponse()-near.MeanResponse()) > 1e-6*near.MeanResponse() {
+		t.Fatalf("alpha=1 long-job mean %v, alpha=1-1e-9 %v", got.MeanResponse(), near.MeanResponse())
+	}
+	if math.Abs(got.SuccessProbability()-near.SuccessProbability()) > 1e-6 {
+		t.Fatalf("alpha=1 long-job success %v, alpha=1-1e-9 %v", got.SuccessProbability(), near.SuccessProbability())
+	}
+}
+
 func TestTAGH2TaggedMixtureFlowIdentity(t *testing.T) {
 	// alpha-weighted success probabilities must reproduce the system's
 	// completion fraction of admitted jobs.
@@ -82,6 +101,31 @@ func TestTAGH2ClassResponsesFairnessShape(t *testing.T) {
 	// residual), so their slowdown includes at least the doubled work.
 	if long.MeanSlowdown < 1 {
 		t.Fatalf("long slowdown %v must exceed 1", long.MeanSlowdown)
+	}
+}
+
+func TestTAGH2ClassResponsesMatchTaggedJob(t *testing.T) {
+	// ClassResponses solves the system chain once for both classes; its
+	// figures must be exactly those of the per-class TaggedJob calls.
+	m := NewTAGH2(9, dist.H2ForTAG(0.1, 0.95, 20), 24, 4, 6, 6)
+	cr, err := m.ClassResponses()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ty := 1; ty <= 2; ty++ {
+		tr, err := m.TaggedJob(ty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ClassResponse{
+			Type:         ty,
+			SuccessProb:  tr.SuccessProbability(),
+			MeanResponse: tr.MeanResponse(),
+			MeanSlowdown: tr.MeanResponse() * m.Service.Mu[ty-1],
+		}
+		if cr[ty-1] != want {
+			t.Errorf("class %d: ClassResponses %+v, TaggedJob %+v", ty, cr[ty-1], want)
+		}
 	}
 }
 

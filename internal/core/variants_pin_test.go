@@ -185,6 +185,20 @@ func pinRecord() []string {
 	}
 	r.float("jsq-fill", "EitherFull", either)
 	r.float("jsq-fill", "BothFull", both)
+
+	// PEPA-text corner cases: a one-place node 1, the printed Figure 3
+	// semantics, one timer phase and an MMPP-2 source that also
+	// arrives in its second phase.
+	k1one := NewTAGExp(5, 10, 42, 3, 1, 3)
+	r.source("pepa-tagexp-k1one", k1one.PEPASource())
+	lit := NewTAGExp(5, 10, 42, 3, 4, 4)
+	lit.LiteralFigure3 = true
+	r.source("pepa-tagexp-literal", lit.PEPASource())
+	k1one.LiteralFigure3 = true
+	r.source("pepa-tagexp-literal-k1one", k1one.PEPASource())
+	r.source("pepa-tagexp-n1", NewTAGExp(5, 10, 42, 1, 3, 3).PEPASource())
+	r.source("pepa-tagh2-n1", NewTAGH2(5, dist.H2ForTAG(0.1, 0.99, 100), 42, 1, 3, 3).PEPASource())
+	r.source("pepa-tagexpmmpp-n1", NewTAGExpMMPP(BurstyMMPP2(8, 1.5, 0.5), 10, 42, 1, 3, 3).PEPASource())
 	return r.lines
 }
 
