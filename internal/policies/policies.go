@@ -58,24 +58,33 @@ func (r *RoundRobin) String() string { return "round-robin" }
 // two-node case).
 type ShortestQueue struct{}
 
+// Route counts the shortest queues in one pass and, on a tie, draws
+// one of them and finds it in a second pass, so no list of candidates
+// is built and the call allocates nothing.
 func (ShortestQueue) Route(s *sim.System, _ *sim.Job) int {
-	best := []int{0}
-	bestLen := s.QueueLength(0)
+	best, bestLen, ties := 0, s.QueueLength(0), 1
 	for i := 1; i < s.NumNodes(); i++ {
 		l := s.QueueLength(i)
 		switch {
 		case l < bestLen:
-			best = best[:1]
-			best[0] = i
-			bestLen = l
+			best, bestLen, ties = i, l, 1
 		case l == bestLen:
-			best = append(best, i)
+			ties++
 		}
 	}
-	if len(best) == 1 {
-		return best[0]
+	if ties == 1 {
+		return best
 	}
-	return best[s.RNG().IntN(len(best))]
+	// best is the first shortest queue; the k-th tie follows it.
+	k := s.RNG().IntN(ties)
+	for i := best; ; i++ {
+		if s.QueueLength(i) == bestLen {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
 }
 func (ShortestQueue) String() string { return "shortest-queue" }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pepatags/internal/dist"
 	"pepatags/internal/policies"
 	"pepatags/internal/sim"
 	"pepatags/internal/workload"
@@ -121,5 +122,36 @@ func TestPowerOfDDegeneratesToShortestQueue(t *testing.T) {
 	m := sim.NewSystem(cfg).Run(0)
 	if m.Response.Max() > 1+1e-12 {
 		t.Fatalf("pod16 on 3 nodes failed to spread: max response %v", m.Response.Max())
+	}
+}
+
+// The simulator calls Route once per arrival, so a routing policy that
+// allocates would put garbage on every job. Both queue-length policies
+// must allocate nothing per call, on an idle cluster (every node tied)
+// and part way through a run (mixed queue lengths).
+func TestRouteAllocatesNothing(t *testing.T) {
+	midRun := func(p sim.Policy) *sim.System {
+		nodes := make([]sim.NodeConfig, 8)
+		for i := range nodes {
+			nodes[i] = sim.NodeConfig{Capacity: 4}
+		}
+		s := sim.NewSystem(sim.Config{
+			Nodes:  nodes,
+			Policy: p,
+			Source: &workload.StochasticSource{
+				Arrivals: workload.NewPoisson(7),
+				Sizes:    dist.NewExponential(1),
+			},
+			Seed: 3,
+		})
+		s.Run(50)
+		return s
+	}
+	for _, p := range []sim.Policy{policies.ShortestQueue{}, policies.NewPowerOfD(2), policies.NewPowerOfD(5)} {
+		for name, s := range map[string]*sim.System{"idle": testSystem(8), "mid-run": midRun(p)} {
+			if a := testing.AllocsPerRun(200, func() { p.Route(s, nil) }); a != 0 {
+				t.Errorf("%s on %s system: %v allocs per Route, want 0", p, name, a)
+			}
+		}
 	}
 }

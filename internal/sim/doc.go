@@ -35,6 +35,14 @@
 // battery in internal/conform (sim_equiv_test.go) and benchmarked
 // by `make bench-sim`.
 //
+// Run is allocation-free in steady state. Every scheduled event fires
+// (there is no cancel), so an event goes back on a per-System free
+// list once its handler returns, and a job once it completes or is
+// lost; node queues and calendar buckets reuse their arrays through a
+// head offset. A Policy must therefore not keep the *Job it routes.
+// The heap core shares the free lists, so a Metrics golden
+// (golden_test.go) recorded before the recycling pins the results.
+//
 // RunReplications executes embarrassingly-parallel independent
 // replications: each replication gets its own RNG stream
 // (ReplicationSeed), source and policy, results land indexed by
