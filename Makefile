@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint analyze fmt-check bench bench-sim sim-smoke manifest-smoke sweep-smoke serve-smoke results-check conform-smoke fuzz-smoke overhead-smoke docs-check cover clean
+.PHONY: all build test race vet lint analyze fmt-check bench bench-sim bench-eval sim-smoke manifest-smoke sweep-smoke serve-smoke results-check conform-smoke fuzz-smoke overhead-smoke docs-check cover clean
 
 all: build test
 
@@ -50,6 +50,16 @@ bench:
 bench-sim:
 	$(GO) test -run=NONE -bench='BenchmarkSim' -benchmem ./internal/sim | tee BENCH_sim.txt
 	$(GO) run ./tools/benchjson -o BENCH_sim.json < BENCH_sim.txt
+
+# Run the evaluation benchmarks — Figures 8 and 11 at ShortParams, one
+# Figure-8 opt-t search through sweep.Run, and the cached Figure-8
+# grid — five times each with allocations, and write BENCH_eval.json.
+# BASE=file adds the same benchmarks' output from another commit as
+# the "baseline". Each result's "procs" is the GOMAXPROCS it ran at.
+bench-eval:
+	$(GO) test -run=NONE -bench='^Benchmark(Figure8|Figure11)$$' -count 5 -benchmem . | tee BENCH_eval.txt
+	$(GO) test -run=NONE -bench='^Benchmark(OptTSearch|Figure8GridCached)$$' -count 5 -benchmem ./internal/sweep | tee -a BENCH_eval.txt
+	$(GO) run ./tools/benchjson $(if $(BASE),-baseline $(BASE)) -o BENCH_eval.json < BENCH_eval.txt
 
 # End-to-end replication smoke: generate a bounded-Pareto trace, replay
 # it across 4 parallel replications on each event core, and require the
@@ -135,7 +145,7 @@ docs-check:
 	$(GO) run ./tools/doccheck README.md DESIGN.md EXPERIMENTS.md ROADMAP.md PAPER.md docs/*.md
 
 clean:
-	rm -f BENCH_derive.txt BENCH_derive.json BENCH_sim.txt BENCH_sim.json \
+	rm -f BENCH_derive.txt BENCH_derive.json BENCH_sim.txt BENCH_sim.json BENCH_eval.txt BENCH_eval.json \
 		pepa-run.json pepa-run.jsonl pepa-lint.json pepa-fail.json \
 		tagseval-run.json tagssim-run.json tagssim-reps.json \
 		sim-smoke.jsonl sim-cal.json sim-heap.json sim-cal.txt sim-heap.txt \

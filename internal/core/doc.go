@@ -14,14 +14,18 @@
 //     parameterisation of one product derivation (product.go): the
 //     arrival phase times, per node, the queue length and the head
 //     job's H2 branch, stage (repeat or race) and timer phase. Measures
-//     read queue lengths from the decoded product states. The
+//     read the per-node queue lengths the skeleton derivation records;
+//     a chain built elsewhere has its states decoded first. The
 //     tagged-job response of TAGExp and of either TAGH2 class is an
 //     absorbing chain (tagged.go) derived from the same product
 //     transitions, with the tagged job kept last at its node.
 //   - TAGExp is the oracle the product derivation is tested against:
-//     its own derivation and label-decoded measures stay independent,
-//     and internal/conform asserts the product at TAGExp's parameters
-//     gives the same generator up to relabelling.
+//     its own derivation stays independent (MeasuresFrom on a chain
+//     still decodes its labels), and internal/conform asserts the
+//     product at TAGExp's parameters gives the same generator up to
+//     relabelling. One measures kernel (measures.go) reads every
+//     two-node model, from a skeleton or from a chain, in the summation
+//     order of ctmc.Chain's Expectation and ActionThroughput.
 //   - RandomAlloc: Bernoulli splitting to independent M/M/1/K queues,
 //     the paper's baseline, validated against the closed form in
 //     internal/queueing.
@@ -32,8 +36,9 @@
 //     are product parameterisations too: two nodes that serve to
 //     completion under a routing policy — the shorter queue with an
 //     even tie split, or alternation, where TAG sends every arrival to
-//     node 1. Their measures, response-time mixtures and fill times
-//     read the decoded product states.
+//     node 1. Their measures read the skeleton's queue lengths; their
+//     response-time mixtures and fill times read the decoded product
+//     states.
 //
 // Each model offers Build (the ctmc.Chain) and Analyze, which solves
 // for the stationary distribution and fills Measures — mean queue

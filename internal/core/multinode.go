@@ -76,6 +76,5 @@ type MultiMeasures struct {
 
 // Analyze solves the model.
 func (m TAGMultiNode) Analyze() (MultiMeasures, error) {
-	p := m.product()
-	return p.multiMeasures(p.build())
+	return m.product().multiMeasures()
 }

@@ -297,7 +297,19 @@ func (p tagProduct) skeleton() *Skeleton {
 			b.edge(from, i, slot, coeff, action)
 		})
 	}
-	return b.finish(p.shape)
+	return b.finish(p.shape, productQueues(frontier, len(p.nodes)))
+}
+
+// productQueues returns the per-node queue lengths of the states.
+func productQueues(states []prodState, nodes int) [][]int32 {
+	queue := make([][]int32, nodes)
+	for j := range queue {
+		queue[j] = make([]int32, len(states))
+		for i, s := range states {
+			queue[j][i] = int32(s.nodes[j].q)
+		}
+	}
+	return queue
 }
 
 // build instantiates the skeleton at the product's own rates.
@@ -310,7 +322,7 @@ func (p tagProduct) build() *ctmc.Chain {
 }
 
 // analyze builds and solves the two-node product.
-func (p tagProduct) analyze() (Measures, error) { return p.analyzeChain(p.build()) }
+func (p tagProduct) analyze() (Measures, error) { return p.skeleton().analyze(p.rates) }
 
 // analyzeChain solves a chain derived from this product from a cold
 // start and reads the two-node measures off the result.
@@ -355,45 +367,30 @@ func (p tagProduct) solve(c *ctmc.Chain) ([]float64, []prodState, error) {
 	return pi, p.decode(c), nil
 }
 
-// queueLen reads node j's queue length from the decoded states.
-func queueLen(states []prodState, j int) func(s int) float64 {
-	return func(s int) float64 { return float64(states[s].nodes[j].q) }
-}
-
 // measures returns the two-node measures of a chain derived from this
 // product at the stationary distribution pi.
 func (p tagProduct) measures(c *ctmc.Chain, pi []float64) Measures {
-	states := p.decode(c)
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, queueLen(states, 0))
-	out.L2 = c.Expectation(pi, queueLen(states, 1))
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
-	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].nodes[0].q > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].nodes[1].q > 0 })
-	out.finish()
-	return out
+	v, rate := chainVectors(c, productQueues(p.decode(c), len(p.nodes)))
+	return v.twoNode(pi, rate)
 }
 
-// multiMeasures returns the per-node measures of a chain derived from
-// this product.
-func (p tagProduct) multiMeasures(c *ctmc.Chain) (MultiMeasures, error) {
-	pi, states, err := p.solve(c)
+// multiMeasures solves the product and returns its per-node measures.
+func (p tagProduct) multiMeasures() (MultiMeasures, error) {
+	sk := p.skeleton()
+	pi, rate, err := sk.solve(p.rates)
 	if err != nil {
 		return MultiMeasures{}, err
 	}
-	out := MultiMeasures{States: c.NumStates(), L: make([]float64, len(p.nodes))}
+	v := &sk.vec
+	out := MultiMeasures{States: len(pi), L: make([]float64, len(p.nodes))}
 	var acc numeric.Accumulator
 	for j, spec := range p.nodes {
-		out.L[j] = c.Expectation(pi, queueLen(states, j))
+		out.L[j] = v.meanQueue(pi, j)
 		acc.Add(out.L[j])
-		out.Throughput += c.ActionThroughput(pi, spec.act.service)
+		out.Throughput += v.throughput(pi, rate, spec.act.service)
 	}
 	out.LTotal = acc.Sum()
-	out.Loss = c.ActionThroughput(pi, ActLossArrival) + c.ActionThroughput(pi, ActLossTransfer)
+	out.Loss = v.throughput(pi, rate, ActLossArrival) + v.throughput(pi, rate, ActLossTransfer)
 	if out.Throughput > 0 {
 		out.W = out.LTotal / out.Throughput
 	}

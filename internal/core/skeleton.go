@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 
 	"pepatags/internal/ctmc"
 )
@@ -164,13 +165,22 @@ type SymEdge struct {
 }
 
 // Skeleton is the derived structure shared by every instance of one
-// Shape: state labels in derivation (BFS) order and symbolic
-// transitions in emission order. A Skeleton is immutable after
-// construction and safe for concurrent Instantiate calls.
+// Shape: state labels in derivation (BFS) order, symbolic transitions
+// in emission order, and what the measures read of them (each state's
+// per-node queue lengths and each action's transitions), recorded
+// while the derivation ran. A Skeleton is immutable after construction
+// and safe for concurrent use.
+//
+// A solve of a cached shape needs no chain: Rates fills the
+// per-transition rates of a parameter point into a reused buffer,
+// GenPattern's Fill turns them into generator values in O(nnz), and
+// Measures reads the paper's measures straight from the rates and the
+// stationary distribution.
 type Skeleton struct {
 	Shape     Shape
 	Edges     []SymEdge
 	structure *ctmc.Structure
+	vec       stateVectors
 }
 
 // NumStates returns the size of the shared state space.
@@ -179,31 +189,99 @@ func (sk *Skeleton) NumStates() int { return sk.structure.NumStates() }
 // Label returns the label of state i.
 func (sk *Skeleton) Label(i int) string { return sk.structure.Label(i) }
 
-// Instantiate binds a parameter point to the skeleton, producing a
-// chain bit-identical to the one the model's Build would derive from
-// scratch. It fails if the point's branch-coefficient degeneracy does
-// not match the shape (an alpha of exactly 0 or 1 changes the reachable
-// structure) or if any resulting rate is not positive and finite.
-func (sk *Skeleton) Instantiate(v RateValues) (*ctmc.Chain, error) {
+// Rates writes the rate of each transition at the parameter point v
+// into dst, which has one entry per edge. It fails if the point's
+// branch-coefficient degeneracy does not match the shape (an alpha of
+// exactly 0 or 1 changes the reachable structure), if any rate is not
+// positive and finite, or if an edge leaves the state space.
+func (sk *Skeleton) Rates(v RateValues, dst []float64) error {
+	if len(dst) != len(sk.Edges) {
+		return fmt.Errorf("core: %d rates for a skeleton of %d transitions", len(dst), len(sk.Edges))
+	}
 	if sk.Shape.Kind == "tagh2" {
 		if m := v.zeroMask(); m != sk.Shape.ZeroCoeffs {
-			return nil, fmt.Errorf("core: rate values have coefficient degeneracy %02x, skeleton was derived for %02x", m, sk.Shape.ZeroCoeffs)
+			return fmt.Errorf("core: rate values have coefficient degeneracy %02x, skeleton was derived for %02x", m, sk.Shape.ZeroCoeffs)
 		}
 	}
-	trs := make([]ctmc.Transition, len(sk.Edges))
+	n := int32(sk.NumStates())
 	slots, coeffs := v.slots(), v.coeffs()
 	for i, e := range sk.Edges {
 		r := slots[e.Slot]
 		if e.Coeff != CoeffOne {
 			r = r * coeffs[e.Coeff]
 		}
-		if !(r > 0) {
-			return nil, fmt.Errorf("core: non-positive rate %g for action %q (slot %d, coeff %d)", r, e.Action, e.Slot, e.Coeff)
+		if !(r > 0) || math.IsInf(r, 1) {
+			return fmt.Errorf("core: non-positive or infinite rate %g for action %q (slot %d, coeff %d)", r, e.Action, e.Slot, e.Coeff)
 		}
-		trs[i] = ctmc.Transition{From: int(e.From), To: int(e.To), Rate: r, Action: e.Action}
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			return fmt.Errorf("core: transition (%d -> %d) out of range", e.From, e.To)
+		}
+		dst[i] = r
 	}
-	return sk.structure.Chain(trs), nil
+	return nil
 }
+
+// Instantiate binds a parameter point to the skeleton, producing a
+// chain bit-identical to the one the model's Build would derive from
+// scratch. It fails where Rates does.
+func (sk *Skeleton) Instantiate(v RateValues) (*ctmc.Chain, error) {
+	rate := make([]float64, len(sk.Edges))
+	if err := sk.Rates(v, rate); err != nil {
+		return nil, err
+	}
+	return sk.chain(rate), nil
+}
+
+// chain builds the chain with the per-transition rates rate.
+func (sk *Skeleton) chain(rate []float64) *ctmc.Chain {
+	trs := make([]ctmc.Transition, len(sk.Edges))
+	for i, e := range sk.Edges {
+		trs[i] = ctmc.Transition{From: int(e.From), To: int(e.To), Rate: rate[i], Action: e.Action}
+	}
+	return sk.structure.Chain(trs)
+}
+
+// solve instantiates the skeleton at v and solves the chain from a
+// cold start, returning the stationary distribution and the
+// per-transition rates.
+func (sk *Skeleton) solve(v RateValues) (pi, rate []float64, err error) {
+	rate = make([]float64, len(sk.Edges))
+	if err := sk.Rates(v, rate); err != nil {
+		return nil, nil, err
+	}
+	if pi, err = sk.chain(rate).SteadyState(); err != nil {
+		return nil, nil, err
+	}
+	return pi, rate, nil
+}
+
+// analyze solves the two-node skeleton at v from a cold start and
+// reads its measures.
+func (sk *Skeleton) analyze(v RateValues) (Measures, error) {
+	pi, rate, err := sk.solve(v)
+	if err != nil {
+		return Measures{}, err
+	}
+	return sk.Measures(pi, rate), nil
+}
+
+// GenPattern returns the assembly pattern of the generators of the
+// skeleton's chains, whose transitions are its edges in order.
+func (sk *Skeleton) GenPattern() *ctmc.GenPattern {
+	from := make([]int32, len(sk.Edges))
+	to := make([]int32, len(sk.Edges))
+	for i, e := range sk.Edges {
+		from[i], to[i] = e.From, e.To
+	}
+	return ctmc.NewGenPattern(sk.NumStates(), from, to)
+}
+
+// Measures reads the two-node measures of a TAGExp or TAGH2 skeleton
+// at the stationary distribution pi, where rate holds the
+// per-transition rates Rates filled for the point pi was solved at.
+// They are bit-identical to the model's MeasuresFrom on the
+// instantiated chain.
+func (sk *Skeleton) Measures(pi, rate []float64) Measures { return sk.vec.twoNode(pi, rate) }
 
 // skeletonBuilder accumulates states and symbolic edges during the BFS
 // derivations in tagexp.go / product.go.
@@ -232,8 +310,12 @@ func (b *skeletonBuilder) edge(from, to int, slot RateSlot, coeff Coeff, action 
 	b.edges = append(b.edges, SymEdge{From: int32(from), To: int32(to), Slot: slot, Coeff: coeff, Action: action})
 }
 
-func (b *skeletonBuilder) finish(shape Shape) *Skeleton {
-	return &Skeleton{Shape: shape, Edges: b.edges, structure: ctmc.NewStructure(b.labels)}
+// finish seals the skeleton; queue[j][i] is the number of jobs at node
+// j in state i.
+func (b *skeletonBuilder) finish(shape Shape, queue [][]int32) *Skeleton {
+	sk := &Skeleton{Shape: shape, Edges: b.edges, structure: ctmc.NewStructure(b.labels), vec: stateVectors{queue: queue}}
+	sk.vec.indexEdges(len(b.edges), func(k int) (int32, string) { return b.edges[k].From, b.edges[k].Action })
+	return sk
 }
 
 // SkeletonModel is a model whose CTMC can be derived once per shape and

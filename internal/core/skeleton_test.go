@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pepatags/internal/ctmc"
@@ -161,5 +163,46 @@ func TestInstantiateRejectsBadRates(t *testing.T) {
 	sk := m.Skeleton()
 	if _, err := sk.Instantiate(RateValues{Lambda: 0, Mu: 10, T: 12}); err == nil {
 		t.Fatal("expected error for zero rate")
+	}
+	rate := make([]float64, len(sk.Edges))
+	for _, v := range []RateValues{{Lambda: math.Inf(1), Mu: 10, T: 12}, {Lambda: 5, Mu: math.NaN(), T: 12}} {
+		if err := sk.Rates(v, rate); err == nil {
+			t.Errorf("Rates accepted %+v", v)
+		}
+	}
+	if err := sk.Rates(m.RateValues(), rate[1:]); err == nil {
+		t.Error("Rates filled a buffer one entry short")
+	}
+}
+
+// TestSkeletonFillMatchesGenerator asserts that the chain-free path —
+// Rates into a buffer, then the skeleton's GenPattern filling the
+// generator values — gives Build's generator bit for bit, for sibling
+// points filled into the same buffers.
+func TestSkeletonFillMatchesGenerator(t *testing.T) {
+	h := dist.H2ForTAG(0.1, 0.9, 10)
+	for _, ms := range [][]SkeletonModel{
+		{NewTAGExp(5, 10, 12, 3, 4, 4), NewTAGExp(11, 10, 40, 3, 4, 4)},
+		{NewTAGH2(5, h, 12, 3, 4, 4), NewTAGH2(9, h, 30, 3, 4, 4)},
+	} {
+		sk := ms[0].Skeleton()
+		pat := sk.GenPattern()
+		rate, out := make([]float64, len(sk.Edges)), make([]float64, sk.NumStates())
+		q := pat.CSR(make([]float64, pat.NNZ()))
+		for _, m := range ms {
+			if err := sk.Rates(m.RateValues(), rate); err != nil {
+				t.Fatal(err)
+			}
+			pat.Fill(rate, out, q.Val)
+			want := m.(interface{ Build() *ctmc.Chain }).Build().Generator()
+			if !slices.Equal(q.RowPtr, want.RowPtr) || !slices.Equal(q.ColIdx, want.ColIdx) {
+				t.Fatalf("%T: generator pattern differs from Build's", m)
+			}
+			for k, v := range want.Val {
+				if math.Float64bits(q.Val[k]) != math.Float64bits(v) {
+					t.Fatalf("%T: value %d is %v, Build gives %v", m, k, q.Val[k], v)
+				}
+			}
+		}
 	}
 }

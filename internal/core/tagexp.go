@@ -114,10 +114,8 @@ func (m TAGExp) Skeleton() *Skeleton {
 	init := tagExpState{q1: 0, tm1: top, q2: 0, sv2: false, tm2: top}
 	frontier := []tagExpState{init}
 	b.state(init.label())
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		from, _ := b.state(s.label())
+	for from := 0; from < len(frontier); from++ {
+		s := frontier[from]
 		emit := func(to tagExpState, slot RateSlot, action string) {
 			i, fresh := b.state(to.label())
 			if fresh {
@@ -189,7 +187,16 @@ func (m TAGExp) Skeleton() *Skeleton {
 			}
 		}
 	}
-	return b.finish(m.Shape())
+	return b.finish(m.Shape(), tagExpQueues(frontier))
+}
+
+// tagExpQueues returns the per-node queue lengths of the states.
+func tagExpQueues(states []tagExpState) [][]int32 {
+	q1, q2 := make([]int32, len(states)), make([]int32, len(states))
+	for i, s := range states {
+		q1[i], q2[i] = int32(s.q1), int32(s.q2)
+	}
+	return [][]int32{q1, q2}
 }
 
 // Build derives the reachable CTMC: the skeleton instantiated with this
@@ -289,7 +296,7 @@ func (p *labelScanner) number() int {
 
 // Analyze solves the model and returns the paper's measures.
 func (m TAGExp) Analyze() (Measures, error) {
-	return m.AnalyzeChain(m.Build())
+	return m.Skeleton().analyze(m.RateValues())
 }
 
 // AnalyzeChain solves a chain built for exactly this model instance —
@@ -305,19 +312,9 @@ func (m TAGExp) AnalyzeChain(c *ctmc.Chain) (Measures, error) {
 
 // MeasuresFrom extracts the paper's measures from a chain built for
 // exactly this model instance at its stationary distribution pi,
-// however pi was obtained.
+// however pi was obtained. The queue lengths come from the state
+// labels; the sums are the ones Skeleton.Measures runs.
 func (m TAGExp) MeasuresFrom(c *ctmc.Chain, pi []float64) Measures {
-	states := m.stateInfo(c)
-	out := Measures{States: c.NumStates()}
-	out.L1 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q1) })
-	out.L2 = c.Expectation(pi, func(s int) float64 { return float64(states[s].q2) })
-	out.X1 = c.ActionThroughput(pi, ActService1)
-	out.X2 = c.ActionThroughput(pi, ActService2)
-	out.LossArrival = c.ActionThroughput(pi, ActLossArrival)
-	out.LossTransfer = c.ActionThroughput(pi, ActLossTransfer)
-	out.TimeoutRate = c.ActionThroughput(pi, ActTimeout)
-	out.Util1 = c.Probability(pi, func(s int) bool { return states[s].q1 > 0 })
-	out.Util2 = c.Probability(pi, func(s int) bool { return states[s].q2 > 0 })
-	out.finish()
-	return out
+	v, rate := chainVectors(c, tagExpQueues(m.stateInfo(c)))
+	return v.twoNode(pi, rate)
 }

@@ -61,20 +61,19 @@ func (s *Structure) Chain(transitions []Transition) *Chain {
 // row's negated outflow). Sibling chains that share the transition
 // structure — the same states and the same (from, to) pairs in the same
 // order, as produced by instantiating one skeleton at different rates —
-// can then fill a fresh value array in O(nnz) instead of re-sorting the
-// coordinate list per point.
+// can then fill their generator values in O(nnz) instead of re-sorting
+// the coordinate list per point.
 //
-// Apply performs the accumulation in exactly the order linalg.COO.ToCSR
-// visits the sorted entries, so the generator it produces is
-// bit-identical to the one Generator would build from scratch; the
+// Fill performs the accumulation in exactly the order linalg.COO.ToCSR
+// visits the sorted entries, so the generator values it produces are
+// bit-identical to the ones Generator would build from scratch; the
 // tests assert this on chains with duplicate (from, to) transitions,
 // where summation order matters.
 type GenPattern struct {
-	n      int     // states
-	ntrans int     // transitions in the source chain (incl. self-loops)
-	fromTo []int64 // packed (from<<32 | to) per transition, for Apply validation
-	rowPtr []int   // shared CSR structure
-	colIdx []int
+	n        int     // states
+	from, to []int32 // endpoints of each transition (incl. self-loops)
+	rowPtr   []int   // shared CSR structure
+	colIdx   []int
 	// One (slot, src) pair per coordinate entry, in sorted (row, col)
 	// order. src >= 0 reads transition src's rate; src < 0 reads the
 	// negated outflow of row -(src+1).
@@ -82,14 +81,15 @@ type GenPattern struct {
 	src  []int32
 }
 
-// NewGenPattern derives the assembly pattern from c's transition
-// structure and installs the resulting generator on c (so the sort work
-// is not paid twice). The pattern is independent of the rates: any
-// chain with the same transition structure can reuse it via Apply.
-func NewGenPattern(c *Chain) *GenPattern {
-	n := c.NumStates()
-	p := &GenPattern{n: n, ntrans: len(c.transitions)}
-	p.fromTo = make([]int64, len(c.transitions))
+// NewGenPattern derives the assembly pattern of the generators of
+// chains over n states whose transition k runs from[k] -> to[k]. The
+// pattern is independent of the rates. It panics on an endpoint out of
+// range, as Builder.Transition does; the slices are retained.
+func NewGenPattern(n int, from, to []int32) *GenPattern {
+	if len(from) != len(to) {
+		panic(fmt.Sprintf("ctmc: %d sources for %d targets", len(from), len(to)))
+	}
+	p := &GenPattern{n: n, from: from, to: to}
 	// Recreate the coordinate entry list Generator builds: off-diagonal
 	// transitions in order, then one diagonal entry per row with
 	// outflow, rows ascending. src identifies the value source.
@@ -99,13 +99,16 @@ func NewGenPattern(c *Chain) *GenPattern {
 	}
 	var ents []ent
 	hasOut := make([]bool, n)
-	for k, t := range c.transitions {
-		p.fromTo[k] = int64(t.From)<<32 | int64(t.To)
-		if t.From == t.To {
+	for k := range from {
+		f, t := int(from[k]), int(to[k])
+		if f < 0 || f >= n || t < 0 || t >= n {
+			panic(fmt.Sprintf("ctmc: transition (%d -> %d) out of range", f, t))
+		}
+		if f == t {
 			continue
 		}
-		ents = append(ents, ent{t.From, t.To, int32(k)})
-		hasOut[t.From] = true
+		ents = append(ents, ent{f, t, int32(k)})
+		hasOut[f] = true
 	}
 	for i := 0; i < n; i++ {
 		if hasOut[i] {
@@ -141,20 +144,50 @@ func NewGenPattern(c *Chain) *GenPattern {
 	for i := 0; i < n; i++ {
 		p.rowPtr[i+1] += p.rowPtr[i]
 	}
-	if err := p.Apply(c); err != nil {
-		panic("ctmc: " + err.Error()) // cannot happen: pattern derived from c
-	}
 	return p
 }
 
 // NNZ returns the number of stored generator entries.
 func (p *GenPattern) NNZ() int { return len(p.colIdx) }
 
-// Apply computes c's generator by filling a fresh value array over the
-// shared sparsity pattern and installs it on c, bypassing the COO sort.
-// It returns an error if c's transition structure does not match the
-// pattern's. A chain whose generator is already computed is left
-// untouched.
+// CSR returns a generator over the pattern's shared structure with the
+// values vals, which has NNZ entries.
+func (p *GenPattern) CSR(vals []float64) *linalg.CSR {
+	return &linalg.CSR{Rows: p.n, Cols: p.n, RowPtr: p.rowPtr, ColIdx: p.colIdx, Val: vals}
+}
+
+// Fill computes the generator values of the chain whose transition k
+// has rate rate[k] into vals (NNZ entries), with out (one entry per
+// state) as scratch for the row outflows; both buffers are overwritten.
+// The rates are taken as given: they are validated where they are
+// made.
+func (p *GenPattern) Fill(rate, out, vals []float64) {
+	if len(rate) != len(p.from) || len(out) != p.n || len(vals) != len(p.colIdx) {
+		panic(fmt.Sprintf("ctmc: pattern of %d transitions, %d states and %d entries filled from %d rates into %d and %d values",
+			len(p.from), p.n, len(p.colIdx), len(rate), len(out), len(vals)))
+	}
+	// Row outflows, accumulated in transition order exactly as
+	// Generator does.
+	clear(out)
+	for k, r := range rate {
+		if f := p.from[k]; f != p.to[k] {
+			out[f] += r
+		}
+	}
+	clear(vals)
+	for k, s := range p.slot {
+		if src := p.src[k]; src >= 0 {
+			vals[s] += rate[src]
+		} else {
+			vals[s] += -out[-(src + 1)]
+		}
+	}
+}
+
+// Apply computes c's generator over the pattern and installs it on c,
+// bypassing the COO sort. It returns an error if c's transition
+// structure does not match the pattern's. A chain whose generator is
+// already computed is left untouched.
 func (p *GenPattern) Apply(c *Chain) error {
 	if c.gen != nil {
 		return nil
@@ -162,32 +195,19 @@ func (p *GenPattern) Apply(c *Chain) error {
 	if c.NumStates() != p.n {
 		return fmt.Errorf("ctmc: pattern for %d states applied to chain with %d", p.n, c.NumStates())
 	}
-	if len(c.transitions) != p.ntrans {
-		return fmt.Errorf("ctmc: pattern for %d transitions applied to chain with %d", p.ntrans, len(c.transitions))
+	if len(c.transitions) != len(p.from) {
+		return fmt.Errorf("ctmc: pattern for %d transitions applied to chain with %d", len(p.from), len(c.transitions))
 	}
+	rate := make([]float64, len(c.transitions))
 	for k, t := range c.transitions {
-		if p.fromTo[k] != int64(t.From)<<32|int64(t.To) {
+		if int(p.from[k]) != t.From || int(p.to[k]) != t.To {
 			return fmt.Errorf("ctmc: transition %d is (%d -> %d), pattern expects (%d -> %d)",
-				k, t.From, t.To, p.fromTo[k]>>32, p.fromTo[k]&0xffffffff)
+				k, t.From, t.To, p.from[k], p.to[k])
 		}
-	}
-	// Row outflows, accumulated in transition order exactly as
-	// Generator does.
-	out := make([]float64, p.n)
-	for _, t := range c.transitions {
-		if t.From != t.To {
-			out[t.From] += t.Rate
-		}
+		rate[k] = t.Rate
 	}
 	vals := make([]float64, len(p.colIdx))
-	for k, s := range p.slot {
-		src := p.src[k]
-		if src >= 0 {
-			vals[s] += c.transitions[src].Rate
-		} else {
-			vals[s] += -out[-(src + 1)]
-		}
-	}
-	c.gen = &linalg.CSR{Rows: p.n, Cols: p.n, RowPtr: p.rowPtr, ColIdx: p.colIdx, Val: vals}
+	p.Fill(rate, make([]float64, p.n), vals)
+	c.gen = p.CSR(vals)
 	return nil
 }

@@ -41,6 +41,16 @@ func chainFromStructure(trs [][2]int, n int, rate func(k int) float64) *Chain {
 	return b.Build()
 }
 
+// patternOf derives the generator pattern of chains with the
+// transition structure trs.
+func patternOf(trs [][2]int, n int) *GenPattern {
+	from, to := make([]int32, len(trs)), make([]int32, len(trs))
+	for k, t := range trs {
+		from[k], to[k] = int32(t[0]), int32(t[1])
+	}
+	return NewGenPattern(n, from, to)
+}
+
 func stateName(i int) string { return string(rune('A' + i)) }
 
 func requireSameCSR(t *testing.T, trial int, got, want *linalg.CSR) {
@@ -80,12 +90,23 @@ func TestGenPatternMatchesGeneratorExactly(t *testing.T) {
 			rates[k] = 0.1 + rng.Float64()*10
 			rates2[k] = 0.1 + rng.Float64()*10
 		}
+		pat := patternOf(trs, n)
 		ca := chainFromStructure(trs, n, func(k int) float64 { return rates[k] })
-		pat := NewGenPattern(ca)
-
-		// Source chain: NewGenPattern installed its generator.
+		if err := pat.Apply(ca); err != nil {
+			t.Fatalf("trial %d: Apply: %v", trial, err)
+		}
 		wantA := chainFromStructure(trs, n, func(k int) float64 { return rates[k] }).Generator()
 		requireSameCSR(t, trial, ca.Generator(), wantA)
+
+		// Fill into reused buffers, holding stale values from the
+		// previous fill.
+		out, vals := make([]float64, n), make([]float64, pat.NNZ())
+		for k := range out {
+			out[k] = 7
+		}
+		pat.Fill(rates2, out, vals)
+		pat.Fill(rates, out, vals)
+		requireSameCSR(t, trial, pat.CSR(vals), wantA)
 
 		// Sibling at different rates.
 		want := chainFromStructure(trs, n, func(k int) float64 { return rates2[k] }).Generator()
@@ -106,7 +127,10 @@ func TestGenPatternRejectsMismatchedStructure(t *testing.T) {
 	b.Transition(0, 1, 1, "a")
 	b.Transition(1, 2, 2, "a")
 	b.Transition(2, 0, 3, "a")
-	pat := NewGenPattern(b.Build())
+	pat := patternOf([][2]int{{0, 1}, {1, 2}, {2, 0}}, 3)
+	if err := pat.Apply(b.Build()); err != nil {
+		t.Fatal(err)
+	}
 
 	// Wrong state count.
 	b2 := NewBuilder()
@@ -130,6 +154,24 @@ func TestGenPatternRejectsMismatchedStructure(t *testing.T) {
 	if err := pat.Apply(b3.Build()); err == nil {
 		t.Fatal("expected transition-pair mismatch error")
 	}
+}
+
+// TestGenPatternPanicsOnMisuse covers the checks a pattern makes of
+// its structure and of Fill's buffers.
+func TestGenPatternPanicsOnMisuse(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("endpoint out of range", func() { NewGenPattern(2, []int32{0, 2}, []int32{1, 0}) })
+	mustPanic("unequal endpoint lists", func() { NewGenPattern(2, []int32{0}, []int32{1, 0}) })
+	pat := patternOf([][2]int{{0, 1}, {1, 0}}, 2)
+	mustPanic("short rate list", func() { pat.Fill([]float64{1}, make([]float64, 2), make([]float64, pat.NNZ())) })
 }
 
 func TestStructureChainSharesLabels(t *testing.T) {

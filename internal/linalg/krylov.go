@@ -292,7 +292,8 @@ func dot(x, y []float64) float64 {
 // max|r_i| of the iterate x and its recursive residual r into the
 // error measure the solve stops on, without an SpMV; check measures
 // the true error of x with one SpMV and returns the answer x stands
-// for.
+// for, in a buffer the goal reuses at the next check (the solve
+// copies the answer it keeps).
 type goal interface {
 	estimate(sumX, sumR, maxR float64) float64
 	check(x []float64) (answer []float64, res float64)
@@ -355,13 +356,13 @@ func (k *kernel) solve(g goal, opts Options, solver string, count int, start tim
 			switch {
 			case res <= aim:
 				opts.finish(solver, start, iter, est, true, res)
-				return ans, nil
+				return append(met[:0], ans...), nil
 			case res <= opts.Eps:
 				if met == nil {
 					metAt = iter
 				}
 				if met == nil || res < metRes {
-					met, metRes = ans, res
+					met, metRes = append(met[:0], ans...), res
 				}
 			default:
 				// The recursion has drifted from the true residual.
@@ -442,6 +443,7 @@ func (k *kernel) solve(g goal, opts Options, solver string, count int, start tim
 type stationary struct {
 	q        *CSR
 	residual []float64 // πQ
+	pi       []float64 // the answer check returns
 }
 
 // estimate is max|πQ| of the iterate [1, x] implied by the reduced
@@ -460,7 +462,7 @@ func (*stationary) estimate(sumX, sumR, maxR float64) float64 {
 // zero, and returns it with its max|πQ|.
 func (g *stationary) check(x []float64) ([]float64, float64) {
 	n := g.q.Rows
-	pi := make([]float64, n)
+	pi := g.pi
 	pi[0] = 1
 	for i := 1; i < n; i++ {
 		pi[i] = max(x[n-1-i], 0)
@@ -498,7 +500,8 @@ func (s *Solver) bicgstab(q *CSR, opts Options) ([]float64, error) {
 		p := s.pat
 		k.rowPtr, k.colIdx, k.diag = p.rowPtr, p.colIdx, p.diag
 		k.a = make([]float64, len(p.colIdx))
-		s.goal.residual = k.size(n)
+		extra := k.size(2 * n)
+		s.goal.residual, s.goal.pi = extra[:n:n], extra[n:]
 	}
 	for e, src := range s.pat.src {
 		k.a[e] = q.Val[src]
@@ -602,7 +605,7 @@ func (g linear) check(x []float64) ([]float64, float64) {
 	for i, v := range g.ax {
 		res = max(res, math.Abs(g.k.b[i]-v))
 	}
-	return slices.Clone(x), res / (g.normA*maxAbs(x) + g.bMax)
+	return x, res / (g.normA*maxAbs(x) + g.bMax)
 }
 
 func maxAbs(v []float64) float64 {

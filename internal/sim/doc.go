@@ -40,6 +40,10 @@
 // list once its handler returns, and a job once it completes or is
 // lost; node queues and calendar buckets reuse their arrays through a
 // head offset. A Policy must therefore not keep the *Job it routes.
+// Set-up does not scale with the cluster either: the node queues
+// start in one array for the node table, the buckets of a grown
+// calendar in one array for the new buckets, and events and jobs past
+// the first 64 are made in blocks of 64.
 // The heap core shares the free lists, so a Metrics golden
 // (golden_test.go) recorded before the recycling pins the results.
 //

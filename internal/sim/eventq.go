@@ -125,6 +125,26 @@ func newCalendarQueue() *calendarQueue {
 	}
 }
 
+// calBucketSlab is the capacity each bucket of a grown table starts
+// with, carved out of one array for the new buckets: most buckets
+// never outgrow it, so a table of thousands of buckets costs one
+// allocation instead of one doubling array per bucket.
+const calBucketSlab = 8
+
+// growBuckets returns a table of nb buckets that keeps the buckets of
+// old (up to its capacity) with their arrays and gives each new bucket
+// calBucketSlab slots of one shared array.
+func growBuckets(old []bucket, nb int) []bucket {
+	grown := make([]bucket, nb)
+	kept := copy(grown, old[:cap(old)])
+	slab := make([]*event, (nb-kept)*calBucketSlab)
+	for b := kept; b < nb; b++ {
+		i := (b - kept) * calBucketSlab
+		grown[b].evs = slab[i : i : i+calBucketSlab]
+	}
+	return grown
+}
+
 // windowOf maps a time to its integer window at the current width.
 func (q *calendarQueue) windowOf(at float64) int64 {
 	w := at / q.width
@@ -256,9 +276,7 @@ func (q *calendarQueue) resize() {
 	if nb <= cap(q.buckets) {
 		q.buckets = q.buckets[:nb]
 	} else {
-		grown := make([]bucket, nb)
-		copy(grown, q.buckets[:cap(q.buckets)])
-		q.buckets = grown
+		q.buckets = growBuckets(q.buckets, nb)
 	}
 	q.width = sampleWidth(all)
 	if len(all) == 0 {

@@ -196,6 +196,19 @@ type node struct {
 	count int // jobs present (queue + in service)
 }
 
+// nodeQueueSlab is the most slots a node queue starts with. A queue
+// that outgrows its slots moves to an array of its own.
+const nodeQueueSlab = 8
+
+// queueSlab is the number of slots the node's queue starts with: room
+// for every job that can wait there, up to nodeQueueSlab.
+func (nc NodeConfig) queueSlab() int {
+	if nc.Capacity > 0 {
+		return max(min(nc.Capacity-nc.Servers, nodeQueueSlab), 0)
+	}
+	return nodeQueueSlab
+}
+
 func (n *node) enqueue(j *Job) {
 	n.queue, n.head = compactFront(n.queue, n.head)
 	n.queue = append(n.queue, j)
@@ -309,8 +322,8 @@ type System struct {
 	rng        *rand.Rand
 	nodes      []node
 	events     eventQueue
-	freeEvents []*event
-	freeJobs   []*Job
+	freeEvents freeList[event]
+	freeJobs   freeList[Job]
 	now        float64
 	seq        int
 	metrics    Metrics
@@ -336,6 +349,7 @@ func NewSystem(cfg Config) *System {
 		s.events = newCalendarQueue()
 	}
 	s.nodes = make([]node, len(cfg.Nodes))
+	slab := 0
 	for i, nc := range cfg.Nodes {
 		if nc.Servers <= 0 {
 			nc.Servers = 1
@@ -344,6 +358,13 @@ func NewSystem(cfg Config) *System {
 			nc.Speed = 1
 		}
 		s.nodes[i].cfg = nc
+		slab += nc.queueSlab()
+	}
+	// Every queue starts with its slots in one array for the table.
+	queues := make([]*Job, slab)
+	for i := range s.nodes {
+		k := s.nodes[i].cfg.queueSlab()
+		s.nodes[i].queue, queues = queues[:0:k], queues[k:]
 	}
 	s.metrics.BusyTime = make([]float64, len(cfg.Nodes))
 	if cfg.PercentileSample > 0 {
@@ -398,37 +419,58 @@ func (s *System) Now() float64 { return s.now }
 // RNG exposes the simulation RNG to policies.
 func (s *System) RNG() *rand.Rand { return s.rng }
 
-// schedule queues a copy of ev, in an event from the free list when
-// one is there, and stamps it with the next sequence number.
-func (s *System) schedule(ev event) {
-	var e *event
-	if k := len(s.freeEvents); k > 0 {
-		e = s.freeEvents[k-1]
-		s.freeEvents = s.freeEvents[:k-1]
-	} else {
-		e = new(event)
+// freeList recycles objects of one kind. Once a System has made
+// freeBlock of them, it makes the rest freeBlock at a time in one
+// array, so a large cluster's population of events and jobs costs a
+// few allocations while a small one allocates exactly what it holds.
+type freeList[T any] struct {
+	free []*T
+	made int
+}
+
+const freeBlock = 64
+
+// get returns a recycled object, or a new one when none is free.
+func (f *freeList[T]) get() *T {
+	if len(f.free) == 0 {
+		n := 1
+		if f.made >= freeBlock {
+			n = freeBlock
+		}
+		block := make([]T, n)
+		for i := range block {
+			f.free = append(f.free, &block[i])
+		}
+		f.made += n
 	}
+	k := len(f.free) - 1
+	x := f.free[k]
+	f.free = f.free[:k]
+	return x
+}
+
+// put returns x to the list.
+func (f *freeList[T]) put(x *T) { f.free = append(f.free, x) }
+
+// schedule queues a copy of ev, in an event from the free list, and
+// stamps it with the next sequence number.
+func (s *System) schedule(ev event) {
+	e := s.freeEvents.get()
 	*e = ev
 	e.seq = s.seq
 	s.seq++
 	s.events.push(e)
 }
 
-// newJob returns a job for w, from the free list when one is there.
+// newJob returns a job for w from the free list.
 func (s *System) newJob(w workload.Job) *Job {
-	var j *Job
-	if k := len(s.freeJobs); k > 0 {
-		j = s.freeJobs[k-1]
-		s.freeJobs = s.freeJobs[:k-1]
-	} else {
-		j = new(Job)
-	}
+	j := s.freeJobs.get()
 	*j = Job{ID: w.ID, Arrival: w.Arrival, Size: w.Size, Remaining: w.Size}
 	return j
 }
 
 // releaseJob returns a job that has left the system to the free list.
-func (s *System) releaseJob(j *Job) { s.freeJobs = append(s.freeJobs, j) }
+func (s *System) releaseJob(j *Job) { s.freeJobs.put(j) }
 
 // admit places a job at node i (post-routing); returns false when the
 // node is full.
@@ -509,7 +551,7 @@ func (s *System) Run(maxTime float64) *Metrics {
 		case evDeparture:
 			s.handleDeparture(e)
 		}
-		s.freeEvents = append(s.freeEvents, e)
+		s.freeEvents.put(e)
 		processed++
 		if processed%every == 0 {
 			if s.inst != nil {

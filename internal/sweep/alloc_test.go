@@ -1,0 +1,56 @@
+package sweep
+
+import (
+	"runtime"
+	"testing"
+
+	"pepatags/internal/core"
+)
+
+// TestWarmSolveAllocations pins what a warm opt-t evaluation
+// allocates once its shape is cached: the boxed model and the returned
+// π — a few objects and about one state vector's worth of bytes,
+// whatever the size of the state space. The rates, the generator
+// values, the Krylov work vectors, the residual checks and the
+// measures all live in the shape's reused buffers.
+func TestWarmSolveAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	allocs := func(n, k int) (objects, bytes float64, states int) {
+		eval := continuation(NewCache(), func(t int) core.SkeletonModel {
+			return core.TAGExp{Lambda: 5, Mu: 10, T: float64(t), N: n, K1: k, K2: k}
+		})
+		tt := 10
+		step := func() {
+			m, err := eval(tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = m.States
+			tt++
+		}
+		for range 4 { // the miss, then enough solves to fill the predictor
+			step()
+		}
+		objects = testing.AllocsPerRun(20, step)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 20 {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		return objects, float64(after.TotalAlloc-before.TotalAlloc) / 20, states
+	}
+	// Both shapes are past linalg.DenseCutoff, so both solve in the
+	// Krylov stage.
+	for _, shape := range [][2]int{{3, 8}, {6, 10}} {
+		objects, bytes, states := allocs(shape[0], shape[1])
+		vectors := bytes / float64(8*states)
+		t.Logf("%d states: %v objects and %.0f bytes (%.2f state vectors) per warm evaluation", states, objects, bytes, vectors)
+		if objects > 4 || vectors > 2 {
+			t.Errorf("%d states: a warm evaluation allocates %v objects and %.2f state vectors; want at most 4 and 2",
+				states, objects, vectors)
+		}
+	}
+}

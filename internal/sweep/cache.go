@@ -16,14 +16,17 @@ import (
 // property tests assert both directions). Each entry holds the derived
 // skeleton, the sparse-generator assembly pattern of the shape and the
 // structure of the solver's Krylov stage (linalg.KrylovPattern), so a
-// cache hit pays O(transitions) instantiation, O(nnz) generator fill
-// and a numeric ILU(0) factorisation instead of the BFS derivation,
-// the COO sort and the symbolic set-up.
+// cache hit pays no BFS derivation, COO sort or symbolic set-up and
+// builds no chain: it fills the per-transition rates and, in O(nnz),
+// the generator values into buffers it reuses, refactors ILU(0)
+// numerically, solves, and reads the measures from the rates and the
+// skeleton's per-state vectors.
 //
-// Chains produced through the cache are bit-identical to the ones
-// Build derives from scratch (Build itself routes through the
-// skeleton, and ctmc.GenPattern replicates the exact assembly order),
-// so cached sweeps reproduce uncached tables byte for byte.
+// Generators and measures produced through the cache are bit-identical
+// to the ones Build and MeasuresFrom give from scratch (Build itself
+// routes through the skeleton, ctmc.GenPattern replicates the exact
+// assembly order, and one measures kernel serves both), so cached
+// sweeps reproduce uncached tables byte for byte.
 //
 // A Cache is safe for concurrent use by the worker pool.
 type Cache struct {
@@ -40,30 +43,55 @@ type cacheEntry struct {
 	pat    *ctmc.GenPattern
 	krylov *linalg.KrylovPattern // nil when the shape's generator has none (an absorbing state)
 
-	// idle holds the shape's linalg.Solvers between solves, so that
-	// later solves of the shape reuse the Krylov stage's work vectors.
-	// It grows to the number of concurrent solves of the shape.
-	idle []*linalg.Solver
+	// idle holds the shape's solve buffers between solves, so that
+	// later solves of the shape reuse them. It grows to the number of
+	// concurrent solves of the shape.
+	idle []*solveBuffers
 }
 
-// solve runs linalg's solver cascade on q, a generator of the entry's
-// shape, with the shape's Krylov structure and reused work vectors.
-// The result is bit-identical to linalg.SteadyState(q, opts).
-func (e *cacheEntry) solve(q *linalg.CSR, opts linalg.Options) ([]float64, error) {
+// solveBuffers is what one solve of a shape works in: the solver with
+// the Krylov stage's work vectors, the per-transition rates, the row
+// outflows and the generator over the shape's pattern, whose values
+// are refilled in place.
+type solveBuffers struct {
+	solver    *linalg.Solver
+	rate, out []float64
+	q         *linalg.CSR
+}
+
+// solve solves the entry's shape at the rates v with linalg's solver
+// cascade under opts (whose Start warm-starts it), and returns the
+// stationary distribution and the measures. Both are bit-identical to solving
+// the instantiated chain's generator with linalg.SteadyState and
+// reading MeasuresFrom.
+func (e *cacheEntry) solve(v core.RateValues, opts linalg.Options) ([]float64, core.Measures, error) {
 	e.mu.Lock()
-	var s *linalg.Solver
+	var b *solveBuffers
 	if n := len(e.idle); n > 0 {
-		s, e.idle = e.idle[n-1], e.idle[:n-1]
+		b, e.idle = e.idle[n-1], e.idle[:n-1]
 	} else {
-		s = linalg.NewSolver(e.krylov)
+		b = &solveBuffers{
+			solver: linalg.NewSolver(e.krylov),
+			rate:   make([]float64, len(e.skel.Edges)),
+			out:    make([]float64, e.skel.NumStates()),
+			q:      e.pat.CSR(make([]float64, e.pat.NNZ())),
+		}
 	}
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
-		e.idle = append(e.idle, s)
+		e.idle = append(e.idle, b)
 		e.mu.Unlock()
 	}()
-	return s.SteadyState(q, opts)
+	if err := e.skel.Rates(v, b.rate); err != nil {
+		return nil, core.Measures{}, err
+	}
+	e.pat.Fill(b.rate, b.out, b.q.Val)
+	pi, err := b.solver.SteadyState(b.q, opts)
+	if err != nil {
+		return nil, core.Measures{}, err
+	}
+	return pi, e.skel.Measures(pi, b.rate), nil
 }
 
 // NewCache returns an empty cache.
@@ -99,16 +127,10 @@ func (c *Cache) Shapes() int {
 	return len(c.entries)
 }
 
-// Chain returns the model's CTMC, deriving the shape's skeleton and
-// generator pattern on first use and reusing them afterwards.
-func (c *Cache) Chain(m core.SkeletonModel) (*ctmc.Chain, error) {
-	ch, _, err := c.chain(m)
-	return ch, err
-}
-
-// chain is Chain that also returns the shape's entry, whose solve uses
-// the shape's cached solver structure.
-func (c *Cache) chain(m core.SkeletonModel) (*ctmc.Chain, *cacheEntry, error) {
+// entry returns the model's shape entry, deriving the skeleton, the
+// generator pattern and the Krylov structure on first use, and counts
+// the lookup as a hit or a miss.
+func (c *Cache) entry(m core.SkeletonModel) *cacheEntry {
 	key := m.Shape().Key()
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -120,37 +142,39 @@ func (c *Cache) chain(m core.SkeletonModel) (*ctmc.Chain, *cacheEntry, error) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.skel == nil {
-		c.misses.Add(1)
-		e.skel = m.Skeleton()
-	} else {
+	if e.skel != nil {
 		c.hits.Add(1)
+		return e
 	}
+	c.misses.Add(1)
+	skel := m.Skeleton()
+	e.pat = skel.GenPattern()
+	e.krylov, _ = linalg.NewKrylovPattern(e.pat.CSR(nil)) // reads the pattern, not the values
+	e.skel = skel
+	return e
+}
+
+// Chain returns the model's CTMC, with its generator filled over the
+// shape's cached pattern, deriving the shape's structure on first use.
+// Solves through the cache do not need it; it serves callers that want
+// the chain itself.
+func (c *Cache) Chain(m core.SkeletonModel) (*ctmc.Chain, error) {
+	e := c.entry(m)
 	ch, err := e.skel.Instantiate(m.RateValues())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if e.pat == nil {
-		e.pat = ctmc.NewGenPattern(ch)
-		e.krylov, _ = linalg.NewKrylovPattern(ch.Generator())
-	} else if err := e.pat.Apply(ch); err != nil {
-		return nil, nil, err
+	if err := e.pat.Apply(ch); err != nil {
+		return nil, err
 	}
-	return ch, e, nil
+	return ch, nil
 }
 
 // Analyze solves a TAG model (core.TAGExp or core.TAGH2) through the
-// cache, from a cold start, with the shape's cached solver structure.
-// The measures are bit-identical to the model's AnalyzeChain on the
-// same chain.
-func (c *Cache) Analyze(m warmModel) (core.Measures, error) {
-	ch, e, err := c.chain(m)
-	if err != nil {
-		return core.Measures{}, err
-	}
-	pi, err := e.solve(ch.Generator(), linalg.Options{})
-	if err != nil {
-		return core.Measures{}, err
-	}
-	return m.MeasuresFrom(ch, pi), nil
+// cache, from a cold start, with the shape's cached structure and
+// buffers. The measures are bit-identical to the model's AnalyzeChain
+// on the instantiated chain.
+func (c *Cache) Analyze(m core.SkeletonModel) (core.Measures, error) {
+	_, meas, err := c.entry(m).solve(m.RateValues(), linalg.Options{})
+	return meas, err
 }

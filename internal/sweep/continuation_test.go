@@ -33,7 +33,7 @@ func TestContinuationAccuracy(t *testing.T) {
 			return core.TAGExp{Lambda: lambda, Mu: 10, T: float64(t), N: 6, K1: 10, K2: 10}
 		}
 		cache := NewCache()
-		eval := continuation(cache, func(t int) warmModel { return model(t) })
+		eval := continuation(cache, func(t int) core.SkeletonModel { return model(t) })
 		var pred predictor
 		var coldIters, warmIters int
 		var worstRel, worstRes float64
@@ -141,12 +141,13 @@ func TestKrylovStageResidualBound(t *testing.T) {
 		cache := NewCache()
 		var pred predictor
 		for tt := 12; tt <= 60; tt++ {
-			ch, e, err := cache.chain(core.TAGExp{Lambda: lambda, Mu: 10, T: float64(tt), N: 6, K1: 10, K2: 10})
+			m := core.TAGExp{Lambda: lambda, Mu: 10, T: float64(tt), N: 6, K1: 10, K2: 10}
+			ch, err := cache.Chain(m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var st obsv.SolveStats
-			pi, err := e.solve(ch.Generator(), linalg.Options{Start: pred.start(tt), Stats: &st})
+			pi, _, err := cache.entry(m).solve(m.RateValues(), linalg.Options{Start: pred.start(tt), Stats: &st})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,13 +21,17 @@
 // assembly patterns (ctmc.GenPattern) and the solver's Krylov
 // structure (linalg.KrylovPattern) by Shape.Key(), the SHA-256 of the
 // canonical shape encoding: points that differ only in rates share one
-// BFS derivation, one COO→CSR sort and one symbolic solver set-up,
-// paying O(transitions) instantiation and a numeric ILU(0) per solve
-// instead. Solves through the cache return exactly what
-// linalg.SteadyState returns on the same generator. The skeleton property tests assert
+// BFS derivation, one COO→CSR sort and one symbolic solver set-up. A
+// solve of a cached shape builds no chain: it pays a rate fill
+// (O(transitions)), a generator value fill (O(nnz)) into buffers the
+// shape's pool reuses, a numeric ILU(0) refactorisation and the solve,
+// and reads the measures from the skeleton's per-state vectors.
+// Solves through the cache return exactly what linalg.SteadyState
+// returns on the built chain's generator, and the measures are the
+// ones MeasuresFrom reads off that chain, bit for bit
+// (TestChainFreeSolveMatchesChain). The skeleton property tests assert
 // the key collides exactly when the derived structures are identical,
-// and chains built through the cache are bit-identical to uncached
-// ones, so cached sweeps reproduce direct tables byte for byte.
+// so cached sweeps reproduce direct tables byte for byte.
 //
 // # Continuation along the timeout axis
 //

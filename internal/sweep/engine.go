@@ -9,7 +9,6 @@ import (
 
 	"pepatags/internal/approx"
 	"pepatags/internal/core"
-	"pepatags/internal/ctmc"
 	"pepatags/internal/linalg"
 	"pepatags/internal/obsv"
 )
@@ -409,15 +408,15 @@ func evalPoint(cache *Cache, p Point) (map[string]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		var model func(t int) warmModel
+		var model func(t int) core.SkeletonModel
 		switch p.Service.Kind {
 		case "exp":
-			model = func(t int) warmModel {
+			model = func(t int) core.SkeletonModel {
 				return core.TAGExp{Lambda: p.Lambda, Mu: p.Service.Mu, T: float64(t), N: p.N, K1: p.K1, K2: p.K2}
 			}
 		default:
 			h := p.Service.h2()
-			model = func(t int) warmModel {
+			model = func(t int) core.SkeletonModel {
 				return core.TAGH2{Lambda: p.Lambda, Service: h, T: float64(t), N: p.N, K1: p.K1, K2: p.K2}
 			}
 		}
@@ -443,44 +442,37 @@ func evalPoint(cache *Cache, p Point) (map[string]float64, error) {
 	}
 }
 
-// warmModel is a TAG model whose measures can be read off a stationary
-// distribution solved outside it.
-type warmModel interface {
-	core.SkeletonModel
-	MeasuresFrom(*ctmc.Chain, []float64) core.Measures
-}
-
 // continuation returns the evaluator of one opt-t search: each
-// timeout's chain comes from the cache and is solved, with the shape's
-// cached solver structure and pooled work vectors, from a start
-// predicted from the search's earlier solves (predictor), which for a
-// neighbouring timeout is close to the answer and saves solver
-// iterations. The start never crosses points — every search gets a
-// fresh evaluator — so a row is a pure function of its point whatever
-// the worker count or point order.
-func continuation(cache *Cache, model func(t int) warmModel) approx.Evaluator {
+// timeout is solved through its shape's cache entry, with the shape's
+// cached structure and pooled buffers, from a start predicted from the
+// search's earlier solves (predictor), which for a neighbouring
+// timeout is close to the answer and saves solver iterations. While
+// the shape stays the same the evaluator keeps its entry and counts a
+// hit without looking the shape up again. The start never crosses
+// points — every search gets a fresh evaluator — so a row is a pure
+// function of its point whatever the worker count or point order.
+func continuation(cache *Cache, model func(t int) core.SkeletonModel) approx.Evaluator {
 	var (
 		pred  predictor
 		shape core.Shape
+		e     *cacheEntry
 	)
 	return func(t int) (core.Measures, error) {
 		m := model(t)
-		ch, e, err := cache.chain(m)
-		if err != nil {
-			return core.Measures{}, err
-		}
 		// A start only carries over within one state space. The shape
 		// can change along the timeout axis: an H2 residual branch
 		// probability that rounds to exactly 0 or 1 removes edges.
 		if s := m.Shape(); s != shape {
-			pred, shape = predictor{}, s
+			e, shape, pred = cache.entry(m), s, predictor{}
+		} else {
+			cache.hits.Add(1)
 		}
-		pi, err := e.solve(ch.Generator(), linalg.Options{Start: pred.start(t)})
+		pi, meas, err := e.solve(m.RateValues(), linalg.Options{Start: pred.start(t)})
 		if err != nil {
 			return core.Measures{}, err
 		}
 		pred.add(t, pi)
-		return m.MeasuresFrom(ch, pi), nil
+		return meas, nil
 	}
 }
 

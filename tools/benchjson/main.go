@@ -1,16 +1,20 @@
 // benchjson converts `go test -bench` text output (stdin) into a JSON
 // summary (stdout, or -o file). It is what `make bench` uses to write
 // BENCH_derive.json, so benchmark history can be diffed and plotted
-// without re-parsing Go's bench format.
+// without re-parsing Go's bench format. With -baseline FILE, the bench
+// output of a reference commit in FILE is summarised too, under
+// "baseline", so one file carries both sides of a comparison.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -33,6 +37,7 @@ type summary struct {
 	Pkg        string   `json:"pkg,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
 	Benchmarks []result `json:"benchmarks"`
+	Baseline   *summary `json:"baseline,omitempty"`
 }
 
 func main() {
@@ -43,6 +48,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "output file (default stdout)")
+	baseline := fs.String("baseline", "", "bench output of a reference commit to include as the baseline")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -51,38 +57,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var s summary
-	sc := bufio.NewScanner(stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			s.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			s.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
-			s.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-		case strings.HasPrefix(line, "cpu:"):
-			s.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseBench(line); ok {
-				s.Benchmarks = append(s.Benchmarks, r)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	s, err := parse(stdin)
+	if err != nil {
 		fmt.Fprintln(stderr, "benchjson:", err)
 		return 1
 	}
-	// An empty summary means the bench run produced no results — a
-	// filter that matched nothing, a build failure swallowed by a
-	// pipeline, or benchmarks that all errored out. Writing "[]" would
-	// let CI and `make bench` pass silently on a broken run, so fail
-	// instead.
-	if len(s.Benchmarks) == 0 {
-		fmt.Fprintln(stderr, "benchjson: no benchmark results found on stdin (empty or non-bench input)")
-		return 1
+	if *baseline != "" {
+		f, err := os.Open(*baseline)
+		if err != nil {
+			fmt.Fprintln(stderr, "benchjson:", err)
+			return 1
+		}
+		b, err := parse(f)
+		f.Close()
+		if err != nil {
+			fmt.Fprintf(stderr, "benchjson: baseline %s: %v\n", *baseline, err)
+			return 1
+		}
+		s.Baseline = &b
 	}
 
 	buf, err := json.MarshalIndent(s, "", "  ")
@@ -100,6 +92,46 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// parse summarises Go bench output. An input without results is an
+// error: a filter that matched nothing, a build failure swallowed by a
+// pipeline, or benchmarks that all errored out. Writing "[]" would let
+// CI and `make bench` pass silently on a broken run.
+func parse(r io.Reader) (summary, error) {
+	var s summary
+	var pkgs []string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			s.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			s.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "pkg:"):
+			// Output concatenated from several packages lists each.
+			pkg := strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			if !slices.Contains(pkgs, pkg) {
+				pkgs = append(pkgs, pkg)
+			}
+			s.Pkg = strings.Join(pkgs, ", ")
+		case strings.HasPrefix(line, "cpu:"):
+			s.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			if r, ok := parseBench(line); ok {
+				s.Benchmarks = append(s.Benchmarks, r)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return summary{}, err
+	}
+	if len(s.Benchmarks) == 0 {
+		return summary{}, errors.New("no benchmark results found (empty or non-bench input)")
+	}
+	return s, nil
 }
 
 // parseBench parses one result line, e.g.

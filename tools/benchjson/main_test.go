@@ -160,3 +160,36 @@ func TestEmptyInputFails(t *testing.T) {
 		}
 	}
 }
+
+// TestBaseline checks that -baseline summarises a second bench output
+// under "baseline", that output from several packages names each once,
+// and that a missing or empty baseline fails.
+func TestBaseline(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.txt")
+	if err := os.WriteFile(base, []byte(strings.Replace(benchInput, "93210458", "99999999", 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runCLI(t, benchInput+"pkg: pepatags/internal/sweep\npkg: pepatags/internal/pepa\n", "-baseline", base)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	var s summary
+	if err := json.Unmarshal([]byte(stdout), &s); err != nil {
+		t.Fatal(err)
+	}
+	if s.Baseline == nil || len(s.Baseline.Benchmarks) != 4 || s.Baseline.Benchmarks[0].NsPerOp != 99999999 ||
+		s.Pkg != "pepatags/internal/pepa, pepatags/internal/sweep" ||
+		s.Benchmarks[0].NsPerOp != 93210458 {
+		t.Fatalf("baseline not summarised beside the results: %s", stdout)
+	}
+	empty := filepath.Join(dir, "empty.txt")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []string{empty, filepath.Join(dir, "missing.txt")} {
+		if code, _, _ := runCLI(t, benchInput, "-baseline", b); code != 1 {
+			t.Errorf("baseline %s: exit %d, want 1", b, code)
+		}
+	}
+}
