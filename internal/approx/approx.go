@@ -132,7 +132,10 @@ func (a TwoStage) Evaluate() Result {
 
 // TwoStageH2 extends the decomposition to H2 service demands: the
 // timeout probability and occupancy are computed per branch, and the
-// node-2 residual mean uses the re-weighted mix alpha'.
+// node-2 residual mean uses the re-weighted mix alpha'. No program
+// path calls it: it models the paper's Section 4 approximation for
+// the H2 demand of Section 3.2, behind the Figure 9 discussion of
+// longer optimal timeouts under high-variance demand.
 type TwoStageH2 struct {
 	Lambda  float64
 	Service dist.HyperExp

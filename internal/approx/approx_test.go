@@ -200,7 +200,7 @@ func TestSensitivityH2Signs(t *testing.T) {
 func TestOptimalIntegerTH2CoarseMatchesExact(t *testing.T) {
 	h := dist.H2ForTAG(0.2, 0.9, 10)
 	lo, hi := 4, 24
-	exact, _, err := OptimalIntegerTH2(7, h, 2, 4, 4, MinResponseTime, lo, hi)
+	exact, _, err := OptimalIntegerT(H2Evaluator(7, h, 2, 4, 4), MinResponseTime, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestOptimalIntegerTH2CoarseMatchesExact(t *testing.T) {
 
 func TestOptimalIntegerTH2MaxThroughput(t *testing.T) {
 	h := dist.H2ForTAG(0.2, 0.9, 10)
-	best, m, err := OptimalIntegerTH2(9, h, 2, 4, 4, MaxThroughput, 4, 20)
+	best, m, err := OptimalIntegerT(H2Evaluator(9, h, 2, 4, 4), MaxThroughput, 4, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

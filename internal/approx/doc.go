@@ -19,8 +19,10 @@
 // hyperexponential demand; Evaluate returns a Result with the
 // approximate response time, throughput and timeout probability, and
 // OptimalRate optimises a chosen Metric over the timeout rate via
-// golden-section search (internal/numeric). OptimalIntegerTExp and
-// OptimalIntegerTH2Coarse optimise the integer timeout against the
-// exact models in internal/core, reproducing the paper's Figure 8
-// comparison of approximate and exact optima.
+// golden-section search (internal/numeric). OptimalIntegerTExp
+// optimises the integer timeout against the exact models in
+// internal/core, reproducing the paper's Figure 8 comparison of
+// approximate and exact optima; OptimalIntegerTH2Coarse, its uncached
+// H2 counterpart, is the reference the sweep engine's H2 search is
+// tested against.
 package approx

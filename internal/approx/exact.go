@@ -41,7 +41,9 @@ func ExpEvaluator(lambda, mu float64, n, k1, k2 int) Evaluator {
 }
 
 // H2Evaluator returns the direct (uncached) evaluator for the H2 TAG
-// model with the remaining parameters fixed.
+// model with the remaining parameters fixed. No program path calls
+// it: OptimalIntegerTH2Coarse and the exhaustive H2 scan it is tested
+// against evaluate through it.
 func H2Evaluator(lambda float64, service dist.HyperExp, n, k1, k2 int) Evaluator {
 	return func(t int) (core.Measures, error) {
 		return core.NewTAGH2(lambda, service, float64(t), n, k1, k2).Analyze()
@@ -130,12 +132,9 @@ func OptimalIntegerTExp(lambda, mu float64, n, k1, k2 int, metric Metric, lo, hi
 }
 
 // OptimalIntegerTH2Coarse is the coarse H2 search with the direct
-// evaluator.
+// evaluator. No program path calls it: it is the uncached reference
+// the sweep engine's warm-started H2 opt-t search is checked against
+// (internal/sweep's continuation tests).
 func OptimalIntegerTH2Coarse(lambda float64, service dist.HyperExp, n, k1, k2 int, metric Metric, lo, hi, step int) (int, core.Measures, error) {
 	return OptimalIntegerTCoarse(H2Evaluator(lambda, service, n, k1, k2), metric, lo, hi, step)
-}
-
-// OptimalIntegerTH2 is the H2 analogue of OptimalIntegerTExp.
-func OptimalIntegerTH2(lambda float64, service dist.HyperExp, n, k1, k2 int, metric Metric, lo, hi int) (int, core.Measures, error) {
-	return OptimalIntegerT(H2Evaluator(lambda, service, n, k1, k2), metric, lo, hi)
 }

@@ -50,7 +50,8 @@ func WriteRepro(dir string, r Repro) (string, error) {
 	return path, nil
 }
 
-// ReadRepro loads and validates one repro file.
+// ReadRepro loads and validates one repro file. No program path calls
+// it: LoadRepros and the conform tests read repro files through it.
 func ReadRepro(path string) (Repro, error) {
 	var r Repro
 	data, err := os.ReadFile(path)
@@ -70,7 +71,9 @@ func ReadRepro(path string) (Repro, error) {
 }
 
 // LoadRepros reads every *.json repro under dir, sorted by name. A
-// missing directory is an empty table, not an error.
+// missing directory is an empty table, not an error. No program path
+// calls it: the conform tests replay the committed repro corpus
+// through it.
 func LoadRepros(dir string) ([]Repro, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {

@@ -22,7 +22,8 @@ func (a MMPP2) validate() {
 	}
 }
 
-// MeanRate is the stationary arrival rate.
+// MeanRate is the stationary arrival rate. No program path calls it:
+// the MMPP variant tests check flow conservation against it.
 func (a MMPP2) MeanRate() float64 {
 	p1 := a.Switch2 / (a.Switch1 + a.Switch2)
 	return p1*a.Rate1 + (1-p1)*a.Rate2
@@ -31,6 +32,8 @@ func (a MMPP2) MeanRate() float64 {
 // BurstyMMPP2 builds an MMPP with the given mean rate whose phase-1
 // rate is burst times the mean (and phase-2 rate is scaled down to
 // preserve the mean), flipping phases at the given rate. burst > 1.
+// No program path calls it: the variants pin builds its Section 7
+// arrival streams with it.
 func BurstyMMPP2(mean, burst, flip float64) MMPP2 {
 	if burst <= 1 || mean <= 0 || flip <= 0 {
 		panic("core: BurstyMMPP2 needs burst > 1, mean > 0, flip > 0")
@@ -54,7 +57,9 @@ type TAGExpMMPP struct {
 	K1, K2   int
 }
 
-// NewTAGExpMMPP validates and returns the model.
+// NewTAGExpMMPP validates and returns the model. No program path
+// calls it: it models the paper's Section 7 bursty-arrival
+// conjecture, pinned by the variants pin.
 func NewTAGExpMMPP(arr MMPP2, mu, t float64, n, k1, k2 int) TAGExpMMPP {
 	arr.validate()
 	if mu <= 0 || t <= 0 || n < 1 || k1 < 1 || k2 < 1 {
@@ -77,7 +82,9 @@ func (m TAGExpMMPP) product() tagProduct {
 
 // Build derives the CTMC (the Poisson model's space times the two
 // arrival phases). An arrival rate of zero removes that phase's
-// arrival edges.
+// arrival edges. No program path calls it: the variants pin and the
+// chain-free equivalence tests check the skeleton solve against the
+// chain it builds.
 func (m TAGExpMMPP) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.
@@ -103,7 +110,9 @@ func (m ShortestQueueMMPP) product() tagProduct {
 	return p
 }
 
-// Build derives the CTMC.
+// Build derives the CTMC. No program path calls it: the variants pin
+// and the chain-free equivalence tests check the skeleton solve
+// against the chain it builds.
 func (m ShortestQueueMMPP) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.

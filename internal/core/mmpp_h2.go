@@ -18,7 +18,10 @@ type TAGH2MMPP struct {
 	K1, K2   int
 }
 
-// NewTAGH2MMPP validates and returns the model.
+// NewTAGH2MMPP validates and returns the model. No program path calls
+// it: it models the paper's two stress axes together (Section 3.2's
+// H2 demand under Section 7's bursty arrivals), pinned by the
+// variants pin.
 func NewTAGH2MMPP(arr MMPP2, service dist.HyperExp, t float64, n, k1, k2 int) TAGH2MMPP {
 	arr.validate()
 	if t <= 0 || n < 1 || k1 < 1 || k2 < 1 {
@@ -30,11 +33,6 @@ func NewTAGH2MMPP(arr MMPP2, service dist.HyperExp, t float64, n, k1, k2 int) TA
 	return TAGH2MMPP{Arrivals: arr, Service: service, T: t, N: n, K1: k1, K2: k2}
 }
 
-// AlphaPrime mirrors TAGH2.
-func (m TAGH2MMPP) AlphaPrime() float64 {
-	return dist.ResidualH2AfterErlang(m.Service, m.N, m.T).Alpha[0]
-}
-
 func (m TAGH2MMPP) product() tagProduct {
 	h2 := TAGH2{Service: m.Service, T: m.T, N: m.N}.RateValues()
 	return tagProduct{shape: Shape{Kind: "tagh2mmpp", Phases: m.N, K1: m.K1, K2: m.K2}, phases: m.N, mmpp: true,
@@ -42,7 +40,9 @@ func (m TAGH2MMPP) product() tagProduct {
 }
 
 // Build derives the CTMC (the Figure 5 model's space times the two
-// arrival phases).
+// arrival phases). No program path calls it: the variants pin and the
+// chain-free equivalence tests check the skeleton solve against the
+// chain it builds.
 func (m TAGH2MMPP) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.

@@ -60,8 +60,10 @@ func (m TAGMultiNode) product() tagProduct {
 		rates: RateValues{Lambda: m.Lambda, Mu: m.Mu, T: m.T}, nodes: nodes}
 }
 
-// Build explores the reachable CTMC. State spaces grow quickly with M,
-// N and K; intended for small configurations.
+// Build explores the reachable CTMC. State spaces grow quickly with
+// M, N and K; intended for small configurations. No program path
+// calls it: the variants pin and the chain-free equivalence tests
+// check the skeleton solve against the chain it builds.
 func (m TAGMultiNode) Build() *ctmc.Chain { return m.product().build() }
 
 // MultiMeasures are the stationary measures of the multi-node system.

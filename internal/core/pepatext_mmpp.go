@@ -13,8 +13,10 @@ import (
 //	Src0 = (arrival, r1).Src0 + (flip, s1).Src1;
 //	Src1 = (arrival, r2).Src1 + (flip, s2).Src0;
 //
-// cooperating with the queue on arrival (the queue side is passive for
-// arrival in this variant, since the rate now lives in the source).
+// cooperating with the queue on arrival (the queue side is passive
+// for arrival in this variant, since the rate now lives in the
+// source). No program path calls it: the variants pin hashes the
+// text, and the PEPA engine tests derive it.
 func (m TAGExpMMPP) PEPASource() string {
 	top := m.N - 1
 	var sb strings.Builder

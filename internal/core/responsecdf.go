@@ -76,7 +76,9 @@ type ResponseDistribution struct {
 	mix *responseMixture
 }
 
-// CDF evaluates P(response <= x | admitted).
+// CDF evaluates P(response <= x | admitted). No program path calls it
+// (the tagged table reads Percentile): the variants pin and the
+// response-distribution tests read the CDF through it.
 func (r *ResponseDistribution) CDF(x float64) float64 { return r.mix.cdf(x) }
 
 // Mean is E[response | admitted].
@@ -96,8 +98,10 @@ func (m ShortestQueue) ResponseDistribution() (*ResponseDistribution, error) {
 
 // ResponseDistribution returns the admitted-job response distribution
 // of the round-robin allocator with exponential service: by PASTA the
-// tagged arrival joins the designated queue at position q+1, giving an
-// Erlang position mixture.
+// tagged arrival joins the designated queue at position q+1, giving
+// an Erlang position mixture. No program path calls it: it models the
+// response distribution of the introduction's round-robin baseline,
+// pinned by the variants pin.
 func (m RoundRobinAlloc) ResponseDistribution() (*ResponseDistribution, error) {
 	return m.product().response(m.Service)
 }
@@ -137,7 +141,9 @@ func (p tagProduct) response(service dist.Distribution) (*ResponseDistribution, 
 
 // ResponseDistribution returns the admitted-job response distribution
 // of one node of the homogeneous random allocator with exponential
-// service (M/M/1/K tagged-job mixture).
+// service (M/M/1/K tagged-job mixture). No program path calls it: it
+// models the response distribution of the paper's random-allocation
+// baseline, pinned by the variants pin.
 func (m RandomAlloc) ResponseDistribution() (*ResponseDistribution, error) {
 	e, ok := m.Service.(dist.Exponential)
 	if !ok {

@@ -31,7 +31,9 @@ func (m RoundRobinAlloc) product() tagProduct {
 	return baseline("roundrobin", routeAlternate, m.Lambda, m.Service, m.K)
 }
 
-// Build derives the CTMC.
+// Build derives the CTMC. No program path calls it: the variants pin
+// and the chain-free equivalence tests check the skeleton solve
+// against the chain it builds.
 func (m RoundRobinAlloc) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.

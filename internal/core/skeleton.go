@@ -186,7 +186,8 @@ type Skeleton struct {
 // NumStates returns the size of the shared state space.
 func (sk *Skeleton) NumStates() int { return sk.structure.NumStates() }
 
-// Label returns the label of state i.
+// Label returns the label of state i. No program path calls it: the
+// skeleton tests fingerprint derivations by it.
 func (sk *Skeleton) Label(i int) string { return sk.structure.Label(i) }
 
 // Rates writes the rate of each transition at the parameter point v

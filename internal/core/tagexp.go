@@ -65,13 +65,6 @@ func (m TAGExp) phases() int {
 // the residual service runs.
 func (m TAGExp) tick2DuringService() bool { return m.LiteralFigure3 }
 
-// MeanTimeoutDuration is the mean of the Erlang timeout.
-func (m TAGExp) MeanTimeoutDuration() float64 { return float64(m.phases()) / m.T }
-
-// EffectiveTimeoutRate is the reciprocal of the mean total timeout
-// duration, the quantity on the paper's x-axes (t/n).
-func (m TAGExp) EffectiveTimeoutRate() float64 { return 1 / m.MeanTimeoutDuration() }
-
 // tagExpState is the joint state of the CTMC.
 type tagExpState struct {
 	q1  int  // jobs at node 1 (0..K1)

@@ -56,11 +56,13 @@ func (m TAGExp) TaggedJob() (*TaggedResponse, error) {
 // TaggedJob builds and solves the absorbing chain for a tagged job of
 // the given branch (1 = short, 2 = long): the response time of an
 // admitted job conditioned on its own branch. This disaggregates the
-// paper's per-system means into the per-class view behind its fairness
-// footnote: under TAG short jobs should see near-ideal response while
-// long jobs absorb the restart penalty. The tagged job's node-2
-// residual service runs at its own rate, the exact disaggregation of
-// the model's alpha' mixture.
+// paper's per-system means into the per-class view behind its
+// fairness footnote: under TAG short jobs should see near-ideal
+// response while long jobs absorb the restart penalty. The tagged
+// job's node-2 residual service runs at its own rate, the exact
+// disaggregation of the model's alpha' mixture. No program path calls
+// it: it models that footnote's per-class response for H2 demand,
+// pinned by the variants pin.
 func (m TAGH2) TaggedJob(jobType int) (*TaggedResponse, error) {
 	m.validate()
 	if jobType != 1 && jobType != 2 {

@@ -54,10 +54,6 @@ func (m TAGH2) AlphaPrime() float64 {
 	return dist.ResidualH2AfterErlang(m.Service, m.N, m.T).Alpha[0]
 }
 
-// EffectiveTimeoutRate mirrors TAGExp: the reciprocal of the mean
-// total timeout duration N/T.
-func (m TAGH2) EffectiveTimeoutRate() float64 { return m.T / float64(m.N) }
-
 // Shape returns the canonical model structure: everything that
 // determines the reachable state space, with the rates abstracted away.
 // For H2 service that includes the degeneracy mask of the branch
@@ -96,14 +92,14 @@ func (m TAGH2) product() tagProduct {
 // instantiates it with this instance's rates.
 func (m TAGH2) Skeleton() *Skeleton { return m.product().skeleton() }
 
-// Build derives the reachable CTMC: the skeleton instantiated with this
-// instance's rates.
+// Build derives the reachable CTMC: the skeleton instantiated with
+// this instance's rates. No program path calls it: the variants pin
+// and the chain-free equivalence tests check the skeleton solve
+// against the chain it builds.
 func (m TAGH2) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.
-func (m TAGH2) Analyze() (Measures, error) {
-	return m.AnalyzeChain(m.Build())
-}
+func (m TAGH2) Analyze() (Measures, error) { return m.product().analyze() }
 
 // AnalyzeChain solves a chain built for exactly this model instance —
 // by Build, or by a cached skeleton instantiated at this instance's
@@ -114,7 +110,9 @@ func (m TAGH2) AnalyzeChain(c *ctmc.Chain) (Measures, error) {
 
 // MeasuresFrom extracts the paper's measures from a chain built for
 // exactly this model instance at its stationary distribution pi,
-// however pi was obtained.
+// however pi was obtained. No program path calls it: the sweep
+// continuation and equivalence tests read chain-path measures with
+// it.
 func (m TAGH2) MeasuresFrom(c *ctmc.Chain, pi []float64) Measures {
 	return m.product().measures(c, pi)
 }

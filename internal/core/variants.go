@@ -53,7 +53,9 @@ func (m TAGHetero) product() tagProduct {
 }
 
 // Build derives the reachable CTMC: the Figure 3 state shape with
-// per-node rates.
+// per-node rates. No program path calls it: the variants pin and the
+// chain-free equivalence tests check the skeleton solve against the
+// chain it builds.
 func (m TAGHetero) Build() *ctmc.Chain { return m.product().build() }
 
 // Analyze solves the model.

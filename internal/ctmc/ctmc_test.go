@@ -237,16 +237,3 @@ func TestTransientValidation(t *testing.T) {
 		t.Fatal("negative time must fail")
 	}
 }
-
-func TestMeanAt(t *testing.T) {
-	c := buildMM1K(5, 10, 8)
-	m, err := c.MeanAt(c.PointMass(0), 100, func(s int) float64 { return float64(s) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, _ := c.SteadyState()
-	want := c.Expectation(pi, func(s int) float64 { return float64(s) })
-	if !numeric.AlmostEqual(m, want, 1e-6) {
-		t.Fatalf("MeanAt %v want %v", m, want)
-	}
-}

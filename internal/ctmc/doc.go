@@ -25,7 +25,7 @@
 //     ActionThroughput, the building blocks for the paper's mean
 //     queue lengths, loss probabilities and throughputs;
 //   - Transient (transient.go): uniformised transient probabilities
-//     π(t), used by the first-passage and tagged-job analyses;
+//     π(t), used by the tagged-job response-time CDF;
 //   - first-passage analysis (passage.go): expected hitting times and
 //     hitting probabilities, from linear systems solved by dense LU up
 //     to linalg.DenseCutoff unknowns and by the ILU(0)-preconditioned

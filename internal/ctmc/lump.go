@@ -126,15 +126,3 @@ func (c *Chain) Lump(initial Partition) (Partition, *Chain, error) {
 	}
 	return part, b.Build(), nil
 }
-
-// LiftStationary maps a quotient stationary vector back to block
-// probabilities indexed by the original partition (it is simply the
-// quotient vector; provided for symmetry and documentation).
-func LiftStationary(part Partition, quotientPi []float64) ([]float64, error) {
-	if part.NumBlocks() != len(quotientPi) {
-		return nil, fmt.Errorf("ctmc: %d blocks vs %d probabilities", part.NumBlocks(), len(quotientPi))
-	}
-	out := make([]float64, len(quotientPi))
-	copy(out, quotientPi)
-	return out, nil
-}

@@ -232,44 +232,3 @@ func (c *Chain) ConditionalHittingTimes(target, avoid func(state int) bool) (pro
 	}
 	return probs, condTimes, nil
 }
-
-// PassageTimeCDF returns P(the chain, started from the distribution
-// init, has entered the target set by time x). Target states are made
-// absorbing for the computation (the probability of *first* passage by
-// x). Computed by uniformised transient analysis of the modified
-// chain.
-func (c *Chain) PassageTimeCDF(init []float64, target func(state int) bool, x float64) (float64, error) {
-	n := c.NumStates()
-	if len(init) != n {
-		return 0, fmt.Errorf("ctmc: init length %d != %d states", len(init), n)
-	}
-	// Build the absorbing copy: drop transitions out of target states.
-	b := NewBuilder()
-	for i := 0; i < n; i++ {
-		b.State(c.labels[i])
-	}
-	for _, t := range c.transitions {
-		if target(t.From) {
-			continue
-		}
-		b.Transition(t.From, t.To, t.Rate, t.Action)
-	}
-	abs := b.Build()
-	pt, err := abs.Transient(init, x, 1e-12)
-	if err != nil {
-		return 0, err
-	}
-	var mass float64
-	for i := 0; i < n; i++ {
-		if target(i) {
-			mass += pt[i]
-		}
-	}
-	if mass < 0 {
-		mass = 0
-	}
-	if mass > 1 {
-		mass = 1
-	}
-	return mass, nil
-}

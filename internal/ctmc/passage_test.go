@@ -295,50 +295,3 @@ func TestConditionalHittingTimesSymmetricWalk(t *testing.T) {
 		}
 	}
 }
-
-func TestPassageTimeCDFPureBirth(t *testing.T) {
-	// 0 -> 1 -> 2 at rate 2: time to hit 2 is Erlang(2, 2);
-	// P(T <= x) = 1 - e^{-2x}(1 + 2x).
-	b := NewBuilder()
-	for i := 0; i <= 2; i++ {
-		b.State(labelOf(i))
-	}
-	b.Transition(0, 1, 2, "up")
-	b.Transition(1, 2, 2, "up")
-	b.Transition(2, 0, 1, "reset")
-	c := b.Build()
-	init := c.PointMass(0)
-	for _, x := range []float64{0.1, 0.5, 1, 2} {
-		got, err := c.PassageTimeCDF(init, func(s int) bool { return s == 2 }, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 1 - math.Exp(-2*x)*(1+2*x)
-		if math.Abs(got-want) > 1e-8 {
-			t.Fatalf("CDF(%v) = %v want %v", x, got, want)
-		}
-	}
-}
-
-func TestPassageTimeCDFMonotoneAndBounded(t *testing.T) {
-	c := buildMM1K(8, 10, 5)
-	init := c.PointMass(0)
-	prev := -1.0
-	for _, x := range []float64{0, 0.5, 1, 2, 5, 20} {
-		v, err := c.PassageTimeCDF(init, func(s int) bool { return s == 5 }, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v < prev-1e-12 || v < 0 || v > 1 {
-			t.Fatalf("CDF broken at %v: %v (prev %v)", x, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestPassageTimeCDFValidation(t *testing.T) {
-	c := buildMM1K(1, 1, 1)
-	if _, err := c.PassageTimeCDF([]float64{1}, func(int) bool { return false }, 1); err == nil {
-		t.Fatal("bad init length must fail")
-	}
-}

@@ -35,7 +35,8 @@ func NewStructure(labels []string) *Structure {
 // NumStates returns the number of states in the table.
 func (s *Structure) NumStates() int { return len(s.labels) }
 
-// Label returns the label of state i.
+// Label returns the label of state i. No program path calls it:
+// Skeleton.Label reads it for the skeleton tests.
 func (s *Structure) Label(i int) string { return s.labels[i] }
 
 // Chain builds a chain over this structure from a transition list. The

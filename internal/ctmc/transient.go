@@ -72,16 +72,6 @@ func (c *Chain) Transient(pi0 []float64, t float64, eps float64) ([]float64, err
 	return out, nil
 }
 
-// MeanAt returns the expectation of f under the transient distribution
-// at time t.
-func (c *Chain) MeanAt(pi0 []float64, t float64, f func(int) float64) (float64, error) {
-	pt, err := c.Transient(pi0, t, 1e-12)
-	if err != nil {
-		return 0, err
-	}
-	return c.Expectation(pt, f), nil
-}
-
 // PointMass returns an initial distribution concentrated on state i.
 func (c *Chain) PointMass(i int) []float64 {
 	pi0 := make([]float64, c.NumStates())

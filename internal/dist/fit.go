@@ -14,7 +14,9 @@ import (
 //	mu1   = 2 alpha / m1
 //	mu2   = 2 (1-alpha) / m1
 //
-// scv = 1 degenerates to the exponential (alpha = 1/2, mu1 = mu2).
+// scv = 1 degenerates to the exponential (alpha = 1/2, mu1 = mu2). No
+// program path calls it: it stands in for the phase-type fitting the
+// paper leaves to the EMpht tool.
 func FitH2TwoMoments(m1, scv float64) (HyperExp, error) {
 	if m1 <= 0 {
 		return HyperExp{}, errors.New("dist: mean must be positive")
@@ -29,7 +31,9 @@ func FitH2TwoMoments(m1, scv float64) (HyperExp, error) {
 }
 
 // FitErlang fits an Erlang distribution to a mean and scv <= 1 by
-// rounding 1/scv to the nearest integer phase count.
+// rounding 1/scv to the nearest integer phase count. No program path
+// calls it: it models the same moment fitting for low-variance
+// durations.
 func FitErlang(m1, scv float64) (Erlang, error) {
 	if m1 <= 0 {
 		return Erlang{}, errors.New("dist: mean must be positive")
@@ -44,21 +48,13 @@ func FitErlang(m1, scv float64) (Erlang, error) {
 	return NewErlang(k, float64(k)/m1), nil
 }
 
-// FitPH fits either an Erlang (scv <= 1) or an H2 (scv > 1) to two
-// moments, mirroring the role of the EMpht tool cited by the paper for
-// simple workloads.
-func FitPH(m1, scv float64) (Distribution, error) {
-	if scv > 1 {
-		return FitH2TwoMoments(m1, scv)
-	}
-	return FitErlang(m1, scv)
-}
-
 // FitH2EM refines an H2 fit to observed samples by
 // expectation-maximisation on the two-branch mixture of exponentials.
 // init provides the starting parameters (e.g. from FitH2TwoMoments);
 // iters EM rounds are performed. Returns the refined distribution and
-// the final per-sample average log-likelihood.
+// the final per-sample average log-likelihood. No program path calls
+// it: it stands in for the EM fitting of the EMpht tool the paper
+// cites for fitting observed durations.
 func FitH2EM(samples []float64, init HyperExp, iters int) (HyperExp, float64, error) {
 	if len(init.Alpha) != 2 {
 		return HyperExp{}, 0, errors.New("dist: FitH2EM needs a two-branch initialiser")

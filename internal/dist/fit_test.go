@@ -46,23 +46,6 @@ func TestFitErlang(t *testing.T) {
 	}
 }
 
-func TestFitPHDispatch(t *testing.T) {
-	d, err := FitPH(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.(HyperExp); !ok {
-		t.Fatalf("expected HyperExp, got %T", d)
-	}
-	d, err = FitPH(1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.(Erlang); !ok {
-		t.Fatalf("expected Erlang, got %T", d)
-	}
-}
-
 func TestFitH2EMRecovers(t *testing.T) {
 	// Generate from a well-separated H2; EM initialised by moment fit
 	// should recover parameters approximately.

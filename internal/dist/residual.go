@@ -29,7 +29,9 @@ func ResidualH2AfterErlang(h HyperExp, n int, t float64) HyperExp {
 // ResidualHyperExpAfter computes the residual branch mix of a general
 // hyper-exponential after surviving an arbitrary independent timeout
 // distribution, using the timeout's Laplace transform at each branch
-// rate.
+// rate. No program path calls it: it models Section 3.2's residual-
+// life argument for any timeout distribution, and the tests check
+// ResidualH2AfterErlang against it.
 func ResidualHyperExpAfter(h HyperExp, timeout Distribution) HyperExp {
 	ws := make([]float64, len(h.Alpha))
 	var sum float64
@@ -44,8 +46,9 @@ func ResidualHyperExpAfter(h HyperExp, timeout Distribution) HyperExp {
 }
 
 // SurvivalProbability returns P(service > timeout) for an H2 service
-// racing an Erlang(n, t) timeout: the probability the head-of-line job
-// times out at node 1.
+// racing an Erlang(n, t) timeout: the probability the head-of-line
+// job times out at node 1. No program path calls it: TwoStageH2
+// models Section 4's H2 approximation with it.
 func SurvivalProbability(h HyperExp, n int, t float64) float64 {
 	to := NewErlang(n, t)
 	var p float64
@@ -65,7 +68,9 @@ func ExpectedMin(mu float64, n int, t float64) float64 {
 }
 
 // ExpectedMinH2 returns E[min(S, TO)] for an H2 service racing an
-// Erlang(n, t) timeout, by conditioning on the branch.
+// Erlang(n, t) timeout, by conditioning on the branch. No program
+// path calls it: TwoStageH2 models Section 4's H2 approximation with
+// it.
 func ExpectedMinH2(h HyperExp, n int, t float64) float64 {
 	var m float64
 	for i := range h.Alpha {

@@ -454,3 +454,41 @@ func TestSensitivityTableSigns(t *testing.T) {
 		t.Fatalf("h2 W elasticity signs wrong: %v", h2W.Y)
 	}
 }
+
+// SeriesByName finds a series.
+func (f *Figure) SeriesByName(name string) (Series, bool) {
+	for _, s := range f.Series {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Series{}, false
+}
+
+// MinY returns the x at which the series attains its minimum y.
+func (s Series) MinY() (x, y float64) {
+	if len(s.Y) == 0 {
+		return 0, 0
+	}
+	x, y = s.X[0], s.Y[0]
+	for i := range s.Y {
+		if s.Y[i] < y {
+			x, y = s.X[i], s.Y[i]
+		}
+	}
+	return
+}
+
+// MaxY returns the x at which the series attains its maximum y.
+func (s Series) MaxY() (x, y float64) {
+	if len(s.Y) == 0 {
+		return 0, 0
+	}
+	x, y = s.X[0], s.Y[0]
+	for i := range s.Y {
+		if s.Y[i] > y {
+			x, y = s.X[i], s.Y[i]
+		}
+	}
+	return
+}

@@ -27,7 +27,9 @@ func (f *Figure) Artefact(elapsed time.Duration) obsv.ArtefactRecord {
 }
 
 // FigureFromArtefact is the inverse of Artefact: it rebuilds a
-// renderable Figure from a manifest record.
+// renderable Figure from a manifest record. No program path calls it:
+// the manifest round-trip tests rebuild figures from recorded
+// artefacts with it.
 func FigureFromArtefact(rec obsv.ArtefactRecord) *Figure {
 	f := &Figure{
 		ID:     rec.ID,

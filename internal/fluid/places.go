@@ -3,8 +3,6 @@ package fluid
 import (
 	"fmt"
 	"math"
-
-	"pepatags/internal/numeric"
 )
 
 // TAGFluidPlaces is the phase-resolved fluid model in the literal
@@ -161,16 +159,4 @@ func (f TAGFluidPlaces) Equilibrium() (FluidMeasures, error) {
 		out.W = out.L / out.X
 	}
 	return out, nil
-}
-
-// PhaseMass returns the total node-1 and node-2 timer-phase masses at
-// state x (each should remain 1; used as an invariant check).
-func (f TAGFluidPlaces) PhaseMass(x []float64) (m1, m2 float64) {
-	n := f.N
-	var a1, a2 numeric.Accumulator
-	for j := 0; j < n; j++ {
-		a1.Add(x[1+j])
-		a2.Add(x[2+n+j])
-	}
-	return a1.Sum(), a2.Sum()
 }

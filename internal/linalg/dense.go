@@ -21,29 +21,11 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// DenseFromRows builds a Dense from a slice of equal-length rows.
-func DenseFromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		return NewDense(0, 0)
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Add increments element (i, j) by v.
-func (m *Dense) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
@@ -55,7 +37,8 @@ func (m *Dense) Clone() *Dense {
 // Row returns a view (not a copy) of row i.
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// MulVec computes y = m x for a column vector x.
+// MulVec computes y = m x for a column vector x. No program path calls
+// it: the LU round-trip test builds its right-hand sides with it.
 func (m *Dense) MulVec(x []float64) []float64 {
 	if len(x) != m.Cols {
 		panic("linalg: MulVec dimension mismatch")
@@ -72,7 +55,8 @@ func (m *Dense) MulVec(x []float64) []float64 {
 	return y
 }
 
-// VecMul computes y = x m for a row vector x.
+// VecMul computes y = x m for a row vector x. No program path calls
+// it: it is the dense reference the CSR VecMul test compares against.
 func (m *Dense) VecMul(x []float64) []float64 {
 	if len(x) != m.Rows {
 		panic("linalg: VecMul dimension mismatch")
@@ -91,36 +75,6 @@ func (m *Dense) VecMul(x []float64) []float64 {
 	return y
 }
 
-// Mul returns the matrix product m * b.
-func (m *Dense) Mul(b *Dense) *Dense {
-	if m.Cols != b.Rows {
-		panic("linalg: Mul dimension mismatch")
-	}
-	out := NewDense(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 { //vet:allow floatcmp: structural sparsity skip
-				continue
-			}
-			brow := b.Row(k)
-			orow := out.Row(i)
-			for j, v := range brow {
-				orow[j] += a * v
-			}
-		}
-	}
-	return out
-}
-
-// Scale multiplies every element by s in place and returns m.
-func (m *Dense) Scale(s float64) *Dense {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
 // Transpose returns a new transposed matrix.
 func (m *Dense) Transpose() *Dense {
 	out := NewDense(m.Cols, m.Rows)
@@ -130,15 +84,6 @@ func (m *Dense) Transpose() *Dense {
 		}
 	}
 	return out
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // String renders the matrix for debugging.

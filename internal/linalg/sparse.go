@@ -36,9 +36,6 @@ func (c *COO) Add(i, j int, v float64) {
 	c.entries = append(c.entries, Triplet{i, j, v})
 }
 
-// NNZ returns the number of stored (pre-deduplication) entries.
-func (c *COO) NNZ() int { return len(c.entries) }
-
 // ToCSR converts to compressed sparse row form, summing duplicates.
 func (c *COO) ToCSR() *CSR {
 	ents := make([]Triplet, len(c.entries))
@@ -81,7 +78,9 @@ type CSR struct {
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// At returns element (i, j) with a binary search over row i.
+// At returns element (i, j) with a binary search over row i. No
+// program path calls it: the COO and CSR tests read entries through
+// it.
 func (m *CSR) At(i, j int) float64 {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	idx := sort.SearchInts(m.ColIdx[lo:hi], j) + lo
@@ -98,7 +97,8 @@ func (m *CSR) RangeRow(i int, f func(j int, v float64)) {
 	}
 }
 
-// MulVec computes y = m x (column vector).
+// MulVec computes y = m x (column vector). No program path calls it:
+// the linear-solve tests check their residuals b − A x with it.
 func (m *CSR) MulVec(x []float64) []float64 {
 	if len(x) != m.Cols {
 		panic("linalg: CSR MulVec dimension mismatch")

@@ -32,11 +32,6 @@ func GoldenMin(f func(float64) float64, a, b, tol float64) float64 {
 	return a + (b-a)/2
 }
 
-// GoldenMax maximises a unimodal function on [a, b].
-func GoldenMax(f func(float64) float64, a, b, tol float64) float64 {
-	return GoldenMin(func(x float64) float64 { return -f(x) }, a, b, tol)
-}
-
 // GridMin evaluates f at points points over [a, b] (inclusive) and
 // refines around the best grid point with golden-section search. It is
 // robust when f is not globally unimodal but is unimodal locally, as is
@@ -58,11 +53,6 @@ func GridMin(f func(float64) float64, a, b float64, points int, tol float64) flo
 	return GoldenMin(f, lo, hi, tol)
 }
 
-// GridMax is GridMin for maximisation.
-func GridMax(f func(float64) float64, a, b float64, points int, tol float64) float64 {
-	return GridMin(func(x float64) float64 { return -f(x) }, a, b, points, tol)
-}
-
 // IntArgMin returns the integer x in [lo, hi] minimising f.
 func IntArgMin(f func(int) float64, lo, hi int) int {
 	best, fbest := lo, math.Inf(1)
@@ -72,9 +62,4 @@ func IntArgMin(f func(int) float64, lo, hi int) int {
 		}
 	}
 	return best
-}
-
-// IntArgMax returns the integer x in [lo, hi] maximising f.
-func IntArgMax(f func(int) float64, lo, hi int) int {
-	return IntArgMin(func(x int) float64 { return -f(x) }, lo, hi)
 }

@@ -25,7 +25,8 @@ const maxRootIter = 200
 
 // Bisect finds a root of f in [a, b] by bisection. f(a) and f(b) must
 // have opposite signs. The returned x satisfies |f(x)| small or the
-// final interval width is below tol.
+// final interval width is below tol. No program path calls it: it is
+// the reference the Brent tests compare against.
 func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
 	if tol <= 0 {
 		tol = DefaultTol
@@ -123,26 +124,4 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 		}
 	}
 	return b, ErrMaxIterations
-}
-
-// FindBracket expands outward from [a, b] geometrically until f changes
-// sign, returning a bracketing interval. It gives up after 60 doublings.
-func FindBracket(f func(float64) float64, a, b float64) (float64, float64, error) {
-	if a >= b {
-		return 0, 0, fmt.Errorf("numeric: invalid initial interval [%g, %g]", a, b)
-	}
-	fa, fb := f(a), f(b)
-	for i := 0; i < 60; i++ {
-		if math.Signbit(fa) != math.Signbit(fb) {
-			return a, b, nil
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a -= (b - a)
-			fa = f(a)
-		} else {
-			b += (b - a)
-			fb = f(b)
-		}
-	}
-	return 0, 0, ErrNoBracket
 }

@@ -76,20 +76,6 @@ func TestBrentMatchesBisect(t *testing.T) {
 	}
 }
 
-func TestFindBracket(t *testing.T) {
-	f := func(x float64) float64 { return x - 100 }
-	a, b, err := FindBracket(f, 0, 1)
-	if err != nil {
-		t.Fatalf("FindBracket: %v", err)
-	}
-	if f(a)*f(b) >= 0 {
-		t.Fatalf("interval [%v,%v] does not bracket", a, b)
-	}
-	if _, _, err := FindBracket(func(float64) float64 { return 1 }, 0, 1); err == nil {
-		t.Fatal("expected failure for sign-constant function")
-	}
-}
-
 func TestGoldenMin(t *testing.T) {
 	f := func(x float64) float64 { return (x - 3) * (x - 3) }
 	x := GoldenMin(f, 0, 10, 1e-10)
@@ -100,14 +86,6 @@ func TestGoldenMin(t *testing.T) {
 	x = GoldenMin(f, 10, 0, 1e-10)
 	if !AlmostEqual(x, 3, 1e-7) {
 		t.Fatalf("GoldenMin reversed got %v want 3", x)
-	}
-}
-
-func TestGoldenMax(t *testing.T) {
-	f := func(x float64) float64 { return -(x - 2) * (x - 2) }
-	x := GoldenMax(f, 0, 5, 1e-10)
-	if !AlmostEqual(x, 2, 1e-7) {
-		t.Fatalf("GoldenMax got %v want 2", x)
 	}
 }
 
@@ -122,13 +100,9 @@ func TestGridMinNonUnimodalRobustness(t *testing.T) {
 	}
 }
 
-func TestIntArgMinMax(t *testing.T) {
+func TestIntArgMin(t *testing.T) {
 	f := func(x int) float64 { return float64((x - 42) * (x - 42)) }
 	if got := IntArgMin(f, 0, 100); got != 42 {
 		t.Fatalf("IntArgMin got %d want 42", got)
-	}
-	g := func(x int) float64 { return -float64((x - 7) * (x - 7)) }
-	if got := IntArgMax(g, 0, 100); got != 7 {
-		t.Fatalf("IntArgMax got %d want 7", got)
 	}
 }

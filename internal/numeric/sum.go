@@ -38,32 +38,9 @@ func (a *Accumulator) Add(x float64) {
 // Sum returns the compensated total.
 func (a *Accumulator) Sum() float64 { return a.sum + a.c }
 
-// Dot returns the compensated dot product of two equal-length vectors.
-// It panics if lengths differ.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("numeric: Dot length mismatch")
-	}
-	var acc Accumulator
-	for i := range a {
-		acc.Add(a[i] * b[i])
-	}
-	return acc.Sum()
-}
-
-// L1Dist returns the l1 distance between two equal-length vectors.
-func L1Dist(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("numeric: L1Dist length mismatch")
-	}
-	var acc Accumulator
-	for i := range a {
-		acc.Add(math.Abs(a[i] - b[i]))
-	}
-	return acc.Sum()
-}
-
 // MaxAbsDiff returns the l∞ distance between two equal-length vectors.
+// No program path calls it: the solver, chain and queueing tests
+// compare distributions with it.
 func MaxAbsDiff(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("numeric: MaxAbsDiff length mismatch")
@@ -108,8 +85,9 @@ func Linspace(a, b float64, n int) []float64 {
 	return out
 }
 
-// AlmostEqual reports |a-b| <= tol*(1+|a|+|b|), a scale-aware comparison
-// used throughout the tests.
+// AlmostEqual reports |a-b| <= tol*(1+|a|+|b|), a scale-aware comparison.
+// No program path calls it: it is the tolerance check the tests of most
+// packages share.
 func AlmostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }

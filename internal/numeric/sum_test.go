@@ -40,23 +40,6 @@ func TestAccumulatorMatchesKahanSum(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	if got := Dot(a, b); got != 32 {
-		t.Fatalf("Dot got %v want 32", got)
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
 func TestNormalize(t *testing.T) {
 	xs := []float64{1, 3}
 	s := Normalize(xs)
@@ -116,9 +99,6 @@ func TestLinspace(t *testing.T) {
 func TestDistances(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{2, 0, 3}
-	if got := L1Dist(a, b); got != 3 {
-		t.Fatalf("L1Dist got %v want 3", got)
-	}
 	if got := MaxAbsDiff(a, b); got != 2 {
 		t.Fatalf("MaxAbsDiff got %v want 2", got)
 	}

@@ -196,11 +196,8 @@ func (l *EventLog) Emit(level Level, kind, msg string, fields map[string]float64
 	l.mu.Unlock()
 }
 
-// Debugf, Infof, Warnf and Errorf are sprintf conveniences for events
-// whose payload is a message rather than numbers.
-func (l *EventLog) Debugf(kind, format string, args ...any) {
-	l.Emit(LevelDebug, kind, fmt.Sprintf(format, args...), nil)
-}
+// Infof, Warnf and Errorf are sprintf conveniences for events whose
+// payload is a message rather than numbers.
 func (l *EventLog) Infof(kind, format string, args ...any) {
 	l.Emit(LevelInfo, kind, fmt.Sprintf(format, args...), nil)
 }
@@ -259,7 +256,8 @@ func (l *EventLog) recorderLocked() []Event {
 // After returns events with Seq > since, oldest first, limited to the
 // recorder's reach (events older than the recorder window are gone).
 // A second return of false means the log has been closed and no event
-// past since will ever arrive.
+// past since will ever arrive. No program path calls it: tests read
+// the events a run emitted through it, without Wait's blocking.
 func (l *EventLog) After(since uint64) ([]Event, bool) {
 	if l == nil {
 		return nil, false

@@ -181,7 +181,6 @@ func TestHeartbeatBeats(t *testing.T) {
 	l := NewEventLog(EventLogConfig{})
 	h := NewHeartbeat(30*time.Millisecond, &buf, l)
 	h.SetTotal(1000)
-	h.Set("cache_hit_rate", 0.75)
 	h.Start()
 	for i := 1; i <= 5; i++ {
 		h.ObserveProgress(Progress{Phase: "derive", Step: i, Count: i * 100, Value: float64(i)})
@@ -193,9 +192,6 @@ func TestHeartbeatBeats(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "phase=derive") || !strings.Contains(out, "rate=") {
 		t.Fatalf("heartbeat lines:\n%s", out)
-	}
-	if !strings.Contains(out, "cache_hit_rate=0.75") {
-		t.Fatalf("missing extras:\n%s", out)
 	}
 	// The final beat lands in the event log as heartbeat.final with an
 	// elapsed field; intermediate beats as "heartbeat".
@@ -222,7 +218,6 @@ func TestHeartbeatNilSafe(t *testing.T) {
 	h.Start()
 	h.ObserveProgress(Progress{})
 	h.SetTotal(1)
-	h.Set("k", 1)
 	h.Stop()
 }
 

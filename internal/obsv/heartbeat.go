@@ -11,8 +11,7 @@ import (
 // already emit into periodic, human-meaningful snapshots: every
 // Interval it reports the phase, units done, the throughput since the
 // last beat (states/sec, points/sec, events/sec — whatever the phase's
-// Count measures), any registered extras (cache hit-rate, frontier
-// depth) and, when a total is known, an ETA.
+// Count measures) and, when a total is known, an ETA.
 //
 // The write side is cheap and lock-scoped (ObserveProgress stores the
 // latest tick under a mutex); the reporting goroutine owns the rate
@@ -24,13 +23,12 @@ type Heartbeat struct {
 	w        io.Writer // optional human-readable line per beat
 	log      *EventLog // optional "heartbeat" events
 
-	mu     sync.Mutex
-	phase  string
-	step   int
-	count  float64 // units done (monotone within a phase)
-	value  float64 // phase-specific payload (frontier size, residual, clock)
-	total  float64 // expected final count; 0 = unknown, no ETA
-	extras map[string]float64
+	mu    sync.Mutex
+	phase string
+	step  int
+	count float64 // units done (monotone within a phase)
+	value float64 // phase-specific payload (frontier size, residual, clock)
+	total float64 // expected final count; 0 = unknown, no ETA
 
 	start    time.Time
 	lastBeat time.Time
@@ -54,7 +52,6 @@ func NewHeartbeat(interval time.Duration, w io.Writer, log *EventLog) *Heartbeat
 		interval: interval,
 		w:        w,
 		log:      log,
-		extras:   make(map[string]float64),
 	}
 }
 
@@ -87,17 +84,6 @@ func (h *Heartbeat) SetTotal(total float64) {
 	}
 	h.mu.Lock()
 	h.total = total
-	h.mu.Unlock()
-}
-
-// Set records an extra gauge reported with every beat (e.g.
-// "cache_hit_rate"). Nil-safe.
-func (h *Heartbeat) Set(key string, v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.extras[key] = v
 	h.mu.Unlock()
 }
 
@@ -172,14 +158,7 @@ func (h *Heartbeat) beat(now time.Time, final bool) {
 		count, value float64
 		total, rate  float64
 		elapsed      time.Duration
-		extras       map[string]float64
-	}{h.phase, h.step, h.count, h.value, h.total, rate, now.Sub(h.start), nil}
-	if len(h.extras) > 0 {
-		snap.extras = make(map[string]float64, len(h.extras))
-		for k, v := range h.extras {
-			snap.extras[k] = v
-		}
-	}
+	}{h.phase, h.step, h.count, h.value, h.total, rate, now.Sub(h.start)}
 	h.mu.Unlock()
 
 	fields := map[string]float64{
@@ -188,9 +167,6 @@ func (h *Heartbeat) beat(now time.Time, final bool) {
 		"value":     snap.value,
 		"rate":      snap.rate,
 		"elapsed_s": snap.elapsed.Seconds(),
-	}
-	for k, v := range snap.extras {
-		fields[k] = v
 	}
 	eta := time.Duration(-1)
 	if snap.total > 0 && snap.rate > 0 && snap.count < snap.total {
@@ -203,7 +179,6 @@ func (h *Heartbeat) beat(now time.Time, final bool) {
 		if eta >= 0 {
 			line += fmt.Sprintf(" eta=%v", eta.Round(time.Second))
 		}
-		line += formatFields(snap.extras)
 		fmt.Fprintln(h.w, line)
 	}
 	kind := "heartbeat"

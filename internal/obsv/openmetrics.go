@@ -141,9 +141,9 @@ type ParsedFamily struct {
 
 // ParseOpenMetrics reads a text exposition (the WriteOpenMetrics
 // format, or any Prometheus-style exposition using only the features
-// WriteOpenMetrics emits) into families keyed by name. It is stdlib
-// only: its purpose is to round-trip-test the encoder and to let
-// in-repo tools consume /metrics without a client dependency.
+// WriteOpenMetrics emits) into families keyed by name. No program path
+// calls it: it is the stdlib-only decoder the exposition round-trip
+// tests check the encoder against.
 //
 // Parsing is strict about what it accepts: every sample must belong to
 // a previously declared family (its name must be the family name or
@@ -342,8 +342,8 @@ func parseLabels(s string) (map[string]string, error) {
 }
 
 // HistogramSamples extracts (upper bound, cumulative count) pairs from
-// a parsed histogram family's _bucket samples, sorted by bound. It is
-// the helper round-trip tests use to compare against
+// a parsed histogram family's _bucket samples, sorted by bound. No
+// program path calls it: the round-trip tests compare it against
 // Histogram.Buckets().
 func (f *ParsedFamily) HistogramSamples() []BucketCount {
 	var out []BucketCount

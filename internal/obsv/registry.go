@@ -37,17 +37,6 @@ type Gauge struct {
 // Set stores x.
 func (g *Gauge) Set(x float64) { g.bits.Store(math.Float64bits(x)) }
 
-// Add adjusts the gauge by dx with a compare-and-swap loop.
-func (g *Gauge) Add(dx float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + dx)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current level.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

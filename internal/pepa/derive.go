@@ -43,7 +43,9 @@ type StateSpace struct {
 	leafKeys [][]string // [state][leaf] canonical key (reference engine only)
 }
 
-// LeafDerivative returns the canonical key of leaf l in global state s.
+// LeafDerivative returns the canonical key of leaf l in global state
+// s. No program path calls it: the derivation-equivalence tests
+// compare engines leaf by leaf through it.
 func (ss *StateSpace) LeafDerivative(s, l int) string {
 	if ss.leafKeys != nil {
 		return ss.leafKeys[s][l]

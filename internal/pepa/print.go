@@ -84,63 +84,3 @@ func printComposition(c Composition, nested bool) string {
 		panic(fmt.Sprintf("pepa: cannot print %T", c))
 	}
 }
-
-// Alphabet returns the sorted set of action types syntactically
-// occurring in the definitions reachable from the system leaves.
-func (m *Model) Alphabet() ([]string, error) {
-	set := map[string]struct{}{}
-	seen := map[string]bool{}
-	var walkP func(Process) error
-	walkP = func(p Process) error {
-		switch t := p.(type) {
-		case *Const:
-			if seen[t.Name] {
-				return nil
-			}
-			seen[t.Name] = true
-			body, ok := m.Defs[t.Name]
-			if !ok {
-				return fmt.Errorf("pepa: undefined constant %s", t.Name)
-			}
-			return walkP(body)
-		case *Prefix:
-			set[t.Action] = struct{}{}
-			return walkP(t.Next)
-		case *Choice:
-			if err := walkP(t.Left); err != nil {
-				return err
-			}
-			return walkP(t.Right)
-		default:
-			return fmt.Errorf("pepa: unexpected process %T", p)
-		}
-	}
-	var walkC func(Composition) error
-	walkC = func(c Composition) error {
-		switch t := c.(type) {
-		case *Leaf:
-			return walkP(t.Init)
-		case *Coop:
-			if err := walkC(t.Left); err != nil {
-				return err
-			}
-			return walkC(t.Right)
-		case *Hide:
-			return walkC(t.Inner)
-		default:
-			return fmt.Errorf("pepa: unexpected composition %T", c)
-		}
-	}
-	if m.System == nil {
-		return nil, fmt.Errorf("pepa: no system")
-	}
-	if err := walkC(m.System); err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out, nil
-}

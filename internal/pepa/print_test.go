@@ -69,32 +69,6 @@ func TestSourceAnonymousLeafPanics(t *testing.T) {
 	_ = m.Source()
 }
 
-func TestAlphabet(t *testing.T) {
-	m := mustParse(t, roundTripSrc)
-	acts, err := m.Alphabet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a", "b", "d"}
-	if len(acts) != len(want) {
-		t.Fatalf("alphabet %v", acts)
-	}
-	for i := range want {
-		if acts[i] != want[i] {
-			t.Fatalf("alphabet %v want %v", acts, want)
-		}
-	}
-}
-
-func TestAlphabetUndefinedConstant(t *testing.T) {
-	m := NewModel()
-	m.Define("P", Pre("a", ActiveRate(1), Ref("Missing")))
-	m.System = &Leaf{Init: Ref("P")}
-	if _, err := m.Alphabet(); err == nil {
-		t.Fatal("expected undefined-constant error")
-	}
-}
-
 func TestCheckCyclicAccepts(t *testing.T) {
 	m := mustParse(t, roundTripSrc)
 	if err := m.CheckCyclic(); err != nil {

@@ -117,50 +117,3 @@ func (a AdmissionQueue) BuildChain() (*ctmc.Chain, error) {
 	}
 	return b.Build(), nil
 }
-
-// NetRevenue is the economic criterion of Mazzucco & Mitrani: each
-// completed job earns charge, each rejected job costs penalty, so the
-// long-run revenue rate is
-//
-//	Throughput*charge - RejectRate*penalty.
-//
-// For a fixed number of servers this is the objective the admission
-// bound should maximize: a bound too low rejects work that would have
-// earned its charge, a bound too high admits jobs whose waiting
-// (eventually) displaces future earnings. With this linear criterion
-// and no waiting cost the revenue is monotone in Queue; adding a
-// holding cost per job-second in the system (the paper's waiting
-// penalty) makes an interior bound optimal.
-func (m AdmissionMeasures) NetRevenue(charge, penalty float64) float64 {
-	return m.Throughput*charge - m.RejectRate*penalty
-}
-
-// NetRevenueWithHolding extends NetRevenue with a holding cost per
-// job-second spent in the system, the form under which a finite
-// admission bound becomes optimal.
-func (m AdmissionMeasures) NetRevenueWithHolding(charge, penalty, holding float64) float64 {
-	return m.NetRevenue(charge, penalty) - holding*m.MeanJobs
-}
-
-// OptimalQueue searches Queue in [0, maxQueue] for the bound that
-// maximizes NetRevenueWithHolding, returning the best bound, its
-// measures and the achieved revenue rate. Ties go to the smaller
-// bound (fewer admitted jobs waiting).
-func OptimalQueue(lambda, mu float64, servers int, charge, penalty, holding float64, maxQueue int) (int, AdmissionMeasures, float64, error) {
-	if maxQueue < 0 {
-		return 0, AdmissionMeasures{}, 0, fmt.Errorf("policies: maxQueue must be >= 0, got %d", maxQueue)
-	}
-	bestQ, bestRev := 0, 0.0
-	var bestM AdmissionMeasures
-	for q := 0; q <= maxQueue; q++ {
-		m, err := AdmissionQueue{Lambda: lambda, Mu: mu, Servers: servers, Queue: q}.Measures()
-		if err != nil {
-			return 0, AdmissionMeasures{}, 0, err
-		}
-		rev := m.NetRevenueWithHolding(charge, penalty, holding)
-		if q == 0 || rev > bestRev {
-			bestQ, bestRev, bestM = q, rev, m
-		}
-	}
-	return bestQ, bestM, bestRev, nil
-}

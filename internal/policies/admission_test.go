@@ -81,49 +81,3 @@ func TestAdmissionValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestNetRevenueMonotoneWithoutHolding(t *testing.T) {
-	// With no holding cost, widening the bound only converts rejections
-	// into completions: revenue must be nondecreasing in Queue.
-	prev := math.Inf(-1)
-	for q := 0; q <= 12; q++ {
-		m, err := AdmissionQueue{Lambda: 6, Mu: 1, Servers: 4, Queue: q}.Measures()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rev := m.NetRevenue(1, 0.5)
-		if rev < prev-1e-12 {
-			t.Fatalf("revenue decreased at queue=%d: %g -> %g", q, prev, rev)
-		}
-		prev = rev
-	}
-}
-
-func TestOptimalQueueInterior(t *testing.T) {
-	// A strong holding cost under overload makes a small finite bound
-	// optimal: admitted jobs queue for a long time and cost more than
-	// the charge they earn.
-	q, m, rev, err := OptimalQueue(10, 1, 2, 1.0, 0.1, 0.9, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q == 40 {
-		t.Fatalf("optimal bound hit the search ceiling (q=%d, rev=%g)", q, rev)
-	}
-	// The optimum must beat both neighbours.
-	for _, nq := range []int{q - 1, q + 1} {
-		if nq < 0 {
-			continue
-		}
-		nm, err := AdmissionQueue{Lambda: 10, Mu: 1, Servers: 2, Queue: nq}.Measures()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nrev := nm.NetRevenueWithHolding(1.0, 0.1, 0.9); nrev > rev+1e-12 {
-			t.Errorf("queue=%d revenue %g beats reported optimum queue=%d revenue %g", nq, nrev, q, rev)
-		}
-	}
-	if m.RejectProbability <= 0 {
-		t.Errorf("overloaded optimum should reject some jobs, got P_rej=%g", m.RejectProbability)
-	}
-}

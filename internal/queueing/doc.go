@@ -1,9 +1,8 @@
 // Package queueing provides classical finite-capacity queueing
 // formulae used as baselines and oracles: M/M/1/K (the paper's
-// random-split components, in closed form), general birth-death
-// chains, M/M/c/K, M/PH/1/K for phase-type demand, the MMPP-2/M/1/K
-// queue for bursty arrivals, and M/G/1 via
-// Pollaczek-Khinchine.
+// random-split components, in closed form), M/M/c/K, M/PH/1/K for
+// phase-type demand, the MMPP-2/M/1/K queue for bursty arrivals, and
+// M/G/1 via Pollaczek-Khinchine.
 //
 // These closed forms serve two roles in the reproduction. As model
 // components: RandomAlloc in internal/core is exactly two independent

@@ -63,34 +63,16 @@ func (q MM1K) Throughput() float64 {
 func (q MM1K) LossRate() float64 { return q.Lambda * q.LossProbability() }
 
 // ResponseTime returns the mean response time of accepted jobs by
-// Little's law: E[N] / throughput.
+// Little's law: E[N] / throughput. No program path calls it: the
+// simulator and core tests compare against this closed form.
 func (q MM1K) ResponseTime() float64 {
 	return q.MeanQueueLength() / q.Throughput()
 }
 
-// Utilization returns P(server busy) = 1 - pi_0.
+// Utilization returns P(server busy) = 1 - pi_0. No program path
+// calls it: the simulator tests compare against this closed form.
 func (q MM1K) Utilization() float64 {
 	return 1 - q.Pi()[0]
-}
-
-// BirthDeath solves a general finite birth-death chain with per-level
-// birth rates b[0..n-1] and death rates d[1..n] (d[0] ignored),
-// returning the stationary distribution over 0..n.
-func BirthDeath(b, d []float64) ([]float64, error) {
-	n := len(b)
-	if len(d) != n+1 {
-		return nil, fmt.Errorf("queueing: need len(d) == len(b)+1, got %d and %d", len(d), len(b))
-	}
-	pi := make([]float64, n+1)
-	pi[0] = 1
-	for i := 0; i < n; i++ {
-		if b[i] <= 0 || d[i+1] <= 0 {
-			return nil, fmt.Errorf("queueing: non-positive rate at level %d", i)
-		}
-		pi[i+1] = pi[i] * b[i] / d[i+1]
-	}
-	numeric.Normalize(pi)
-	return pi, nil
 }
 
 // Little applies Little's law W = L / X, guarding against a zero

@@ -75,33 +75,6 @@ func TestMM1KLargeKApproachesMM1(t *testing.T) {
 	}
 }
 
-func TestBirthDeathMatchesMM1K(t *testing.T) {
-	lambda, mu, k := 7.0, 10.0, 9
-	b := make([]float64, k)
-	d := make([]float64, k+1)
-	for i := 0; i < k; i++ {
-		b[i] = lambda
-		d[i+1] = mu
-	}
-	pi, err := BirthDeath(b, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NewMM1K(lambda, mu, k).Pi()
-	if diff := numeric.MaxAbsDiff(pi, want); diff > 1e-12 {
-		t.Fatalf("diff %g", diff)
-	}
-}
-
-func TestBirthDeathValidation(t *testing.T) {
-	if _, err := BirthDeath([]float64{1}, []float64{1}); err == nil {
-		t.Fatal("length mismatch must fail")
-	}
-	if _, err := BirthDeath([]float64{0}, []float64{0, 1}); err == nil {
-		t.Fatal("zero rate must fail")
-	}
-}
-
 func TestLittleGuard(t *testing.T) {
 	if !math.IsInf(Little(1, 0), 1) {
 		t.Fatal("zero throughput must give +inf")

@@ -60,7 +60,8 @@ func (q MMcK) MeanQueueLength() float64 {
 // Throughput is lambda (1 - P_loss).
 func (q MMcK) Throughput() float64 { return q.Lambda * (1 - q.LossProbability()) }
 
-// ResponseTime is E[N]/X by Little's law.
+// ResponseTime is E[N]/X by Little's law. No program path calls it:
+// the admission and simulator tests compare against this closed form.
 func (q MMcK) ResponseTime() float64 { return Little(q.MeanQueueLength(), q.Throughput()) }
 
 // Utilization is the mean busy-server fraction.
@@ -160,10 +161,11 @@ func (q MMPP2M1K) Analyze() (MMPP2M1KMeasures, error) {
 	}, nil
 }
 
-// MG1 is the unbounded M/G/1 queue evaluated by the
-// Pollaczek-Khinchine formula — the classical baseline behind
-// Harchol-Balter's unbounded-queue analysis that this paper's bounded
-// treatment departs from.
+// MG1 is the unbounded M/G/1 queue evaluated by the Pollaczek-
+// Khinchine formula — the classical baseline behind Harchol-Balter's
+// unbounded-queue analysis that this paper's bounded treatment
+// departs from. No program path calls it: it models that baseline,
+// and the simulator and core tests compare against it.
 type MG1 struct {
 	Lambda  float64
 	Service dist.Distribution

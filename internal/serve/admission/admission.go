@@ -39,8 +39,7 @@ func (e *ewma) observe(x float64) {
 // state-space derivation (the rest hit the shared content-addressed
 // cache). The estimator keeps one EWMA of the per-point solve cost
 // and one of the per-shape derivation cost, seeded from measured
-// defaults and updated from completed jobs (and, optionally, directly
-// from DeriveStats timings via ObserveDerive).
+// defaults and updated from completed jobs.
 type Estimator struct {
 	mu    sync.Mutex
 	point ewma // seconds per point, shape already cached
@@ -94,14 +93,6 @@ func (e *Estimator) ObserveJob(points, freshShapes int, elapsed time.Duration) {
 	}
 }
 
-// ObserveDerive feeds one measured state-space derivation (a
-// DeriveStats.Elapsed) directly into the per-shape cost.
-func (e *Estimator) ObserveDerive(elapsed time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.shape.observe(elapsed.Seconds())
-}
-
 // Costs returns the current per-point and per-shape estimates.
 func (e *Estimator) Costs() (pointSeconds, shapeSeconds float64) {
 	e.mu.Lock()
@@ -135,16 +126,6 @@ type Threshold struct {
 func (t Threshold) Admit(backlogSeconds, _ float64) bool { return backlogSeconds < t.Bound }
 
 func (t Threshold) String() string { return fmt.Sprintf("threshold(bound=%gs)", t.Bound) }
-
-// QueuePlaces maps the work bound onto the queue places of the
-// analyzable model: how many jobs of the given mean size fit under
-// the bound.
-func (t Threshold) QueuePlaces(meanJobSeconds float64) int {
-	if meanJobSeconds <= 0 {
-		return 0
-	}
-	return int(t.Bound / meanJobSeconds)
-}
 
 // AlwaysAdmit accepts everything — the no-admission-control baseline.
 type AlwaysAdmit struct{}
@@ -219,10 +200,6 @@ func NewController(policy Policy, est *Estimator, workers int) *Controller {
 		outstanding: make(map[uint64]float64),
 	}
 }
-
-// Estimator exposes the controller's estimator (for feeding
-// DeriveStats observations in).
-func (c *Controller) Estimator() *Estimator { return c.est }
 
 // Submit consults the policy for a job with the given point and
 // fresh-shape counts. When admitted, the job's estimated cost joins

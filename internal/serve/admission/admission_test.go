@@ -57,26 +57,19 @@ func TestEstimatorIgnoresGarbage(t *testing.T) {
 	p0, s0 := e.Costs()
 	e.ObserveJob(0, 0, time.Second)   // no points
 	e.ObserveJob(10, 0, -time.Second) // negative elapsed
-	e.ObserveDerive(-time.Second)
 	p, s := e.Costs()
 	if p != p0 || s != s0 { //vet:allow floatcmp: no observation may change the state at all
 		t.Fatalf("garbage observations changed estimates: %g,%g -> %g,%g", p0, s0, p, s)
 	}
 }
 
-func TestThresholdAdmitAndQueuePlaces(t *testing.T) {
+func TestThresholdAdmit(t *testing.T) {
 	pol := Threshold{Bound: 5}
 	if !pol.Admit(4.999, 100) {
 		t.Error("threshold rejected below the bound")
 	}
 	if pol.Admit(5, 0.001) {
 		t.Error("threshold admitted at the bound")
-	}
-	if q := pol.QueuePlaces(2); q != 2 {
-		t.Errorf("QueuePlaces(2) = %d, want 2", q)
-	}
-	if q := pol.QueuePlaces(0); q != 0 {
-		t.Errorf("QueuePlaces(0) = %d, want 0", q)
 	}
 }
 

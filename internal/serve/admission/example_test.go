@@ -23,12 +23,11 @@ func ExampleController() {
 	// job 3: admit=false backlog=4s
 }
 
-// ExampleThreshold maps the work bound onto the analyzable model's
-// queue places: a 30-second bound holds six jobs of five-second mean,
-// so the daemon behaves like an M/M/c/K queue with K = c + 6.
+// ExampleThreshold admits a job only while the backlog of admitted
+// work is under the bound, whatever the job's own cost.
 func ExampleThreshold() {
 	pol := admission.Threshold{Bound: 30}
-	fmt.Println(pol, "holds", pol.QueuePlaces(5), "mean jobs")
+	fmt.Println(pol, pol.Admit(29, 5), pol.Admit(30, 0.1))
 	// Output:
-	// threshold(bound=30s) holds 6 mean jobs
+	// threshold(bound=30s) true false
 }

@@ -470,6 +470,7 @@ func TestHTTPValidation(t *testing.T) {
 		{"missing spec", "POST", "/v1/jobs", "{}", http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/jobs", `{"specc":{}}`, http.StatusBadRequest},
 		{"bad spec", "POST", "/v1/jobs", `{"spec":{"schema":"pepatags/sweep-spec/v1","name":"x"}}`, http.StatusBadRequest},
+		{"oversized spec", "POST", "/v1/jobs", `{"spec":{"schema":"pepatags/sweep-spec/v1","name":"x","groups":[{"point":{"series":"s","model":"tagexp","lambda":5,"n":2,"k1":2,"k2":2,"service":{"kind":"exp","mu":10}},"axes":[{"field":"t","linspace":{"from":1,"to":2,"num":1000000000}}]}]}}`, http.StatusBadRequest},
 		{"unknown job", "GET", "/v1/jobs/job-9999", "", http.StatusNotFound},
 		{"unknown job events", "GET", "/v1/jobs/job-9999/events", "", http.StatusNotFound},
 		{"unknown job result", "GET", "/v1/jobs/job-9999/result", "", http.StatusNotFound},

@@ -138,12 +138,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Admission exposes the admission controller (stats endpoint, tests).
-func (s *Server) Admission() *admission.Controller { return s.ctrl }
-
-// Log exposes the server-level event log.
-func (s *Server) Log() *obsv.EventLog { return s.log }
-
 // SubmitError is a rejected submission, carrying the HTTP status and
 // Retry-After the transport layer should relay.
 type SubmitError struct {
@@ -158,14 +152,13 @@ func (e *SubmitError) Error() string { return e.Reason }
 // Submit validates and admits a spec. workers <= 0 takes the server
 // default; values above the server's solve pool are clamped down.
 func (s *Server) Submit(spec *sweep.Spec, workers int) (*Job, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	points, err := spec.Expand()
+	// Hash validates the spec; the points are expanded once more for the
+	// admission estimate.
+	hash, err := spec.Hash()
 	if err != nil {
 		return nil, err
 	}
-	hash, err := spec.Hash()
+	points, err := spec.Expand()
 	if err != nil {
 		return nil, err
 	}

@@ -96,19 +96,16 @@ func TestMetricsEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSystemNowAdvances(t *testing.T) {
+func TestSystemClockAdvances(t *testing.T) {
 	cfg := sim.Config{
 		Nodes:  []sim.NodeConfig{{}},
 		Policy: policies.FirstNode{},
 		Source: workload.NewTrace([]float64{0}, []float64{3}),
 		Seed:   1,
 	}
-	s := sim.NewSystem(cfg)
-	if s.Now() != 0 {
-		t.Fatalf("clock before Run: %v", s.Now())
-	}
-	s.Run(0)
-	if s.Now() != 3 { //vet:allow floatcmp: single deterministic job finishes exactly at its size
-		t.Fatalf("clock after Run: %v want 3", s.Now())
+	// Elapsed is the clock when the event queue drains.
+	m := sim.NewSystem(cfg).Run(0)
+	if m.Elapsed != 3 { //vet:allow floatcmp: single deterministic job finishes exactly at its size
+		t.Fatalf("clock after Run: %v want 3", m.Elapsed)
 	}
 }

@@ -172,9 +172,3 @@ func RunReplications(rc ReplicationConfig) (*ReplicationResult, error) {
 	}
 	return res, nil
 }
-
-// TraceSourceFactory adapts a fixed job trace to the per-replication
-// source factory: every replication replays the same jobs from the top.
-func TraceSourceFactory(jobs []workload.Job) func(rep int) workload.Source {
-	return func(rep int) workload.Source { return &workload.Trace{Jobs: jobs} }
-}

@@ -102,7 +102,7 @@ func TestReplicationsTraceDeterministic(t *testing.T) {
 				Policy: policies.ShortestQueue{},
 				Seed:   7,
 			},
-			NewSource: sim.TraceSourceFactory(jobs),
+			NewSource: func(int) workload.Source { return &workload.Trace{Jobs: jobs} },
 			Reps:      6,
 			Workers:   workers,
 		}

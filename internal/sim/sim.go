@@ -413,9 +413,6 @@ func (s *System) WorkLeft(i int) float64 {
 	return w + float64(n.inUse)*0.5
 }
 
-// Now returns the simulation clock.
-func (s *System) Now() float64 { return s.now }
-
 // RNG exposes the simulation RNG to policies.
 func (s *System) RNG() *rand.Rand { return s.rng }
 

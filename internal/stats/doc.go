@@ -1,8 +1,7 @@
 // Package stats supplies the output analysis for the simulator:
 // Welford-style streaming moments (Summary), confidence intervals,
-// batch means (BatchMeans) for autocorrelated steady-state output,
-// fixed-bin histograms, exact and reservoir-sampled percentiles
-// (Percentile, Reservoir).
+// pooling of independent replications (PoolMeans), and exact and
+// reservoir-sampled percentiles (Percentile, Reservoir).
 //
 // The simulation tables in internal/exp report means with confidence
 // intervals computed here, and the tagged-job table uses the

@@ -19,10 +19,6 @@ type Pooled struct {
 	HalfWidth float64 // 95% Student-t half-width (0 when Reps < 2)
 }
 
-// Lo and Hi bound the 95% confidence interval.
-func (p Pooled) Lo() float64 { return p.Mean - p.HalfWidth }
-func (p Pooled) Hi() float64 { return p.Mean + p.HalfWidth }
-
 // String renders "mean ± hw (r=reps)".
 func (p Pooled) String() string {
 	return fmt.Sprintf("%.6g ± %.2g (r=%d)", p.Mean, p.HalfWidth, p.Reps)

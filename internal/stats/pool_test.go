@@ -21,9 +21,6 @@ func TestPoolMeansSingleRep(t *testing.T) {
 	if p.Reps != 1 || p.Mean != 3.5 || p.StdErr != 0 || p.HalfWidth != 0 { //vet:allow floatcmp: exact propagation of the single input
 		t.Fatalf("single-rep pool %+v", p)
 	}
-	if p.Lo() != 3.5 || p.Hi() != 3.5 { //vet:allow floatcmp: zero half-width collapses the interval exactly
-		t.Fatal("degenerate interval must collapse to the mean")
-	}
 }
 
 func TestPoolMeansKnownValues(t *testing.T) {
@@ -41,9 +38,6 @@ func TestPoolMeansKnownValues(t *testing.T) {
 	}
 	if wantHW := 4.303 * wantSE; math.Abs(p.HalfWidth-wantHW) > 1e-12 {
 		t.Fatalf("half-width %v want %v", p.HalfWidth, wantHW)
-	}
-	if p.Lo() >= p.Mean || p.Hi() <= p.Mean {
-		t.Fatal("interval must bracket the mean")
 	}
 	if s := p.String(); !strings.Contains(s, "r=3") || !strings.Contains(s, "±") {
 		t.Fatalf("String %q", s)
@@ -90,37 +84,5 @@ func TestTQuantile975(t *testing.T) {
 		if got := TQuantile975(df); got != want { //vet:allow floatcmp: table lookups, not computed values
 			t.Fatalf("df=%d got %v want %v", df, got, want)
 		}
-	}
-}
-
-func TestSummaryMergeDirect(t *testing.T) {
-	var a, empty Summary
-	for _, x := range []float64{1, 2, 3} {
-		a.Add(x)
-	}
-	saved := a
-	a.Merge(&empty)
-	if a != saved {
-		t.Fatal("merging an empty summary must be a no-op")
-	}
-	empty.Merge(&a)
-	if empty != a {
-		t.Fatal("merging into an empty summary must copy")
-	}
-
-	var b Summary
-	for _, x := range []float64{5, 9} {
-		b.Add(x)
-	}
-	a.Merge(&b)
-	var all Summary
-	for _, x := range []float64{1, 2, 3, 5, 9} {
-		all.Add(x)
-	}
-	if a.N() != all.N() || a.Min() != 1 || a.Max() != 9 { //vet:allow floatcmp: extremes are copied, not computed
-		t.Fatalf("merged n=%d min=%v max=%v", a.N(), a.Min(), a.Max())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-12 || math.Abs(a.Var()-all.Var()) > 1e-12 {
-		t.Fatalf("merged mean/var %v/%v want %v/%v", a.Mean(), a.Var(), all.Mean(), all.Var())
 	}
 }

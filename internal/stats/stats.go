@@ -29,7 +29,8 @@ func (s *Summary) Add(x float64) {
 	s.hasSamples = true
 }
 
-// N returns the sample count.
+// N returns the sample count. No program path calls it: the
+// simulator's Metrics golden pins it.
 func (s *Summary) N() int { return s.n }
 
 // Mean returns the sample mean (0 when empty).
@@ -46,8 +47,12 @@ func (s *Summary) Var() float64 {
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Var()) }
 
-// Min and Max return the extremes (0 when empty).
+// Min returns the smallest sample (0 when empty). No program path
+// calls it: the simulator's Metrics golden pins it.
 func (s *Summary) Min() float64 { return s.min }
+
+// Max returns the largest sample (0 when empty). No program path calls
+// it: the simulator's Metrics golden pins it.
 func (s *Summary) Max() float64 { return s.max }
 
 // StdErr returns the standard error of the mean.
@@ -66,91 +71,6 @@ func (s *Summary) CI95() float64 { return 1.959963984540054 * s.StdErr() }
 func (s *Summary) String() string {
 	return fmt.Sprintf("%.6g ± %.2g (n=%d)", s.Mean(), s.CI95(), s.n)
 }
-
-// Merge folds another summary into this one (parallel batches).
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n1, n2 := float64(s.n), float64(o.n)
-	d := o.mean - s.mean
-	mean := s.mean + d*n2/(n1+n2)
-	s.m2 = s.m2 + o.m2 + d*d*n1*n2/(n1+n2)
-	s.mean = mean
-	s.n += o.n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-}
-
-// BatchMeans splits a series into nbatch equal batches and returns the
-// summary over batch means, the standard way to build confidence
-// intervals from correlated simulation output.
-func BatchMeans(xs []float64, nbatch int) (*Summary, error) {
-	if nbatch < 2 {
-		return nil, fmt.Errorf("stats: need at least 2 batches, got %d", nbatch)
-	}
-	if len(xs) < nbatch {
-		return nil, fmt.Errorf("stats: %d samples cannot fill %d batches", len(xs), nbatch)
-	}
-	size := len(xs) / nbatch
-	out := &Summary{}
-	for b := 0; b < nbatch; b++ {
-		var m float64
-		for i := b * size; i < (b+1)*size; i++ {
-			m += xs[i]
-		}
-		out.Add(m / float64(size))
-	}
-	return out, nil
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); out-of-range
-// samples land in the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram makes a histogram with bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 || hi <= lo {
-		panic("stats: invalid histogram spec")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	b := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.Counts) {
-		b = len(h.Counts) - 1
-	}
-	h.Counts[b]++
-	h.total++
-}
-
-// Fraction returns the share of samples in bin b.
-func (h *Histogram) Fraction(b int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[b]) / float64(h.total)
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int { return h.total }
 
 // Percentile returns the p-quantile (0 <= p <= 1) of xs by linear
 // interpolation on the sorted copy. It returns 0 for empty input.
@@ -206,9 +126,6 @@ func (r *Reservoir) Add(x float64) {
 		r.data[i] = x
 	}
 }
-
-// Seen returns the number of offered observations.
-func (r *Reservoir) Seen() int { return r.seen }
 
 // Percentile estimates the p-quantile from the retained sample.
 func (r *Reservoir) Percentile(p float64) float64 { return Percentile(r.data, p) }

@@ -120,13 +120,6 @@ func (c *Cache) Contains(key string) bool {
 	return e.skel != nil
 }
 
-// Shapes returns the number of distinct shapes derived so far.
-func (c *Cache) Shapes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // entry returns the model's shape entry, deriving the skeleton, the
 // generator pattern and the Krylov structure on first use, and counts
 // the lookup as a hit or a miss.

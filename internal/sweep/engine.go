@@ -105,18 +105,7 @@ func Run(spec *Spec, opt Options) (*RunResult, error) {
 	}
 
 	sp := child("expand")
-	if err := spec.Validate(); err != nil {
-		end(sp)
-		opt.Events.Errorf("sweep.error", "%v", err)
-		return nil, err
-	}
-	points, err := spec.Expand()
-	if err != nil {
-		end(sp)
-		opt.Events.Errorf("sweep.error", "%v", err)
-		return nil, err
-	}
-	hash, err := spec.Hash()
+	points, hash, err := spec.resolve()
 	end(sp)
 	if err != nil {
 		opt.Events.Errorf("sweep.error", "%v", err)

@@ -16,6 +16,13 @@ import (
 // version when a field changes meaning.
 const SpecSchema = "pepatags/sweep-spec/v1"
 
+// maxPoints bounds the expanded point count of one spec. The largest
+// built-in figure expands to 33 points and every point is at least one
+// model solve, so the bound only rejects specs (a linspace num, or the
+// product of a group's axis lengths) that would otherwise allocate
+// gigabytes before the first solve.
+const maxPoints = 100_000
+
 // Spec is a declarative batch evaluation: a list of parameter points
 // (written out directly or generated from grid groups) plus optional
 // figure-assembly metadata that turns the result rows into a rendered
@@ -119,19 +126,27 @@ type Linspace struct {
 	Num  int     `json:"num"`
 }
 
-// values returns the axis grid.
-func (a Axis) values() ([]float64, error) {
+// size returns the number of values on the axis without making them.
+func (a Axis) size() (int, error) {
 	switch {
 	case len(a.Values) > 0 && a.Linspace == nil:
-		return a.Values, nil
+		return len(a.Values), nil
 	case len(a.Values) == 0 && a.Linspace != nil:
 		if a.Linspace.Num < 1 {
-			return nil, fmt.Errorf("sweep: axis %q linspace needs num >= 1", a.Field)
+			return 0, fmt.Errorf("sweep: axis %q linspace needs num >= 1", a.Field)
 		}
-		return numeric.Linspace(a.Linspace.From, a.Linspace.To, a.Linspace.Num), nil
+		return a.Linspace.Num, nil
 	default:
-		return nil, fmt.Errorf("sweep: axis %q needs exactly one of values or linspace", a.Field)
+		return 0, fmt.Errorf("sweep: axis %q needs exactly one of values or linspace", a.Field)
 	}
+}
+
+// values returns the axis grid; size has checked it.
+func (a Axis) values() []float64 {
+	if a.Linspace == nil {
+		return a.Values
+	}
+	return numeric.Linspace(a.Linspace.From, a.Linspace.To, a.Linspace.Num)
 }
 
 // set applies one axis value to a point.
@@ -169,19 +184,37 @@ func (a Axis) set(p *Point, v float64) error {
 
 // Expand generates the concrete point list: groups in order (cartesian
 // product within a group, first axis slowest), then the literal points.
+// A spec that would expand past maxPoints points is an error, found
+// before any grid or point is made.
 func (s *Spec) Expand() ([]Point, error) {
-	var out []Point
+	total := len(s.Points)
 	for gi, g := range s.Groups {
 		if len(g.Axes) == 0 {
 			return nil, fmt.Errorf("sweep: group %d has no axes (use points for singletons)", gi)
 		}
-		grids := make([][]float64, len(g.Axes))
-		for i, a := range g.Axes {
-			vs, err := a.values()
+		n := 1
+		for _, a := range g.Axes {
+			k, err := a.size()
 			if err != nil {
 				return nil, err
 			}
-			grids[i] = vs
+			if k > maxPoints/n {
+				return nil, fmt.Errorf("sweep: group %d expands to more than %d points", gi, maxPoints)
+			}
+			n *= k
+		}
+		if total += n; total > maxPoints {
+			break
+		}
+	}
+	if total > maxPoints {
+		return nil, fmt.Errorf("sweep: spec %q expands to more than %d points", s.Name, maxPoints)
+	}
+	out := make([]Point, 0, total)
+	for _, g := range s.Groups {
+		grids := make([][]float64, len(g.Axes))
+		for i, a := range g.Axes {
+			grids[i] = a.values()
 		}
 		idx := make([]int, len(g.Axes))
 		for {
@@ -271,33 +304,39 @@ func (p *Point) validate() error {
 	}
 }
 
-// Validate checks the spec without expanding it twice; Run calls it.
+// Validate checks the spec: its schema, name and figure, and every
+// expanded point.
 func (s *Spec) Validate() error {
+	_, err := s.expandValid()
+	return err
+}
+
+// expandValid validates the spec and returns its expanded points.
+func (s *Spec) expandValid() ([]Point, error) {
 	if s.Schema != SpecSchema {
-		return fmt.Errorf("sweep: spec schema %q, want %q", s.Schema, SpecSchema)
+		return nil, fmt.Errorf("sweep: spec schema %q, want %q", s.Schema, SpecSchema)
 	}
 	if s.Name == "" {
-		return fmt.Errorf("sweep: spec has no name")
+		return nil, fmt.Errorf("sweep: spec has no name")
 	}
-	if _, err := s.Expand(); err != nil {
-		return err
+	pts, err := s.Expand()
+	if err != nil {
+		return nil, err
 	}
 	if s.Figure != nil {
 		if err := s.Figure.validate(); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return pts, nil
 }
 
-// Hash returns the content address of the sweep: the SHA-256 (hex) of
-// the canonical encoding of the spec name and its fully expanded point
-// list. The journal header records it, so a resume against an edited
-// spec fails loudly instead of mixing incompatible rows.
-func (s *Spec) Hash() (string, error) {
-	pts, err := s.Expand()
+// resolve validates the spec and returns its points and Hash from one
+// expansion.
+func (s *Spec) resolve() ([]Point, string, error) {
+	pts, err := s.expandValid()
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	b, err := json.Marshal(struct {
 		Schema string  `json:"schema"`
@@ -305,10 +344,20 @@ func (s *Spec) Hash() (string, error) {
 		Points []Point `json:"points"`
 	}{SpecSchema, s.Name, pts})
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:]), nil
+	return pts, hex.EncodeToString(h[:]), nil
+}
+
+// Hash returns the content address of the sweep: the SHA-256 (hex) of
+// the canonical encoding of the spec name and its fully expanded point
+// list. The journal header records it, so a resume against an edited
+// spec fails loudly instead of mixing incompatible rows. An invalid
+// spec has no hash: Hash checks what Validate checks.
+func (s *Spec) Hash() (string, error) {
+	_, hash, err := s.resolve()
+	return hash, err
 }
 
 // ReadSpec loads and validates a spec file.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -309,6 +310,41 @@ func TestExpandGridAndValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedSpecFailsFast: a spec whose expansion exceeds
+// maxPoints is rejected from its axis lengths alone, before the grid or
+// point slices are made.
+func TestOversizedSpecFailsFast(t *testing.T) {
+	template := Point{Series: "g", Model: "tagexp", Lambda: 5, T: 3, N: 2, K1: 2, K2: 2, Service: ServiceSpec{Kind: "exp", Mu: 10}}
+	lin := func(num int) Axis { return Axis{Field: "t", Linspace: &Linspace{From: 1, To: 2, Num: num}} }
+	for name, groups := range map[string][]Group{
+		"huge linspace":     {{Point: template, Axes: []Axis{lin(1_000_000_000)}}},
+		"axis product":      {{Point: template, Axes: []Axis{lin(maxPoints), lin(maxPoints), lin(maxPoints)}}},
+		"sum over groups":   {{Point: template, Axes: []Axis{lin(maxPoints)}}, {Point: template, Axes: []Axis{lin(1)}}},
+		"just over the cap": {{Point: template, Axes: []Axis{lin(maxPoints/2 + 1), lin(2)}}},
+	} {
+		spec := &Spec{Schema: SpecSchema, Name: "big", Groups: groups}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := spec.Validate()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "points") {
+			t.Errorf("%s: Validate = %v, want a point-count error", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: Validate allocated %d bytes before failing", name, grew)
+		}
+	}
+	literal := &Spec{Schema: SpecSchema, Name: "big", Points: make([]Point, maxPoints+1)}
+	if err := literal.Validate(); err == nil || !strings.Contains(err.Error(), "points") {
+		t.Errorf("literal points over the cap: Validate = %v, want a point-count error", err)
+	}
+	// The cap itself is allowed.
+	spec := &Spec{Schema: SpecSchema, Name: "cap", Groups: []Group{{Point: template, Axes: []Axis{lin(maxPoints / 2), lin(2)}}}}
+	if pts, err := spec.Expand(); err != nil || len(pts) != maxPoints {
+		t.Fatalf("spec at the cap: %d points, %v", len(pts), err)
+	}
+}
+
 func TestAssembleBroadcastAndNotes(t *testing.T) {
 	spec := testSpec(3)
 	spec.Figure = &FigureSpec{
@@ -438,4 +474,54 @@ func TestEvalPointOptT(t *testing.T) {
 			t.Errorf("t=%g beats reported optimum t=%g", tv, tOpt)
 		}
 	}
+}
+
+// Shapes returns the number of distinct shapes derived so far.
+func (c *Cache) Shapes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
+// FuzzSpec decodes arbitrary JSON as a spec and validates it, as
+// pepad's POST /v1/jobs and tagseval -sweep do. Validation must return
+// an error, never panic or allocate past the point bound, and an
+// accepted spec must expand within the bound and keep its hash across
+// a JSON round trip. The seed corpus under testdata/fuzz/FuzzSpec
+// holds the built-in figure specs (tagseval -spec-dump).
+func FuzzSpec(f *testing.F) {
+	b, err := json.Marshal(testSpec(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Add([]byte(`{"schema":"pepatags/sweep-spec/v1","name":"x","groups":[{"point":{"series":"s","model":"tagexp","lambda":5,"n":2,"k1":2,"k2":2,"service":{"kind":"exp","mu":10}},"axes":[{"field":"t","linspace":{"from":1,"to":2,"num":1000000000}}]}]}`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var spec Spec
+		if err := json.Unmarshal(in, &spec); err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			return
+		}
+		pts, err := spec.Expand()
+		if err != nil || len(pts) == 0 || len(pts) > maxPoints {
+			t.Fatalf("accepted spec expands to %d points (%v)", len(pts), err)
+		}
+		h1, err := spec.Hash()
+		if err != nil {
+			t.Fatalf("accepted spec has no hash: %v", err)
+		}
+		out, err := json.Marshal(&spec)
+		if err != nil {
+			t.Fatalf("accepted spec fails to encode: %v", err)
+		}
+		var again Spec
+		if err := json.Unmarshal(out, &again); err != nil {
+			t.Fatalf("encoded spec fails to decode: %v", err)
+		}
+		if h2, err := again.Hash(); err != nil || h2 != h1 {
+			t.Fatalf("hash changed across a JSON round trip: %s -> %s (%v)", h1, h2, err)
+		}
+	})
 }

@@ -186,9 +186,6 @@ func (t *Trace) Next(*rand.Rand) (Job, bool) {
 	return j, true
 }
 
-// Reset rewinds the trace for reuse.
-func (t *Trace) Reset() { t.next = 0 }
-
 // LoadTraceCSV reads a deterministic job trace from CSV lines of
 // "arrival,size" (header lines and blanks are skipped; arrivals must
 // be non-decreasing and sizes positive).

@@ -106,10 +106,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	if _, ok := tr.Next(nil); ok {
 		t.Fatal("trace should be exhausted")
 	}
-	tr.Reset()
-	if _, ok := tr.Next(nil); !ok {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestTraceValidation(t *testing.T) {
