@@ -33,6 +33,15 @@
 //     entry comes from in q.Val), so a Solver built on a cached
 //     pattern only gathers values and factors them; internal/sweep
 //     keeps one pattern per cached shape.
+//     Each BiCGSTAB iteration makes one pass over memory per sparse
+//     sweep: the updates p = r + β(p − ωv) and s = r − αv are formed
+//     row by row inside the forward ILU(0) sweeps that precondition
+//     them, and ‖t‖² is summed inside the SpMV that computes t, beside
+//     (s, t). Every fused value takes the same floating-point
+//     operations in the same order as a separate loop would, so π and
+//     the iteration counts are bit-identical to the unfused loops
+//     (internal/sweep pins them in a golden on amd64, where Go never
+//     fuses a multiply and an add).
 //   - SteadyState: the automatic cascade — GTH up to DenseCutoff (400)
 //     states, then the Krylov stage, then Gauss-Seidel, then power
 //     iteration, each running only when the one before fails. A Solver
