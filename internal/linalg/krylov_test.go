@@ -219,6 +219,40 @@ func TestSolverCachedStructureBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSolverAnswerBuffers: a Solver returns its Krylov answers in two
+// buffers of its own, in turn. An answer stays intact through the next
+// solve, which starts from it, and the solve after that reuses its
+// buffer, so a run of solves allocates no π.
+func TestSolverAnswerBuffers(t *testing.T) {
+	q := randomGenerator(rand.New(rand.NewPCG(8, 9)), 700, 2)
+	pat, err := NewKrylovPattern(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := NewSolver(pat)
+	first, err := solver.SteadyState(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := append([]float64(nil), first...)
+	second, err := solver.SteadyState(q, Options{Start: first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		if math.Float64bits(first[i]) != math.Float64bits(keep[i]) {
+			t.Fatalf("the next solve overwrote the previous answer at state %d", i)
+		}
+	}
+	third, err := solver.SteadyState(q, Options{Start: second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &third[0] != &first[0] || &second[0] == &first[0] {
+		t.Fatal("the solver does not alternate between two answer buffers")
+	}
+}
+
 // TestSteadyStateFallbackRecorded forces stages of the cascade to fail
 // and checks that it says so: in Stats.Fallbacks, naming each failed
 // stage and the reason, and in warn-level "solve.fallback" events.

@@ -8,11 +8,12 @@ import (
 )
 
 // TestWarmSolveAllocations pins what a warm opt-t evaluation
-// allocates once its shape is cached: the boxed model and the returned
-// π — a few objects and about one state vector's worth of bytes,
+// allocates once its shape is cached and the predictor holds three
+// solves: the boxed model, a couple of objects and no state vector,
 // whatever the size of the state space. The rates, the generator
-// values, the Krylov work vectors, the residual checks and the
-// measures all live in the shape's reused buffers.
+// values, the Krylov work vectors and answers, the residual checks and
+// the measures all live in the shape's reused buffers, and π is copied
+// into the predictor's oldest vector.
 func TestWarmSolveAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -48,8 +49,8 @@ func TestWarmSolveAllocations(t *testing.T) {
 		objects, bytes, states := allocs(shape[0], shape[1])
 		vectors := bytes / float64(8*states)
 		t.Logf("%d states: %v objects and %.0f bytes (%.2f state vectors) per warm evaluation", states, objects, bytes, vectors)
-		if objects > 4 || vectors > 2 {
-			t.Errorf("%d states: a warm evaluation allocates %v objects and %.2f state vectors; want at most 4 and 2",
+		if objects > 2 || vectors > 0.25 {
+			t.Errorf("%d states: a warm evaluation allocates %v objects and %.2f state vectors; want at most 2 and 0.25",
 				states, objects, vectors)
 		}
 	}

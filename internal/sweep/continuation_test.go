@@ -16,6 +16,17 @@ import (
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
+// solve is solveInto with the stationary distribution returned in a
+// fresh vector.
+func (e *cacheEntry) solve(v core.RateValues, opts linalg.Options) ([]float64, core.Measures, error) {
+	pi := make([]float64, e.skel.NumStates())
+	meas, err := e.solveInto(v, opts, pi)
+	if err != nil {
+		return nil, core.Measures{}, err
+	}
+	return pi, meas, nil
+}
+
 // TestContinuationAccuracy runs the Figure-8 opt-t search shape (n=6,
 // K=10, t = 12..60 in order) warm-started from the predicted start and
 // checks it against cold solves: L, W and throughput agree to 1e-8
