@@ -1,7 +1,9 @@
 package ctmc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -30,7 +32,8 @@ func (p Partition) NumBlocks() int {
 // Lump refines the initial partition (any labelling; use all-zeros for
 // the coarsest start) until it is stable under the lumpability
 // condition, then returns the final partition and the quotient chain.
-// The quotient's state labels are "block<i>(<first member label>)".
+// The quotient's state labels are "block<i>(<first member label>)",
+// and each block's transitions are listed by target block, then action.
 func (c *Chain) Lump(initial Partition) (Partition, *Chain, error) {
 	n := c.NumStates()
 	if len(initial) != n {
@@ -110,18 +113,28 @@ func (c *Chain) Lump(initial Partition) (Partition, *Chain, error) {
 	for bi := 0; bi < nb; bi++ {
 		b.State(fmt.Sprintf("block%d(%s)", bi, c.labels[rep[bi]]))
 	}
+	type arcKey struct {
+		act string
+		to  int
+	}
 	for bi := 0; bi < nb; bi++ {
-		acc := map[[2]string]float64{}
+		acc := map[arcKey]float64{}
 		for _, a := range out[rep[bi]] {
-			key := [2]string{a.act, fmt.Sprint(part[a.to])}
-			acc[key] += a.rate
+			acc[arcKey{a.act, part[a.to]}] += a.rate
 		}
-		for key, rate := range acc {
-			var to int
-			fmt.Sscan(key[1], &to)
+		// Emit in order of target block, then action, so the quotient is
+		// the same on every call.
+		keys := make([]arcKey, 0, len(acc))
+		for k := range acc {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, func(x, y arcKey) int {
+			return cmp.Or(cmp.Compare(x.to, y.to), strings.Compare(x.act, y.act))
+		})
+		for _, k := range keys {
 			// Intra-block rates become labelled self-loops: inert for
 			// the generator, but preserving action throughput.
-			b.Transition(bi, to, rate, key[0])
+			b.Transition(bi, k.to, acc[k], k.act)
 		}
 	}
 	return part, b.Build(), nil
