@@ -52,13 +52,15 @@ bench-sim:
 	$(GO) run ./tools/benchjson -o BENCH_sim.json < BENCH_sim.txt
 
 # Run the evaluation benchmarks — Figures 8 and 11 at ShortParams, one
-# Figure-8 opt-t search through sweep.Run, and the cached Figure-8
-# grid — five times each with allocations, and write BENCH_eval.json.
+# Figure-8 opt-t search through sweep.Run, the cached Figure-8 grid, and
+# one warm Krylov solve of the Figure-8 shape (iterations/op gives the
+# cost of one BiCGSTAB iteration) — five times each with allocations,
+# and write BENCH_eval.json.
 # BASE=file adds the same benchmarks' output from another commit as
 # the "baseline". Each result's "procs" is the GOMAXPROCS it ran at.
 bench-eval:
 	$(GO) test -run=NONE -bench='^Benchmark(Figure8|Figure11)$$' -count 5 -benchmem . | tee BENCH_eval.txt
-	$(GO) test -run=NONE -bench='^Benchmark(OptTSearch|Figure8GridCached)$$' -count 5 -benchmem ./internal/sweep | tee -a BENCH_eval.txt
+	$(GO) test -run=NONE -bench='^Benchmark(OptTSearch|Figure8GridCached|KrylovSolve)$$' -count 5 -benchmem ./internal/sweep | tee -a BENCH_eval.txt
 	$(GO) run ./tools/benchjson $(if $(BASE),-baseline $(BASE)) -o BENCH_eval.json < BENCH_eval.txt
 
 # End-to-end replication smoke: generate a bounded-Pareto trace, replay
