@@ -105,7 +105,9 @@ func smoke(fig, dir string, timeout time.Duration, stdout, stderr io.Writer) err
 	// The daemon announces its bound address on stderr; the rest of the
 	// transcript is forwarded for diagnosis.
 	addrCh := make(chan string, 1)
+	copied := make(chan struct{})
 	go func() {
+		defer close(copied)
 		sc := bufio.NewScanner(daemonErr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -191,10 +193,13 @@ func smoke(fig, dir string, timeout time.Duration, stdout, stderr io.Writer) err
 	}
 	fmt.Fprintf(stdout, "servesmoke: job done, table %d bytes\n", len(table))
 
-	// Drain and require a clean exit.
+	// Drain and require a clean exit. Wait closes the stderr pipe, so
+	// the transcript is read to its end, the drain report included,
+	// before it.
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
 		return fmt.Errorf("signaling pepad: %w", err)
 	}
+	<-copied
 	if err := daemon.Wait(); err != nil {
 		return fmt.Errorf("pepad exit: %w", err)
 	}
