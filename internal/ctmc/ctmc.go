@@ -144,27 +144,17 @@ func (c *Chain) buildIndex() {
 func (c *Chain) Transitions() []Transition { return c.transitions }
 
 // Generator returns the (cached) generator matrix Q in CSR form, with
-// self-loops removed and diagonals set to the negated row sums.
+// self-loops removed and diagonals set to the negated row sums. It is
+// assembled through the chain's GenPattern, the one generator assembly
+// of the repository.
 func (c *Chain) Generator() *linalg.CSR {
-	if c.gen != nil {
-		return c.gen
-	}
-	n := len(c.labels)
-	coo := linalg.NewCOO(n, n)
-	out := make([]float64, n)
-	for _, t := range c.transitions {
-		if t.From == t.To {
-			continue
+	if c.gen == nil {
+		from, to := make([]int32, len(c.transitions)), make([]int32, len(c.transitions))
+		for k, t := range c.transitions {
+			from[k], to[k] = int32(t.From), int32(t.To)
 		}
-		coo.Add(t.From, t.To, t.Rate)
-		out[t.From] += t.Rate
+		NewGenPattern(len(c.labels), from, to).install(c)
 	}
-	for i, o := range out {
-		if o > 0 {
-			coo.Add(i, i, -o)
-		}
-	}
-	c.gen = coo.ToCSR()
 	return c.gen
 }
 

@@ -16,7 +16,9 @@
 // Either way, Chain offers:
 //
 //   - Generator: the infinitesimal generator Q as a sparse CSR matrix
-//     (internal/linalg), rows summing to zero;
+//     (internal/linalg), rows summing to zero, assembled by GenPattern
+//     (pattern.go) — the one assembly, which the sweep cache also
+//     shares across the sibling chains of a shape;
 //   - SteadyState: πQ = 0, Σπ = 1, via the solver
 //     cascade in internal/linalg (GTH for small chains, then
 //     ILU(0)-preconditioned BiCGSTAB, Gauss–Seidel and power iteration
@@ -27,7 +29,8 @@
 //   - Transient (transient.go): uniformised transient probabilities
 //     π(t), used by the tagged-job response-time CDF;
 //   - first-passage analysis (passage.go): expected hitting times and
-//     hitting probabilities, from linear systems solved by dense LU up
+//     hitting probabilities, from linear systems sliced out of the
+//     generator's rows and solved by dense LU up
 //     to linalg.DenseCutoff unknowns and by the ILU(0)-preconditioned
 //     BiCGSTAB kernel (linalg.SolveBiCGSTAB) above it, after a check
 //     that every state can reach the boundary.

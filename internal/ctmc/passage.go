@@ -13,13 +13,43 @@ import (
 // delay is bounded" — e.g. the expected time for the node-1 queue to
 // fill from empty under each policy.
 
-// solveHitting solves the first-passage system A x = b assembled in
-// COO form, A the generator restricted to the free states. −A is a
+// freeStates numbers the states off the boundary in increasing order:
+// idx[i] is state i's unknown in a first-passage system, or -1 for a
+// boundary state, and free[r] is the state of unknown r.
+func freeStates(n int, boundary func(state int) bool) (idx, free []int) {
+	idx = make([]int, n)
+	for i := range idx {
+		if boundary(i) {
+			idx[i] = -1
+		} else {
+			idx[i] = len(free)
+			free = append(free, i)
+		}
+	}
+	return idx, free
+}
+
+// solveHitting solves the first-passage system A x = b, A the
+// generator q restricted to the free states of idx (see freeStates).
+// A is sliced from q's rows: the free states are numbered in
+// increasing order, so each row's columns stay sorted. −A is a
 // nonsingular M-matrix once checkReachable has passed. Systems of up
 // to linalg.DenseCutoff unknowns go to dense LU, larger ones to the
 // ILU(0)-preconditioned BiCGSTAB kernel.
-func solveHitting(coo *linalg.COO, b []float64) ([]float64, error) {
-	a := coo.ToCSR()
+func solveHitting(q *linalg.CSR, idx []int, b []float64) ([]float64, error) {
+	a := &linalg.CSR{Rows: len(b), Cols: len(b), RowPtr: make([]int, 1, len(b)+1)}
+	for i, r := range idx {
+		if r < 0 {
+			continue
+		}
+		for k := q.RowPtr[i]; k < q.RowPtr[i+1]; k++ {
+			if j := idx[q.ColIdx[k]]; j >= 0 {
+				a.ColIdx = append(a.ColIdx, j)
+				a.Val = append(a.Val, q.Val[k])
+			}
+		}
+		a.RowPtr = append(a.RowPtr, len(a.ColIdx))
+	}
 	if a.Rows <= linalg.DenseCutoff {
 		return linalg.LUSolve(a.ToDense(), b)
 	}
@@ -71,17 +101,7 @@ func (c *Chain) ExpectedHittingTimes(target func(state int) bool) ([]float64, er
 	if n == 0 {
 		return nil, errors.New("ctmc: empty chain")
 	}
-	// Index map for non-target states.
-	idx := make([]int, n)
-	var free []int
-	for i := 0; i < n; i++ {
-		if target(i) {
-			idx[i] = -1
-		} else {
-			idx[i] = len(free)
-			free = append(free, i)
-		}
-	}
+	idx, free := freeStates(n, target)
 	if len(free) == 0 {
 		return make([]float64, n), nil
 	}
@@ -89,18 +109,11 @@ func (c *Chain) ExpectedHittingTimes(target func(state int) bool) ([]float64, er
 	if err := checkReachable(q, idx); err != nil {
 		return nil, fmt.Errorf("ctmc: target unreachable: %w", err)
 	}
-	m := len(free)
-	a := linalg.NewCOO(m, m)
-	b := make([]float64, m)
-	for r, i := range free {
+	b := make([]float64, len(free))
+	for r := range b {
 		b[r] = -1
-		q.RangeRow(i, func(j int, v float64) {
-			if idx[j] >= 0 {
-				a.Add(r, idx[j], v)
-			}
-		})
 	}
-	h, err := solveHitting(a, b)
+	h, err := solveHitting(q, idx, b)
 	if err != nil {
 		return nil, fmt.Errorf("ctmc: hitting-time system: %w", err)
 	}
@@ -127,25 +140,16 @@ func (c *Chain) HittingProbabilities(target, avoid func(state int) bool) ([]floa
 	if n == 0 {
 		return nil, errors.New("ctmc: empty chain")
 	}
-	idx := make([]int, n)
-	var free []int
-	for i := 0; i < n; i++ {
-		switch {
-		case target(i) && avoid(i):
-			return nil, fmt.Errorf("ctmc: state %d is both target and avoid", i)
-		case target(i) || avoid(i):
-			idx[i] = -1
-		default:
-			idx[i] = len(free)
-			free = append(free, i)
-		}
-	}
 	out := make([]float64, n)
-	for i := 0; i < n; i++ {
+	for i := range out {
 		if target(i) {
+			if avoid(i) {
+				return nil, fmt.Errorf("ctmc: state %d is both target and avoid", i)
+			}
 			out[i] = 1
 		}
 	}
+	idx, free := freeStates(n, func(i int) bool { return target(i) || avoid(i) })
 	if len(free) == 0 {
 		return out, nil
 	}
@@ -153,20 +157,15 @@ func (c *Chain) HittingProbabilities(target, avoid func(state int) bool) ([]floa
 	if err := checkReachable(q, idx); err != nil {
 		return nil, fmt.Errorf("ctmc: neither target nor avoid reachable: %w", err)
 	}
-	m := len(free)
-	a := linalg.NewCOO(m, m)
-	b := make([]float64, m)
+	b := make([]float64, len(free))
 	for r, i := range free {
 		q.RangeRow(i, func(j int, v float64) {
-			switch {
-			case idx[j] >= 0:
-				a.Add(r, idx[j], v)
-			case target(j):
+			if idx[j] < 0 && target(j) {
 				b[r] -= v
 			}
 		})
 	}
-	p, err := solveHitting(a, b)
+	p, err := solveHitting(q, idx, b)
 	if err != nil {
 		return nil, fmt.Errorf("ctmc: hitting-probability system: %w", err)
 	}
@@ -192,33 +191,16 @@ func (c *Chain) ConditionalHittingTimes(target, avoid func(state int) bool) (pro
 	if err != nil {
 		return nil, nil, err
 	}
-	idx := make([]int, n)
-	var free []int
-	for i := 0; i < n; i++ {
-		if target(i) || avoid(i) {
-			idx[i] = -1
-		} else {
-			idx[i] = len(free)
-			free = append(free, i)
-		}
-	}
+	idx, free := freeStates(n, func(i int) bool { return target(i) || avoid(i) })
 	condTimes = make([]float64, n)
 	if len(free) == 0 {
 		return probs, condTimes, nil
 	}
-	m := len(free)
-	a := linalg.NewCOO(m, m)
-	b := make([]float64, m)
-	q := c.Generator()
+	b := make([]float64, len(free))
 	for r, i := range free {
 		b[r] = -probs[i]
-		q.RangeRow(i, func(j int, v float64) {
-			if idx[j] >= 0 {
-				a.Add(r, idx[j], v)
-			}
-		})
 	}
-	g, err := solveHitting(a, b)
+	g, err := solveHitting(c.Generator(), idx, b)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ctmc: conditional hitting system: %w", err)
 	}

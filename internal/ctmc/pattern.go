@@ -55,21 +55,23 @@ func (s *Structure) Chain(transitions []Transition) *Chain {
 	return &Chain{labels: s.labels, index: s.index, transitions: transitions}
 }
 
-// GenPattern captures how Generator assembles a chain's CSR matrix: the
-// sparsity pattern (row pointers and column indices) plus, for every
-// coordinate entry the assembly would create, the value slot it
-// accumulates into and the source it reads (a transition's rate or a
-// row's negated outflow). Sibling chains that share the transition
-// structure — the same states and the same (from, to) pairs in the same
-// order, as produced by instantiating one skeleton at different rates —
-// can then fill their generator values in O(nnz) instead of re-sorting
-// the coordinate list per point.
+// GenPattern is the generator assembly: how a list of transitions
+// becomes a CSR generator. It holds the sparsity pattern (row pointers
+// and column indices) plus, for every coordinate entry, the value slot
+// it accumulates into and the source it reads (a transition's rate or
+// a row's negated outflow). Chain.Generator builds one per chain;
+// sibling chains that share the transition structure — the same states
+// and the same (from, to) pairs in the same order, as produced by
+// instantiating one skeleton at different rates — share one and fill
+// their generator values in O(nnz) instead of sorting the coordinate
+// list per point.
 //
-// Fill performs the accumulation in exactly the order linalg.COO.ToCSR
-// visits the sorted entries, so the generator values it produces are
-// bit-identical to the ones Generator would build from scratch; the
-// tests assert this on chains with duplicate (from, to) transitions,
-// where summation order matters.
+// The summation order of duplicate (from, to) transitions is fixed by
+// the sort in NewGenPattern, so every fill of a pattern, and every
+// pattern built from the same structure, gives the same bits. The
+// tests check the assembly against a coordinate-list reference
+// (linalg.COO) on chains with runs of duplicate transitions, where
+// summation order matters.
 type GenPattern struct {
 	n        int     // states
 	from, to []int32 // endpoints of each transition (incl. self-loops)
@@ -91,18 +93,18 @@ func NewGenPattern(n int, from, to []int32) *GenPattern {
 		panic(fmt.Sprintf("ctmc: %d sources for %d targets", len(from), len(to)))
 	}
 	p := &GenPattern{n: n, from: from, to: to}
-	// Recreate the coordinate entry list Generator builds: off-diagonal
-	// transitions in order, then one diagonal entry per row with
-	// outflow, rows ascending. src identifies the value source.
+	// The coordinate entry list: off-diagonal transitions in order,
+	// then one diagonal entry per row with outflow, rows ascending.
+	// src identifies the value source.
 	type ent struct {
-		row, col int
+		row, col int32
 		src      int32
 	}
-	var ents []ent
+	ents := make([]ent, 0, len(from)+n)
 	hasOut := make([]bool, n)
 	for k := range from {
-		f, t := int(from[k]), int(to[k])
-		if f < 0 || f >= n || t < 0 || t >= n {
+		f, t := from[k], to[k]
+		if f < 0 || int(f) >= n || t < 0 || int(t) >= n {
 			panic(fmt.Sprintf("ctmc: transition (%d -> %d) out of range", f, t))
 		}
 		if f == t {
@@ -113,14 +115,14 @@ func NewGenPattern(n int, from, to []int32) *GenPattern {
 	}
 	for i := 0; i < n; i++ {
 		if hasOut[i] {
-			ents = append(ents, ent{i, i, int32(-(i + 1))})
+			ents = append(ents, ent{int32(i), int32(i), int32(-(i + 1))})
 		}
 	}
-	// Sort with the comparator linalg.COO.ToCSR uses. sort.Slice is
-	// deterministic for a given key sequence, so the permutation — in
-	// particular the relative order of duplicate (row, col) entries,
-	// which fixes the floating-point summation order — matches the one
-	// ToCSR applies to the same entries.
+	// sort.Slice is deterministic for a given key sequence, so the
+	// permutation — in particular the relative order of duplicate
+	// (row, col) entries, which fixes the floating-point summation
+	// order — depends on the structure alone. A stable or counting
+	// sort would order duplicates differently and move the bits.
 	sort.Slice(ents, func(a, b int) bool {
 		if ents[a].row != ents[b].row {
 			return ents[a].row < ents[b].row
@@ -128,14 +130,13 @@ func NewGenPattern(n int, from, to []int32) *GenPattern {
 		return ents[a].col < ents[b].col
 	})
 	p.rowPtr = make([]int, n+1)
+	p.colIdx = make([]int, 0, len(ents))
 	p.slot = make([]int32, len(ents))
 	p.src = make([]int32, len(ents))
-	nslots := 0
 	for k := 0; k < len(ents); {
 		e := ents[k]
-		s := int32(nslots)
-		nslots++
-		p.colIdx = append(p.colIdx, e.col)
+		s := int32(len(p.colIdx))
+		p.colIdx = append(p.colIdx, int(e.col))
 		p.rowPtr[e.row+1]++
 		for ; k < len(ents) && ents[k].row == e.row && ents[k].col == e.col; k++ {
 			p.slot[k] = s
@@ -167,8 +168,7 @@ func (p *GenPattern) Fill(rate, out, vals []float64) {
 		panic(fmt.Sprintf("ctmc: pattern of %d transitions, %d states and %d entries filled from %d rates into %d and %d values",
 			len(p.from), p.n, len(p.colIdx), len(rate), len(out), len(vals)))
 	}
-	// Row outflows, accumulated in transition order exactly as
-	// Generator does.
+	// Row outflows, accumulated in transition order.
 	clear(out)
 	for k, r := range rate {
 		if f := p.from[k]; f != p.to[k] {
@@ -186,9 +186,9 @@ func (p *GenPattern) Fill(rate, out, vals []float64) {
 }
 
 // Apply computes c's generator over the pattern and installs it on c,
-// bypassing the COO sort. It returns an error if c's transition
-// structure does not match the pattern's. A chain whose generator is
-// already computed is left untouched.
+// so a chain from a shared structure skips the sort. It returns an
+// error if c's transition structure does not match the pattern's. A
+// chain whose generator is already computed is left untouched.
 func (p *GenPattern) Apply(c *Chain) error {
 	if c.gen != nil {
 		return nil
@@ -199,16 +199,24 @@ func (p *GenPattern) Apply(c *Chain) error {
 	if len(c.transitions) != len(p.from) {
 		return fmt.Errorf("ctmc: pattern for %d transitions applied to chain with %d", len(p.from), len(c.transitions))
 	}
-	rate := make([]float64, len(c.transitions))
 	for k, t := range c.transitions {
 		if int(p.from[k]) != t.From || int(p.to[k]) != t.To {
 			return fmt.Errorf("ctmc: transition %d is (%d -> %d), pattern expects (%d -> %d)",
 				k, t.From, t.To, p.from[k], p.to[k])
 		}
+	}
+	p.install(c)
+	return nil
+}
+
+// install fills the generator of c, whose structure is the pattern's,
+// and caches it on c.
+func (p *GenPattern) install(c *Chain) {
+	rate := make([]float64, len(c.transitions))
+	for k, t := range c.transitions {
 		rate[k] = t.Rate
 	}
 	vals := make([]float64, len(p.colIdx))
 	p.Fill(rate, make([]float64, p.n), vals)
 	c.gen = p.CSR(vals)
-	return nil
 }

@@ -5,9 +5,8 @@ import (
 	"sort"
 )
 
-// Triplet is a coordinate-format matrix entry used while assembling a
-// sparse matrix.
-type Triplet struct {
+// triplet is a coordinate-format matrix entry.
+type triplet struct {
 	Row, Col int
 	Val      float64
 }
@@ -15,9 +14,12 @@ type Triplet struct {
 // COO is a coordinate-format sparse matrix builder. Duplicate entries
 // are summed when converting to CSR, which matches the semantics of
 // accumulating CTMC transition rates between the same pair of states.
+// No program path calls it: ctmc.GenPattern assembles every generator.
+// COO is the reference the pattern tests check that assembly against,
+// and the linalg tests and benchmarks build their matrices with it.
 type COO struct {
 	Rows, Cols int
-	entries    []Triplet
+	entries    []triplet
 }
 
 // NewCOO returns an empty rows x cols COO builder.
@@ -33,12 +35,12 @@ func (c *COO) Add(i, j int, v float64) {
 	if i < 0 || i >= c.Rows || j < 0 || j >= c.Cols {
 		panic(fmt.Sprintf("linalg: COO index (%d,%d) out of range %dx%d", i, j, c.Rows, c.Cols))
 	}
-	c.entries = append(c.entries, Triplet{i, j, v})
+	c.entries = append(c.entries, triplet{i, j, v})
 }
 
 // ToCSR converts to compressed sparse row form, summing duplicates.
 func (c *COO) ToCSR() *CSR {
-	ents := make([]Triplet, len(c.entries))
+	ents := make([]triplet, len(c.entries))
 	copy(ents, c.entries)
 	sort.Slice(ents, func(a, b int) bool {
 		if ents[a].Row != ents[b].Row {

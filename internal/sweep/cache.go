@@ -17,7 +17,7 @@ import (
 // property tests assert both directions). Each entry holds the derived
 // skeleton, the sparse-generator assembly pattern of the shape and the
 // structure of the solver's Krylov stage (linalg.KrylovPattern), so a
-// cache hit pays no BFS derivation, COO sort or symbolic set-up and
+// cache hit pays no BFS derivation, assembly sort or symbolic set-up and
 // builds no chain: it fills the per-transition rates and, in O(nnz),
 // the generator values into buffers it reuses, refactors ILU(0)
 // numerically, solves, and reads the measures from the rates and the
@@ -25,9 +25,10 @@ import (
 //
 // Generators and measures produced through the cache are bit-identical
 // to the ones Build and MeasuresFrom give from scratch (Build itself
-// routes through the skeleton, ctmc.GenPattern replicates the exact
-// assembly order, and one measures kernel serves both), so cached
-// sweeps reproduce uncached tables byte for byte.
+// routes through the skeleton, ctmc.GenPattern is the one generator
+// assembly, which Chain.Generator runs too, and one measures kernel
+// serves both), so cached sweeps reproduce uncached tables byte for
+// byte.
 //
 // A Cache is safe for concurrent use by the worker pool.
 type Cache struct {

@@ -21,11 +21,11 @@
 // assembly patterns (ctmc.GenPattern) and the solver's Krylov
 // structure (linalg.KrylovPattern) by Shape.Key(), the SHA-256 of the
 // canonical shape encoding: points that differ only in rates share one
-// BFS derivation, one COO→CSR sort and one symbolic solver set-up. A
-// solve of a cached shape builds no chain: it pays a rate fill
-// (O(transitions)), a generator value fill (O(nnz)) into buffers the
-// shape's pool reuses, a numeric ILU(0) refactorisation and the solve,
-// and reads the measures from the skeleton's per-state vectors.
+// BFS derivation, one generator-assembly sort and one symbolic solver
+// set-up. A solve of a cached shape builds no chain: it pays a rate
+// fill (O(transitions)), a generator value fill (O(nnz)) into buffers
+// the shape's pool reuses, a numeric ILU(0) refactorisation and the
+// solve, and reads the measures from the skeleton's per-state vectors.
 // Solves through the cache return exactly what linalg.SteadyState
 // returns on the built chain's generator, and the measures are the
 // ones MeasuresFrom reads off that chain, bit for bit
