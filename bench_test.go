@@ -121,6 +121,46 @@ func BenchmarkPEPADerive(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerator times generator assembly (layer ctmc.generator,
+// as perfbench names it) on the chains of perfbench's pepa-derive
+// models: each PEPA text is derived once, then every op assembles the
+// generator of a fresh chain over the derived transitions.
+func BenchmarkGenerator(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		src  string
+	}{
+		{"tagexp-K=28", core.NewTAGExp(5, 10, 42, 6, 28, 28).PEPASource()},
+		{"tagexp-K=40", core.NewTAGExp(5, 10, 42, 6, 40, 40).PEPASource()},
+		{"tagh2-K=10", core.NewTAGH2(5, dist.H2ForTAG(0.1, 0.99, 100), 42, 6, 10, 10).PEPASource()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m, err := pepa.Parse(c.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ss, err := pepa.Derive(m, pepa.DeriveOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			labels := make([]string, ss.Chain.NumStates())
+			for i := range labels {
+				labels[i] = ss.Chain.Label(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ch := ctmc.NewChain(labels, ss.Chain.Transitions())
+				b.StartTimer()
+				if ch.Generator().Rows != len(labels) {
+					b.Fatal("wrong generator size")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSteadyStateGTH solves a 400-state birth-death chain with
 // the stable direct method.
 func BenchmarkSteadyStateGTH(b *testing.B) {

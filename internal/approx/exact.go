@@ -1,9 +1,10 @@
 package approx
 
 import (
+	"math"
+
 	"pepatags/internal/core"
 	"pepatags/internal/dist"
-	"pepatags/internal/numeric"
 )
 
 // Exact optimisers: sweep the full CTMC model rather than the
@@ -51,29 +52,18 @@ func H2Evaluator(lambda float64, service dist.HyperExp, n, k1, k2 int) Evaluator
 }
 
 // OptimalIntegerT finds the integer timer rate t in [lo, hi] minimising
-// the metric under the given evaluator.
+// the metric under the given evaluator: the exhaustive scan, which is
+// the coarse search at step 1.
 func OptimalIntegerT(eval Evaluator, metric Metric, lo, hi int) (int, core.Measures, error) {
-	var firstErr error
-	best := numeric.IntArgMin(func(t int) float64 {
-		r, err := eval(t)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return 1e300
-		}
-		return metric.scoreMeasures(r)
-	}, lo, hi)
-	if firstErr != nil {
-		return 0, core.Measures{}, firstErr
-	}
-	r, err := eval(best)
-	return best, r, err
+	return OptimalIntegerTCoarse(eval, metric, lo, hi, 1)
 }
 
 // OptimalIntegerTCoarse performs a coarse integer sweep with the given
 // step followed by a +-(step-1) refinement, cutting the number of
-// (expensive) solves roughly by the step factor.
+// (expensive) solves roughly by the step factor. A step below 2 scans
+// every integer. The first evaluator error of the coarse pass is
+// returned once the pass is done; ties keep the t scored first. The
+// search ends with one more eval(best), whose measures it returns.
 func OptimalIntegerTCoarse(eval Evaluator, metric Metric, lo, hi, step int) (int, core.Measures, error) {
 	if step < 1 {
 		step = 1
@@ -85,7 +75,7 @@ func OptimalIntegerTCoarse(eval Evaluator, metric Metric, lo, hi, step int) (int
 		}
 		return metric.scoreMeasures(r), nil
 	}
-	best, bestScore := lo, 1e300
+	best, bestScore := lo, math.Inf(1)
 	var firstErr error
 	for t := lo; t <= hi; t += step {
 		s, err := score(t)

@@ -52,14 +52,3 @@ func GridMin(f func(float64) float64, a, b float64, points int, tol float64) flo
 	hi := math.Min(b, best+step)
 	return GoldenMin(f, lo, hi, tol)
 }
-
-// IntArgMin returns the integer x in [lo, hi] minimising f.
-func IntArgMin(f func(int) float64, lo, hi int) int {
-	best, fbest := lo, math.Inf(1)
-	for x := lo; x <= hi; x++ {
-		if fx := f(x); fx < fbest {
-			best, fbest = x, fx
-		}
-	}
-	return best
-}

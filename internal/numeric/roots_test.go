@@ -99,10 +99,3 @@ func TestGridMinNonUnimodalRobustness(t *testing.T) {
 		t.Fatalf("GridMin got %v want 8", x)
 	}
 }
-
-func TestIntArgMin(t *testing.T) {
-	f := func(x int) float64 { return float64((x - 42) * (x - 42)) }
-	if got := IntArgMin(f, 0, 100); got != 42 {
-		t.Fatalf("IntArgMin got %d want 42", got)
-	}
-}

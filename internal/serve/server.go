@@ -152,13 +152,9 @@ func (e *SubmitError) Error() string { return e.Reason }
 // Submit validates and admits a spec. workers <= 0 takes the server
 // default; values above the server's solve pool are clamped down.
 func (s *Server) Submit(spec *sweep.Spec, workers int) (*Job, error) {
-	// Hash validates the spec; the points are expanded once more for the
-	// admission estimate.
-	hash, err := spec.Hash()
-	if err != nil {
-		return nil, err
-	}
-	points, err := spec.Expand()
+	// One expansion validates the spec, addresses it and sizes the
+	// admission estimate; the job's sweep.Run expands it once more.
+	points, hash, err := spec.Resolve()
 	if err != nil {
 		return nil, err
 	}

@@ -41,9 +41,6 @@ type ReplicationConfig struct {
 	Reps    int
 	Workers int
 
-	// MaxTime bounds each replication's simulated horizon (0 = drain).
-	MaxTime float64
-
 	// Progress, when non-nil, fires after each completed replication
 	// with Phase "sim.reps", the completed count, the total and the
 	// replication's simulated clock. Calls are serialized (a batch
@@ -78,7 +75,8 @@ func ReplicationSeed(base uint64, rep int) uint64 {
 }
 
 // RunReplications runs the batch over a worker pool and pools the
-// results. Replications are independent: results land in a slice
+// results. Each replication runs until its source is exhausted and its
+// events drain. Replications are independent: results land in a slice
 // indexed by replication number, so scheduling order cannot affect the
 // output.
 func RunReplications(rc ReplicationConfig) (*ReplicationResult, error) {
@@ -112,7 +110,7 @@ func RunReplications(rc ReplicationConfig) (*ReplicationResult, error) {
 				cfg.Progress = nil
 				cfg.Events = nil
 				cfg.EventObserver = nil
-				m := NewSystem(cfg).Run(rc.MaxTime)
+				m := NewSystem(cfg).Run(0)
 				res.Metrics[rep] = m
 
 				// Hooks run under the batch mutex so callers see them

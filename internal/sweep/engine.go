@@ -105,7 +105,7 @@ func Run(spec *Spec, opt Options) (*RunResult, error) {
 	}
 
 	sp := child("expand")
-	points, hash, err := spec.resolve()
+	points, hash, err := spec.Resolve()
 	end(sp)
 	if err != nil {
 		opt.Events.Errorf("sweep.error", "%v", err)
@@ -409,16 +409,7 @@ func evalPoint(cache *Cache, p Point) (map[string]float64, error) {
 				return core.TAGH2{Lambda: p.Lambda, Service: h, T: float64(t), N: p.N, K1: p.K1, K2: p.K2}
 			}
 		}
-		eval := continuation(cache, model)
-		var (
-			tOpt int
-			m    core.Measures
-		)
-		if p.TStep > 1 {
-			tOpt, m, err = approx.OptimalIntegerTCoarse(eval, metric, p.TLo, p.THi, p.TStep)
-		} else {
-			tOpt, m, err = approx.OptimalIntegerT(eval, metric, p.TLo, p.THi)
-		}
+		tOpt, m, err := approx.OptimalIntegerTCoarse(continuation(cache, model), metric, p.TLo, p.THi, p.TStep)
 		if err != nil {
 			return nil, err
 		}

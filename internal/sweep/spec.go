@@ -331,9 +331,9 @@ func (s *Spec) expandValid() ([]Point, error) {
 	return pts, nil
 }
 
-// resolve validates the spec and returns its points and Hash from one
-// expansion.
-func (s *Spec) resolve() ([]Point, string, error) {
+// Resolve validates the spec and returns its expanded points and its
+// Hash from one expansion.
+func (s *Spec) Resolve() ([]Point, string, error) {
 	pts, err := s.expandValid()
 	if err != nil {
 		return nil, "", err
@@ -356,7 +356,7 @@ func (s *Spec) resolve() ([]Point, string, error) {
 // spec fails loudly instead of mixing incompatible rows. An invalid
 // spec has no hash: Hash checks what Validate checks.
 func (s *Spec) Hash() (string, error) {
-	_, hash, err := s.resolve()
+	_, hash, err := s.Resolve()
 	return hash, err
 }
 

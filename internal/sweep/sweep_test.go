@@ -270,6 +270,30 @@ func TestSpecHash(t *testing.T) {
 	}
 }
 
+// TestSpecResolve checks that Resolve returns Expand's points and
+// Hash's address, and refuses what Validate refuses.
+func TestSpecResolve(t *testing.T) {
+	spec := testSpec(3)
+	points, hash, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(points, want) {
+		t.Errorf("Resolve points %v, Expand %v", points, want)
+	}
+	if h, err := spec.Hash(); err != nil || h != hash {
+		t.Errorf("Resolve hash %s, Hash %s (%v)", hash, h, err)
+	}
+	spec.Name = ""
+	if _, _, err := spec.Resolve(); err == nil || spec.Validate() == nil {
+		t.Error("a spec without a name resolved")
+	}
+}
+
 func TestExpandGridAndValidation(t *testing.T) {
 	spec := &Spec{
 		Schema: SpecSchema,
