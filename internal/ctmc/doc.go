@@ -17,8 +17,10 @@
 //
 //   - Generator: the infinitesimal generator Q as a sparse CSR matrix
 //     (internal/linalg), rows summing to zero, assembled by GenPattern
-//     (pattern.go) — the one assembly, which the sweep cache also
-//     shares across the sibling chains of a shape;
+//     (pattern.go) — the one assembly, which buckets the entries by row
+//     in linear time, sums parallel transitions in transition order,
+//     and which the sweep cache also shares across the sibling chains
+//     of a shape;
 //   - SteadyState: πQ = 0, Σπ = 1, via the solver
 //     cascade in internal/linalg (GTH for small chains, then
 //     ILU(0)-preconditioned BiCGSTAB, Gauss–Seidel and power iteration

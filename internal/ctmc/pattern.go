@@ -1,9 +1,10 @@
 package ctmc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pepatags/internal/linalg"
 )
@@ -66,12 +67,13 @@ func (s *Structure) Chain(transitions []Transition) *Chain {
 // their generator values in O(nnz) instead of sorting the coordinate
 // list per point.
 //
-// The summation order of duplicate (from, to) transitions is fixed by
-// the sort in NewGenPattern, so every fill of a pattern, and every
-// pattern built from the same structure, gives the same bits. The
-// tests check the assembly against a coordinate-list reference
-// (linalg.COO) on chains with runs of duplicate transitions, where
-// summation order matters.
+// Duplicate (from, to) transitions are summed in transition order,
+// left to right from zero, and a row's diagonal is its negated outflow,
+// itself summed in transition order; so every fill of a pattern, and
+// every pattern built from the same structure, gives the same bits.
+// The tests check the assembly against a coordinate-list reference
+// (linalg.COO, which sums in insertion order) on chains with runs of
+// duplicate transitions, where summation order matters.
 type GenPattern struct {
 	n        int     // states
 	from, to []int32 // endpoints of each transition (incl. self-loops)
@@ -93,58 +95,68 @@ func NewGenPattern(n int, from, to []int32) *GenPattern {
 		panic(fmt.Sprintf("ctmc: %d sources for %d targets", len(from), len(to)))
 	}
 	p := &GenPattern{n: n, from: from, to: to}
-	// The coordinate entry list: off-diagonal transitions in order,
-	// then one diagonal entry per row with outflow, rows ascending.
-	// src identifies the value source.
-	type ent struct {
-		row, col int32
-		src      int32
-	}
-	ents := make([]ent, 0, len(from)+n)
-	hasOut := make([]bool, n)
+	// A counting sort by row: next[i+1] counts row i's off-diagonal
+	// entries, a prefix sum (one more slot for each row's diagonal)
+	// turns next[i] into row i's first position, and each transition
+	// is then dropped at its row's cursor, in transition order.
+	next := make([]int32, n+1)
 	for k := range from {
 		f, t := from[k], to[k]
 		if f < 0 || int(f) >= n || t < 0 || int(t) >= n {
 			panic(fmt.Sprintf("ctmc: transition (%d -> %d) out of range", f, t))
 		}
-		if f == t {
-			continue
+		if f != t {
+			next[f+1]++
 		}
-		ents = append(ents, ent{f, t, int32(k)})
-		hasOut[f] = true
 	}
+	var total int32
 	for i := 0; i < n; i++ {
-		if hasOut[i] {
-			ents = append(ents, ent{int32(i), int32(i), int32(-(i + 1))})
+		c := next[i+1]
+		next[i] = total
+		if c > 0 {
+			total += c + 1
 		}
 	}
-	// sort.Slice is deterministic for a given key sequence, so the
-	// permutation — in particular the relative order of duplicate
-	// (row, col) entries, which fixes the floating-point summation
-	// order — depends on the structure alone. A stable or counting
-	// sort would order duplicates differently and move the bits.
-	sort.Slice(ents, func(a, b int) bool {
-		if ents[a].row != ents[b].row {
-			return ents[a].row < ents[b].row
+	// The entry list holds each row's entries in a block: its
+	// off-diagonal transitions in transition order, then its diagonal
+	// (the negated outflow). src identifies the value source.
+	type ent struct{ col, src int32 }
+	ents := make([]ent, total)
+	for k := range from {
+		if f, t := from[k], to[k]; f != t {
+			ents[next[f]] = ent{t, int32(k)}
+			next[f]++
 		}
-		return ents[a].col < ents[b].col
-	})
+	}
 	p.rowPtr = make([]int, n+1)
 	p.colIdx = make([]int, 0, len(ents))
 	p.slot = make([]int32, len(ents))
 	p.src = make([]int32, len(ents))
-	for k := 0; k < len(ents); {
-		e := ents[k]
-		s := int32(len(p.colIdx))
-		p.colIdx = append(p.colIdx, int(e.col))
-		p.rowPtr[e.row+1]++
-		for ; k < len(ents) && ents[k].row == e.row && ents[k].col == e.col; k++ {
-			p.slot[k] = s
-			p.src[k] = ents[k].src
-		}
-	}
+	var lo int32
 	for i := 0; i < n; i++ {
-		p.rowPtr[i+1] += p.rowPtr[i]
+		// next[i] is now the end of row i's transitions; a row with
+		// any has its diagonal there.
+		hi := next[i]
+		if hi > lo {
+			ents[hi] = ent{int32(i), int32(-(i + 1))}
+			hi++
+		}
+		// A stable sort by column keeps duplicate (row, col) entries in
+		// transition order, which fixes the floating-point summation
+		// order of parallel transitions.
+		row := ents[lo:hi]
+		slices.SortStableFunc(row, func(a, b ent) int { return cmp.Compare(a.col, b.col) })
+		for k := 0; k < len(row); {
+			s := int32(len(p.colIdx))
+			c := row[k].col
+			p.colIdx = append(p.colIdx, int(c))
+			for ; k < len(row) && row[k].col == c; k++ {
+				p.slot[int(lo)+k] = s
+				p.src[int(lo)+k] = row[k].src
+			}
+		}
+		p.rowPtr[i+1] = len(p.colIdx)
+		lo = hi
 	}
 	return p
 }

@@ -1,7 +1,9 @@
 package ctmc
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"pepatags/internal/linalg"
@@ -101,44 +103,124 @@ func requireSameCSR(t *testing.T, trial int, got, want *linalg.CSR) {
 // TestGenPatternMatchesGeneratorExactly asserts that a generator filled
 // through a pattern is bit-identical to the coordinate-list assembly
 // (cooGenerator), both for the chain the pattern was derived from and
-// for siblings with different rates.
+// for siblings with different rates. The last input is large (20,000
+// states, about 95,000 transitions with runs of two to four parallel
+// ones), so the pattern's row bucketing is checked beside the
+// reference's full sort at a size where a comparison sort partitions.
 func TestGenPatternMatchesGeneratorExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 80; trial++ {
 		n := 2 + rng.Intn(6)
-		trs := randomStructure(rng, n, 3+rng.Intn(12))
-		rates := make([]float64, len(trs))
-		rates2 := make([]float64, len(trs))
-		for k := range trs {
-			rates[k] = 0.1 + rng.Float64()*10
-			rates2[k] = 0.1 + rng.Float64()*10
-		}
-		pat := patternOf(trs, n)
-		ca := chainFromStructure(trs, n, func(k int) float64 { return rates[k] })
-		if err := pat.Apply(ca); err != nil {
-			t.Fatalf("trial %d: Apply: %v", trial, err)
-		}
-		wantA := cooGenerator(chainFromStructure(trs, n, func(k int) float64 { return rates[k] }))
-		requireSameCSR(t, trial, ca.Generator(), wantA)
+		checkPatternAgainstCOO(t, trial, randomStructure(rng, n, 3+rng.Intn(12)), n, rng)
+	}
+	n := 20000
+	checkPatternAgainstCOO(t, 80, randomStructure(rng, n, 45000), n, rng)
+}
 
-		// Fill into reused buffers, holding stale values from the
-		// previous fill.
-		out, vals := make([]float64, n), make([]float64, pat.NNZ())
-		for k := range out {
-			out[k] = 7
-		}
-		pat.Fill(rates2, out, vals)
-		pat.Fill(rates, out, vals)
-		requireSameCSR(t, trial, pat.CSR(vals), wantA)
+// checkPatternAgainstCOO fills the pattern of the structure trs at two
+// random rate vectors, through Apply and through Fill into stale
+// buffers, and requires each generator to match cooGenerator's bits.
+func checkPatternAgainstCOO(t *testing.T, trial int, trs [][2]int, n int, rng *rand.Rand) {
+	t.Helper()
+	rates := make([]float64, len(trs))
+	rates2 := make([]float64, len(trs))
+	for k := range trs {
+		rates[k] = 0.1 + rng.Float64()*10
+		rates2[k] = 0.1 + rng.Float64()*10
+	}
+	pat := patternOf(trs, n)
+	ca := chainFromStructure(trs, n, func(k int) float64 { return rates[k] })
+	if err := pat.Apply(ca); err != nil {
+		t.Fatalf("trial %d: Apply: %v", trial, err)
+	}
+	wantA := cooGenerator(chainFromStructure(trs, n, func(k int) float64 { return rates[k] }))
+	requireSameCSR(t, trial, ca.Generator(), wantA)
 
-		// Sibling at different rates.
-		want := cooGenerator(chainFromStructure(trs, n, func(k int) float64 { return rates2[k] }))
-		cb := chainFromStructure(trs, n, func(k int) float64 { return rates2[k] })
-		cb.gen = nil
-		if err := pat.Apply(cb); err != nil {
-			t.Fatalf("trial %d: Apply: %v", trial, err)
+	// Fill into reused buffers, holding stale values from the
+	// previous fill.
+	out, vals := make([]float64, n), make([]float64, pat.NNZ())
+	for k := range out {
+		out[k] = 7
+	}
+	pat.Fill(rates2, out, vals)
+	pat.Fill(rates, out, vals)
+	requireSameCSR(t, trial, pat.CSR(vals), wantA)
+
+	// Sibling at different rates.
+	want := cooGenerator(chainFromStructure(trs, n, func(k int) float64 { return rates2[k] }))
+	cb := chainFromStructure(trs, n, func(k int) float64 { return rates2[k] })
+	cb.gen = nil
+	if err := pat.Apply(cb); err != nil {
+		t.Fatalf("trial %d: Apply: %v", trial, err)
+	}
+	requireSameCSR(t, trial, cb.Generator(), want)
+}
+
+// TestGenPatternSumsDuplicatesInTransitionOrder pins the documented
+// summation order of parallel transitions: every generator entry is the
+// left-to-right sum of its transitions' rates in transition order (the
+// diagonal the negated left-to-right outflow), computed here without
+// linalg.COO. Runs of three parallel transitions carry the rates 1,
+// 2^53 and 1 in some order, so each order gives a different sum
+// (1+2^53+1 = 2^53, 1+1+2^53 = 2^53+2); about 50,000 entries make a
+// comparison sort partition, which permutes such runs.
+func TestGenPatternSumsDuplicatesInTransitionOrder(t *testing.T) {
+	const n = 10000
+	rng := rand.New(rand.NewSource(26))
+	big := math.Ldexp(1, 53)
+	var trs []Transition
+	for len(trs) < 48000 {
+		from, to := rng.Intn(n), rng.Intn(n)
+		if rng.Intn(3) > 0 {
+			trs = append(trs, Transition{From: from, To: to, Rate: 0.1 + rng.Float64()*10, Action: "a"})
+			continue
 		}
-		requireSameCSR(t, trial, cb.Generator(), want)
+		rs := []float64{1, 1, big}
+		rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
+		for _, r := range rs {
+			trs = append(trs, Transition{From: from, To: to, Rate: r, Action: "a"})
+		}
+	}
+	// Scatter the parallel transitions through the list.
+	rng.Shuffle(len(trs), func(i, j int) { trs[i], trs[j] = trs[j], trs[i] })
+	for i := 0; i < n; i++ {
+		trs = append(trs, Transition{From: i, To: (i + 1) % n, Rate: 1, Action: "a"})
+	}
+
+	want := make(map[[2]int]float64)
+	out := make([]float64, n)
+	for _, tr := range trs {
+		if tr.From != tr.To {
+			want[[2]int{tr.From, tr.To}] += tr.Rate
+			out[tr.From] += tr.Rate
+		}
+	}
+	for i, o := range out {
+		want[[2]int{i, i}] = -o
+	}
+
+	labels := make([]string, n)
+	for i := range labels {
+		labels[i] = strconv.Itoa(i)
+	}
+	q := NewStructure(labels).Chain(trs).Generator()
+	if q.NNZ() != len(want) {
+		t.Fatalf("generator has %d entries, want %d", q.NNZ(), len(want))
+	}
+	for i := 0; i < n; i++ {
+		for k := q.RowPtr[i]; k < q.RowPtr[i+1]; k++ {
+			j := q.ColIdx[k]
+			if k > q.RowPtr[i] && j <= q.ColIdx[k-1] {
+				t.Fatalf("row %d: columns not increasing at %d", i, j)
+			}
+			w, ok := want[[2]int{i, j}]
+			if !ok {
+				t.Fatalf("entry (%d,%d) has no transition", i, j)
+			}
+			if math.Float64bits(q.Val[k]) != math.Float64bits(w) {
+				t.Fatalf("entry (%d,%d) = %v, want %v (the sum in transition order)", i, j, q.Val[k], w)
+			}
+		}
 	}
 }
 

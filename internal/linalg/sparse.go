@@ -38,11 +38,14 @@ func (c *COO) Add(i, j int, v float64) {
 	c.entries = append(c.entries, triplet{i, j, v})
 }
 
-// ToCSR converts to compressed sparse row form, summing duplicates.
+// ToCSR converts to compressed sparse row form, summing duplicates in
+// insertion order: the sort by (row, col) is stable, so entries added
+// at the same coordinate are added left to right in the order Add saw
+// them.
 func (c *COO) ToCSR() *CSR {
 	ents := make([]triplet, len(c.entries))
 	copy(ents, c.entries)
-	sort.Slice(ents, func(a, b int) bool {
+	sort.SliceStable(ents, func(a, b int) bool {
 		if ents[a].Row != ents[b].Row {
 			return ents[a].Row < ents[b].Row
 		}
