@@ -21,7 +21,7 @@ import (
 	"pepatags/internal/obsv"
 )
 
-var updateKernelBits = flag.Bool("update", false, "rewrite testdata/kernel_bits.golden from the current kernel")
+var updateKernelBits = flag.Bool("update", false, "rewrite testdata/kernel_bits.golden and testdata/gth_bits.golden from the current kernels")
 
 // bitsHash folds the bits of vectors, in order, into one FNV-1a hash.
 type bitsHash struct{ hash.Hash64 }
