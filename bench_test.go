@@ -161,30 +161,44 @@ func BenchmarkGenerator(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadyStateGTH solves a 400-state birth-death chain with
-// the stable direct method.
+// BenchmarkSteadyStateGTH times the direct stage: SteadyStateGTH on a
+// dense 400-state birth-death chain (birthdeath-400), and
+// linalg.SteadyState on the 357-state TAGExp chain of n = 4, K = 4,
+// which its GTH stage answers (tagexp-357).
 func BenchmarkSteadyStateGTH(b *testing.B) {
-	const k = 399
-	coo := linalg.NewCOO(k+1, k+1)
-	for i := 0; i <= k; i++ {
-		var out float64
-		if i < k {
-			coo.Add(i, i+1, 5)
-			out += 5
+	b.Run("birthdeath-400", func(b *testing.B) {
+		const k = 399
+		coo := linalg.NewCOO(k+1, k+1)
+		for i := 0; i <= k; i++ {
+			var out float64
+			if i < k {
+				coo.Add(i, i+1, 5)
+				out += 5
+			}
+			if i > 0 {
+				coo.Add(i, i-1, 10)
+				out += 10
+			}
+			coo.Add(i, i, -out)
 		}
-		if i > 0 {
-			coo.Add(i, i-1, 10)
-			out += 10
+		q := coo.ToCSR().ToDense()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := linalg.SteadyStateGTH(q); err != nil {
+				b.Fatal(err)
+			}
 		}
-		coo.Add(i, i, -out)
-	}
-	q := coo.ToCSR().ToDense()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := linalg.SteadyStateGTH(q); err != nil {
-			b.Fatal(err)
+	})
+	b.Run("tagexp-357", func(b *testing.B) {
+		q := core.NewTAGExp(5, 10, 20, 4, 4, 4).Build().Generator()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := linalg.SteadyState(q, linalg.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkSteadyStateGaussSeidel solves the 4331-state TAG generator
