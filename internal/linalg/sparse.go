@@ -160,12 +160,18 @@ func (m *CSR) VecMulInto(x, y []float64) {
 // ToDense expands to a dense matrix (testing and small systems only).
 func (m *CSR) ToDense() *Dense {
 	d := NewDense(m.Rows, m.Cols)
+	m.scatter(d)
+	return d
+}
+
+// scatter writes m's stored entries into d, a zero matrix of m's
+// dimensions.
+func (m *CSR) scatter(d *Dense) {
 	for i := 0; i < m.Rows; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			d.Set(i, m.ColIdx[k], m.Val[k])
 		}
 	}
-	return d
 }
 
 // Transpose returns the CSR transpose (i.e. CSC of the original viewed
