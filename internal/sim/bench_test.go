@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"pepatags/internal/dist"
@@ -61,4 +62,36 @@ func BenchmarkSimHeap(b *testing.B) {
 	for _, n := range []int{100, 1000, 4000} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) { benchCore(b, n, true) })
 	}
+}
+
+// BenchmarkSimTwoNodeTAG runs the shape of perfbench's sim-reps
+// workload on the calendar core: two nodes of capacity 10, a constant
+// timeout of 0.35 at the first, H2(mean 0.1, alpha 0.99, ratio 100)
+// sizes and Poisson(8) arrivals. The system never holds more than the
+// next arrival and one departure per node, so this measures the event
+// loop's fixed cost per event. The trace is generated once, outside
+// the timer; each iteration replays it.
+func BenchmarkSimTwoNodeTAG(b *testing.B) {
+	src := &workload.StochasticSource{
+		Arrivals: workload.NewPoisson(8),
+		Sizes:    dist.H2ForTAG(0.1, 0.99, 100),
+		Limit:    benchJobs,
+	}
+	jobs := workload.GenerateTrace(src, rand.New(rand.NewPCG(42, 0)), benchJobs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events int
+	for i := 0; i < b.N; i++ {
+		m := sim.NewSystem(sim.Config{
+			Nodes: []sim.NodeConfig{
+				{Capacity: 10, Timeout: policies.ConstantTimeout(0.35)},
+				{Capacity: 10},
+			},
+			Policy: policies.FirstNode{},
+			Source: &workload.Trace{Jobs: jobs},
+			Seed:   42,
+		}).Run(0)
+		events += m.Events
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

@@ -19,7 +19,8 @@ import (
 // set of fixed-seed runs that between them reach each path of the
 // event loop: TAG restart and resume (which rewrites Remaining), a
 // shortest-queue cluster with frequent ties, power-of-d routing, a
-// warm-up, and a replayed trace. The calendar-versus-heap battery
+// warm-up, a replayed trace, and a trace whose arrivals tie exactly
+// with departures and kills. The calendar-versus-heap battery
 // cannot catch a fault that both cores share (say, an event or job
 // reused while still live); this file can, because it was recorded
 // before the cores shared anything and any change to a value shows as
@@ -129,6 +130,40 @@ func goldenCases() []goldenCase {
 				Policy:           policies.FirstNode{},
 				Source:           &workload.Trace{Jobs: jobs},
 				Seed:             17,
+				SizeBands:        bands,
+				PercentileSample: 2000,
+			}
+		}},
+		{"trace-ties", func() sim.Config {
+			// Gaps and sizes are multiples of 1/8 and the timeout is
+			// 1/2, so every event time is exact: arrivals coincide to
+			// the bit with departures, kills and each other (gap 0),
+			// and a size-1/2 job completes exactly when a kill would.
+			// Only the sequence number orders those ties. Shortest-queue
+			// routing reads both nodes' lengths at each arrival, so
+			// taking a tied departure before or after the arrival, in
+			// either direction, changes the results.
+			rng := rand.New(rand.NewPCG(23, 29))
+			arrivals := make([]float64, 20000)
+			sizes := make([]float64, len(arrivals))
+			var at float64
+			for i := range arrivals {
+				at += float64(rng.IntN(7)) / 8
+				arrivals[i] = at
+				if rng.IntN(5) == 0 {
+					sizes[i] = float64(4+rng.IntN(21)) / 8
+				} else {
+					sizes[i] = float64(1+rng.IntN(3)) / 8
+				}
+			}
+			return sim.Config{
+				Nodes: []sim.NodeConfig{
+					{Capacity: 4, Timeout: policies.ConstantTimeout(0.5)},
+					{Capacity: 4},
+				},
+				Policy:           policies.ShortestQueue{},
+				Source:           workload.NewTrace(arrivals, sizes),
+				Seed:             23,
 				SizeBands:        bands,
 				PercentileSample: 2000,
 			}

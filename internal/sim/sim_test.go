@@ -491,6 +491,75 @@ func TestMetricsRegistry(t *testing.T) {
 	}
 }
 
+// TestProgressCadence pins the progress tick: Progress fires exactly
+// ⌊events/every⌋ times, at Step every, 2·every, …, with the registry's
+// sim.events counter flushed up to that Step, and the counter's final
+// total equals Metrics.Events, whether or not every divides the event
+// count.
+func TestProgressCadence(t *testing.T) {
+	cfg := func() sim.Config {
+		return sim.Config{
+			Nodes: []sim.NodeConfig{
+				{Capacity: 10, Timeout: policies.ConstantTimeout(0.35)},
+				{Capacity: 10},
+			},
+			Policy: policies.FirstNode{},
+			Source: &workload.StochasticSource{
+				Arrivals: workload.NewPoisson(8),
+				Sizes:    dist.H2ForTAG(0.1, 0.99, 100),
+				Limit:    3000,
+			},
+			Seed: 5,
+		}
+	}
+	events := sim.NewSystem(cfg()).Run(0).Events
+	divisor, other := 0, 0
+	for d := 2; d < events && divisor == 0; d++ {
+		if events%d == 0 {
+			divisor = d
+		}
+	}
+	for d := 997; other == 0; d++ {
+		if events%d != 0 {
+			other = d
+		}
+	}
+	everies := []int{1, other, events - 1, events, events + 1}
+	if divisor != 0 {
+		everies = append(everies, divisor, events/divisor)
+	}
+	t.Logf("%d events; every = %v", events, everies)
+	for _, every := range everies {
+		reg := obsv.NewRegistry()
+		var steps []int
+		c := cfg()
+		c.Metrics = reg
+		c.ProgressEvery = every
+		c.Progress = func(p obsv.Progress) {
+			if got := reg.Counter("sim.events").Value(); got != int64(p.Step) {
+				t.Errorf("every=%d: sim.events = %d at step %d", every, got, p.Step)
+			}
+			steps = append(steps, p.Step)
+		}
+		m := sim.NewSystem(c).Run(0)
+		if m.Events != events {
+			t.Fatalf("every=%d: %d events, want %d", every, m.Events, events)
+		}
+		if len(steps) != events/every {
+			t.Errorf("every=%d: Progress fired %d times, want %d", every, len(steps), events/every)
+		}
+		for i, s := range steps {
+			if s != (i+1)*every {
+				t.Errorf("every=%d: tick %d at step %d, want %d", every, i, s, (i+1)*every)
+				break
+			}
+		}
+		if got := reg.Counter("sim.events").Value(); got != int64(events) {
+			t.Errorf("every=%d: sim.events = %d, want %d", every, got, events)
+		}
+	}
+}
+
 // TestMetricsNilRegistryUnchanged guards the default path: attaching
 // no registry must not change simulation results.
 func TestMetricsNilRegistryUnchanged(t *testing.T) {
