@@ -6,10 +6,12 @@
 //
 // Config wires nodes (finite capacity, optional timeout generator),
 // an allocation Policy (internal/policies), and a workload Source
-// (internal/workload) into a System; Run processes jobs on a single
-// event queue and returns Metrics — response-time and slowdown
-// summaries (internal/stats), throughput and loss probability —
-// after a configurable warm-up.
+// (internal/workload) into a System; Run processes jobs in event order
+// and returns Metrics — response-time and slowdown summaries
+// (internal/stats), throughput and loss probability — after a
+// configurable warm-up. The System holds the one pending source
+// arrival itself and the event queue holds departures only; Run takes
+// the queue's minimum only when it precedes that arrival (popBefore).
 //
 // Runs are deterministic for a fixed Config.Seed: all randomness
 // flows from one PCG stream, so experiments are reproducible and
@@ -27,7 +29,9 @@
 // periodic liveness callback.
 //
 // The event core is a calendar queue (eventq.go) sized for clusters
-// of thousands of nodes; the original container/heap loop survives
+// of thousands of nodes, whose window map multiplies by a stored
+// reciprocal width and masks with a power-of-two bucket count, so the
+// event path divides nothing; the original container/heap loop survives
 // behind Config.ReferenceCore as the differential oracle (the
 // engine-swap pattern of pepa.DeriveOptions.Reference). Both cores
 // implement the same strict (time, sequence) order, so every run is
@@ -36,8 +40,9 @@
 // by `make bench-sim`.
 //
 // Run is allocation-free in steady state. Every scheduled event fires
-// (there is no cancel), so an event goes back on a per-System free
-// list once its handler returns, and a job once it completes or is
+// (there is no cancel), so a departure event goes back on a
+// per-System free list once its handler returns, the arrival field is
+// refilled from the source, and a job goes back once it completes or is
 // lost; node queues and calendar buckets reuse their arrays through a
 // head offset. A Policy must therefore not keep the *Job it routes.
 // Set-up does not scale with the cluster either: the node queues

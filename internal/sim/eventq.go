@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"slices"
 )
 
@@ -18,12 +19,20 @@ import (
 // Neither core keeps a pointer to an event after pop returns it, so
 // the System can recycle the event as soon as its handler returns.
 // There is no cancel: every scheduled event fires.
+//
+// The System keeps its one pending source arrival outside the queue,
+// so the queue holds departures only; popBefore merges the two
+// streams in the same total order.
 type eventQueue interface {
 	// push inserts an event. Event times must be non-negative.
 	push(*event)
 	// pop removes and returns the minimum event by (at, seq), or nil
 	// when the queue is empty.
 	pop() *event
+	// popBefore removes and returns the minimum event if it precedes
+	// x by (at, seq), or nil when the queue is empty or its minimum
+	// follows x. It does not keep x.
+	popBefore(x *event) *event
 	// len reports the number of queued events.
 	len() int
 }
@@ -69,6 +78,13 @@ func (q *heapQueue) pop() *event {
 	return heap.Pop(&q.h).(*event)
 }
 
+func (q *heapQueue) popBefore(x *event) *event {
+	if q.h.Len() == 0 || !eventLess(q.h[0], x) {
+		return nil
+	}
+	return heap.Pop(&q.h).(*event)
+}
+
 func (q *heapQueue) len() int { return q.h.Len() }
 
 // ---------------------------------------------------------------
@@ -79,10 +95,14 @@ func (q *heapQueue) len() int { return q.h.Len() }
 // calls. The structure resizes by powers of two as the population
 // grows and shrinks.
 //
-// The implementation works in integer "windows": window w covers
-// times [w*width, (w+1)*width) and maps to bucket w % nbuckets. Both
-// push and pop derive the window with the same expression
-// (int64(at/width)), so there is no incremental floating-point
+// The implementation works in integer "windows": an event at time at
+// lies in window int64(at*inv), inv being the reciprocal of the window
+// width, and window w maps to bucket w & (nbuckets-1), the bucket
+// count being a power of two. Push, pop and resize all derive the
+// window with that one expression, multiplying by the stored inv
+// rather than dividing by the width. Rounding a product by a fixed
+// positive factor is monotone, so a later time never falls in an
+// earlier window, and there is no incremental floating-point
 // accumulation to drift out of agreement — the invariant the scan
 // relies on (no queued event in a window before the cursor) is exact.
 // If a full lap of the calendar finds nothing (a sparse far-future
@@ -91,8 +111,8 @@ func (q *heapQueue) len() int { return q.h.Len() }
 // never the authority.
 type calendarQueue struct {
 	buckets []bucket
-	width   float64 // window width (time units per bucket)
-	window  int64   // scan cursor: the window of the last pop
+	inv     float64 // reciprocal of the window width (windows per time unit)
+	window  int64   // scan cursor: no queued event lies in an earlier window
 	size    int     // queued events
 
 	// all is resize's scratch for the sorted population, kept so that
@@ -111,7 +131,7 @@ type bucket struct {
 
 const (
 	calMinBuckets = 16
-	// calMaxWindow caps int64(at/width): conversions beyond the int64
+	// calMaxWindow caps int64(at*inv): conversions beyond the int64
 	// range are implementation-defined, so every farther event lumps
 	// into one final window (and one bucket), where the direct-search
 	// fallback still orders it exactly.
@@ -121,7 +141,7 @@ const (
 func newCalendarQueue() *calendarQueue {
 	return &calendarQueue{
 		buckets: make([]bucket, calMinBuckets),
-		width:   1,
+		inv:     1,
 	}
 }
 
@@ -147,16 +167,19 @@ func growBuckets(old []bucket, nb int) []bucket {
 
 // windowOf maps a time to its integer window at the current width.
 func (q *calendarQueue) windowOf(at float64) int64 {
-	w := at / q.width
+	w := at * q.inv
 	if w >= float64(calMaxWindow) {
 		return calMaxWindow
 	}
 	return int64(w)
 }
 
+// mask maps a window to its bucket: the bucket count is a power of two.
+func (q *calendarQueue) mask() int64 { return int64(len(q.buckets) - 1) }
+
 func (q *calendarQueue) push(e *event) {
 	w := q.windowOf(e.at)
-	q.buckets[w%int64(len(q.buckets))].insert(e)
+	q.buckets[w&q.mask()].insert(e)
 	if w < q.window {
 		// The new event precedes the scan cursor; pull the cursor back
 		// so the next lap starts at (or before) the new minimum.
@@ -200,17 +223,27 @@ func (bk *bucket) first() *event {
 	return bk.evs[bk.head]
 }
 
-func (q *calendarQueue) pop() *event {
+func (q *calendarQueue) pop() *event { return q.popUntil(calMaxWindow, nil) }
+
+func (q *calendarQueue) popBefore(x *event) *event { return q.popUntil(q.windowOf(x.at), x) }
+
+// popUntil finds the minimum event and removes it if it precedes x
+// (any event, when x is nil). The scan stops after window last, the
+// window of x: an event in a later window follows x. When the minimum
+// is found but stays, the cursor still moves to its window.
+func (q *calendarQueue) popUntil(last int64, x *event) *event {
 	if q.size == 0 {
 		return nil
 	}
-	nb := int64(len(q.buckets))
+	mask := q.mask()
 	// One lap of the calendar, window by window, from the cursor.
-	for c := int64(0); c < nb; c++ {
+	for c := int64(0); c <= mask; c++ {
 		w := q.window + c
-		b := int(w % nb)
-		if e := q.buckets[b].first(); e != nil && q.windowOf(e.at) <= w {
-			return q.take(b, w)
+		if w > last {
+			return nil
+		}
+		if e := q.buckets[w&mask].first(); e != nil && q.windowOf(e.at) <= w {
+			return q.takeBefore(int(w&mask), w, x)
 		}
 	}
 	// Sparse population: no event within a lap. Find the global
@@ -222,7 +255,18 @@ func (q *calendarQueue) pop() *event {
 			minB, minEv = b, e
 		}
 	}
-	return q.take(minB, q.windowOf(minEv.at))
+	return q.takeBefore(minB, q.windowOf(minEv.at), x)
+}
+
+// takeBefore takes the head of bucket b, the minimum event, in window
+// w if it precedes x (or x is nil); otherwise it only moves the cursor
+// to w and returns nil.
+func (q *calendarQueue) takeBefore(b int, w int64, x *event) *event {
+	if x != nil && !eventLess(q.buckets[b].first(), x) {
+		q.window = w
+		return nil
+	}
+	return q.take(b, w)
 }
 
 // take removes the head of bucket b, advances the cursor to window w
@@ -278,14 +322,15 @@ func (q *calendarQueue) resize() {
 	} else {
 		q.buckets = growBuckets(q.buckets, nb)
 	}
-	q.width = sampleWidth(all)
+	q.inv = 1 / sampleWidth(all)
 	if len(all) == 0 {
 		q.window = 0
 		return
 	}
 	q.window = q.windowOf(all[0].at)
+	mask := q.mask()
 	for _, e := range all {
-		bk := &q.buckets[q.windowOf(e.at)%int64(nb)]
+		bk := &q.buckets[q.windowOf(e.at)&mask]
 		// Appending in globally sorted order keeps each bucket sorted.
 		bk.evs = append(bk.evs, e)
 	}
@@ -294,7 +339,8 @@ func (q *calendarQueue) resize() {
 // sampleWidth estimates the window width as twice the mean spacing of
 // the first events (up to 32 gaps), the Brown heuristic of roughly two
 // events per window near the head of the queue. Degenerate spacings
-// (all events simultaneous, or a single event) fall back to width 1.
+// (all events simultaneous, a single event, or a spacing so fine that
+// the width has no finite reciprocal) fall back to width 1.
 func sampleWidth(sorted []*event) float64 {
 	n := len(sorted)
 	if n < 2 {
@@ -313,6 +359,9 @@ func sampleWidth(sorted []*event) float64 {
 	// the integer window cap at this width.
 	if lim := sorted[n-1].at / float64(calMaxWindow-1); w < lim {
 		w = lim
+	}
+	if math.IsInf(1/w, 1) {
+		return 1
 	}
 	return w
 }

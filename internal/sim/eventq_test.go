@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -98,6 +99,100 @@ func TestEventQueueRandomOps(t *testing.T) {
 	}
 }
 
+// TestEventQueuePopBefore drives each core as Run does: one outside
+// event (the pending arrival) is merged with the queue through
+// popBefore, each processed event schedules up to two more at or after
+// its time, and a processed outside event is replaced by the next. The
+// merged drain must equal a sort of every event by (at, seq). The
+// populations cover exact time ties (between queued events and with
+// the outside event), a horizon so sparse that a calendar lap finds
+// nothing and pop falls back to the direct search, and times at and
+// past calMaxWindow, where windows are capped and lump together.
+func TestEventQueuePopBefore(t *testing.T) {
+	cap60 := float64(calMaxWindow)
+	offsets := map[string]func(rng *rand.Rand) float64{
+		"ties": func(rng *rand.Rand) float64 { return float64(rng.IntN(3)) },
+		"sparse": func(rng *rand.Rand) float64 {
+			return math.Ldexp(rng.Float64(), rng.IntN(40)-8)
+		},
+		// Mostly small offsets, so a resize of a large population
+		// samples a narrow head and must widen the windows to keep the
+		// farthest event below the cap.
+		"max-window": func(rng *rand.Rand) float64 {
+			switch rng.IntN(8) {
+			case 0:
+				return cap60 * (1 + float64(rng.IntN(9)-4)*0x1p-52)
+			case 1:
+				return cap60 * float64(1+rng.IntN(1e6))
+			case 2, 3, 4:
+				return float64(rng.IntN(3))
+			}
+			return rng.Float64()
+		},
+	}
+	for name, newQueue := range map[string]func() eventQueue{
+		"calendar": func() eventQueue { return newCalendarQueue() },
+		"heap":     func() eventQueue { return newHeapQueue() },
+	} {
+		for pop, offset := range offsets {
+			t.Run(name+"/"+pop, func(t *testing.T) {
+				for trial := 0; trial < 20; trial++ {
+					rng := rand.New(rand.NewPCG(uint64(trial), 0xbef0))
+					q := newQueue()
+					var all, drain []*event
+					seq := 0
+					schedule := func(at float64) *event {
+						e := &event{at: at, seq: seq}
+						seq++
+						all = append(all, e)
+						return e
+					}
+					for i := rng.IntN(200); i > 0; i-- {
+						q.push(schedule(offset(rng)))
+					}
+					x := schedule(offset(rng))
+					for step, steps := 0, 500+rng.IntN(1000); step < steps || x != nil; step++ {
+						var e *event
+						if x == nil {
+							if e = q.pop(); e == nil {
+								break
+							}
+						} else if e = q.popBefore(x); e == nil {
+							e, x = x, nil
+						}
+						drain = append(drain, e)
+						for i := rng.IntN(3); i > 0; i-- {
+							q.push(schedule(e.at + offset(rng)))
+						}
+						if x == nil && step < steps {
+							x = schedule(e.at + offset(rng))
+						}
+					}
+					for e := q.pop(); e != nil; e = q.pop() {
+						drain = append(drain, e)
+					}
+					want := slices.Clone(all)
+					slices.SortFunc(want, func(a, b *event) int {
+						if eventLess(a, b) {
+							return -1
+						}
+						return 1
+					})
+					if len(drain) != len(want) {
+						t.Fatalf("trial %d: drained %d events, scheduled %d", trial, len(drain), len(want))
+					}
+					for i := range want {
+						if drain[i] != want[i] {
+							t.Fatalf("trial %d: event %d is (%g,%d), want (%g,%d)",
+								trial, i, drain[i].at, drain[i].seq, want[i].at, want[i].seq)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestEventQueueTieBreak pins the same-timestamp order: events pushed at
 // an identical time must come out in scheduling-sequence order, whatever
 // order they were pushed in.
@@ -176,6 +271,26 @@ func TestCalendarQueueSparse(t *testing.T) {
 		e := q.pop()
 		if e == nil || e.at != want { //vet:allow floatcmp: exact times set by the test
 			t.Fatalf("pop %d: got %+v, want at=%g", i, e, want)
+		}
+	}
+}
+
+// TestCalendarQueueSubnormalSpacing resizes over events a subnormal
+// time apart: the sampled width has no finite reciprocal, so the
+// calendar must fall back to width 1 rather than multiply a time of 0
+// by +Inf.
+func TestCalendarQueueSubnormalSpacing(t *testing.T) {
+	q := newCalendarQueue()
+	const n = 40
+	for i := n - 1; i >= 0; i-- {
+		q.push(&event{at: float64(i) * math.SmallestNonzeroFloat64, seq: i})
+	}
+	if math.IsInf(q.inv, 0) || math.IsNaN(q.inv) {
+		t.Fatalf("inv = %g after resize", q.inv)
+	}
+	for i := 0; i < n; i++ {
+		if e := q.pop(); e == nil || e.seq != i {
+			t.Fatalf("pop %d: got %+v, want seq %d", i, e, i)
 		}
 	}
 }

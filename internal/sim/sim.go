@@ -227,16 +227,11 @@ func (n *node) dequeue() *Job {
 	return j
 }
 
-type eventKind int
-
-const (
-	evArrival eventKind = iota
-	evDeparture
-)
-
+// event is either the pending source arrival, which the System holds
+// in its arrival field, or the end of a service attempt, which waits
+// in the event queue.
 type event struct {
 	at       float64
-	kind     eventKind
 	seq      int // tie-breaker for determinism
 	job      *Job
 	node     int
@@ -312,22 +307,29 @@ func (s *System) flushInstruments() {
 
 // System is a running simulation.
 //
-// Events and jobs are recycled through per-System free lists: an event
-// goes back once its handler returns, a job once it completes or is
-// lost (dropped at arrival, or killed at a full next node). With the
-// head-offset node queues and calendar buckets this makes the event
-// loop allocation-free in steady state, whichever core runs it.
+// The next source arrival is held in the System, not in the event
+// queue: a source yields its jobs in arrival order, so at most one
+// arrival is ever pending, and the queue holds departures only. Run
+// takes the earlier of the two by (at, seq).
+//
+// Departure events and jobs are recycled through per-System free
+// lists: an event goes back once its handler returns, a job once it
+// completes or is lost (dropped at arrival, or killed at a full next
+// node). With the head-offset node queues and calendar buckets this
+// makes the event loop allocation-free in steady state, whichever core
+// runs it.
 type System struct {
 	cfg        Config
 	rng        *rand.Rand
 	nodes      []node
 	events     eventQueue
+	arrival    event // the pending source arrival, when pending
 	freeEvents freeList[event]
 	freeJobs   freeList[Job]
 	now        float64
 	seq        int
 	metrics    Metrics
-	pending    bool // a source arrival event is scheduled
+	pending    bool // arrival holds a source arrival
 	inst       *instruments
 }
 
@@ -449,12 +451,14 @@ func (f *freeList[T]) get() *T {
 // put returns x to the list.
 func (f *freeList[T]) put(x *T) { f.free = append(f.free, x) }
 
-// schedule queues a copy of ev, in an event from the free list, and
-// stamps it with the next sequence number.
-func (s *System) schedule(ev event) {
+// scheduleDeparture queues the end of j's service attempt at node i,
+// started now, in an event from the free list stamped with the next
+// sequence number: at time at, as a kill if kill, having done progress
+// units of work.
+func (s *System) scheduleDeparture(at float64, j *Job, i int, kill bool, progress float64) {
 	e := s.freeEvents.get()
-	*e = ev
-	e.seq = s.seq
+	e.at, e.seq, e.job, e.node = at, s.seq, j, i
+	e.kill, e.start, e.progress = kill, s.now, progress
 	s.seq++
 	s.events.push(e)
 }
@@ -501,13 +505,11 @@ func (s *System) startService(j *Job, i int) {
 	if n.cfg.Timeout != nil && !last {
 		to := n.cfg.Timeout(s.rng)
 		if to < serviceTime {
-			s.schedule(event{at: s.now + to, kind: evDeparture, job: j, node: i,
-				kill: true, start: s.now, progress: to * n.cfg.Speed})
+			s.scheduleDeparture(s.now+to, j, i, true, to*n.cfg.Speed)
 			return
 		}
 	}
-	s.schedule(event{at: s.now + serviceTime, kind: evDeparture, job: j, node: i,
-		start: s.now, progress: work})
+	s.scheduleDeparture(s.now+serviceTime, j, i, false, work)
 }
 
 // serveNext pulls the next queued job at node i, if any.
@@ -525,11 +527,17 @@ func (s *System) Run(maxTime float64) *Metrics {
 	if every <= 0 {
 		every = 1 << 16
 	}
-	var processed int
+	// processed counts events; tick counts down to the next progress
+	// report.
+	processed, tick := 0, every
 	s.scheduleNextArrival()
 	for {
-		e := s.events.pop()
-		if e == nil {
+		var e *event
+		if s.pending {
+			if e = s.events.popBefore(&s.arrival); e == nil {
+				e = &s.arrival
+			}
+		} else if e = s.events.pop(); e == nil {
 			break
 		}
 		if maxTime > 0 && e.at > maxTime {
@@ -537,20 +545,21 @@ func (s *System) Run(maxTime float64) *Metrics {
 			break
 		}
 		s.now = e.at
+		arrival := e == &s.arrival
 		if s.cfg.EventObserver != nil {
-			s.cfg.EventObserver(record(e))
+			s.cfg.EventObserver(record(e, arrival))
 		}
-		switch e.kind {
-		case evArrival:
+		if arrival {
 			s.pending = false
 			s.handleArrival(e.job)
 			s.scheduleNextArrival()
-		case evDeparture:
+		} else {
 			s.handleDeparture(e)
+			s.freeEvents.put(e)
 		}
-		s.freeEvents.put(e)
 		processed++
-		if processed%every == 0 {
+		if tick--; tick == 0 {
+			tick = every
 			if s.inst != nil {
 				s.inst.events += int64(every)
 				s.flushInstruments()
@@ -568,7 +577,7 @@ func (s *System) Run(maxTime float64) *Metrics {
 		}
 	}
 	if s.inst != nil {
-		s.inst.events += int64(processed % every)
+		s.inst.events += int64(every - tick)
 		s.flushInstruments()
 	}
 	s.metrics.Elapsed = s.now
@@ -598,7 +607,8 @@ func (s *System) scheduleNextArrival() {
 		panic(fmt.Sprintf("sim: job %d has non-positive size %g", wj.ID, wj.Size))
 	}
 	s.pending = true
-	s.schedule(event{at: wj.Arrival, kind: evArrival, job: s.newJob(wj)})
+	s.arrival.at, s.arrival.seq, s.arrival.job = wj.Arrival, s.seq, s.newJob(wj)
+	s.seq++
 }
 
 func (s *System) handleArrival(j *Job) {
@@ -654,10 +664,10 @@ func (s *System) handleDeparture(e *event) {
 }
 
 // record converts an internal event to its observer view.
-func record(e *event) EventRecord {
+func record(e *event, arrival bool) EventRecord {
 	r := EventRecord{Seq: e.seq, At: e.at, Job: e.job.ID}
 	switch {
-	case e.kind == evArrival:
+	case arrival:
 		r.Kind, r.Node = "arrival", -1
 	case e.kill:
 		r.Kind, r.Node = "kill", e.node
