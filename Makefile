@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint analyze fmt-check bench bench-sim bench-eval sim-smoke manifest-smoke sweep-smoke serve-smoke results-check conform-smoke fuzz-smoke overhead-smoke docs-check cover clean
+.PHONY: all build test race vet lint analyze fmt-check bench bench-sim bench-eval bench-pair sim-smoke manifest-smoke sweep-smoke serve-smoke results-check conform-smoke fuzz-smoke overhead-smoke docs-check cover clean
 
 all: build test
 
@@ -63,6 +63,31 @@ bench-eval:
 	$(GO) test -run=NONE -bench='^Benchmark(Figure8|Figure11)$$' -count 5 -benchmem . | tee BENCH_eval.txt
 	$(GO) test -run=NONE -bench='^Benchmark(OptTSearch|Figure8GridCached|KrylovSolve)$$' -count 5 -benchmem ./internal/sweep | tee -a BENCH_eval.txt
 	$(GO) run ./tools/benchjson $(if $(BASE),-baseline $(BASE)) -o BENCH_eval.json < BENCH_eval.txt
+
+# Paired benchmark run against another commit: build `go test -c`
+# binaries of package PKG at revision BASE (extracted with git archive
+# into a temporary directory) and in the working tree, run them in
+# turn one count at a time, COUNT times, each from its own package
+# directory, and write OUT through tools/benchjson with BASE's results
+# under "baseline". Alternating keeps drift of the host between the two
+# sides out of the comparison. The bench text is kept beside OUT: the
+# tree's as OUT with .txt for .json, BASE's as OUT with -base.txt.
+#   make bench-pair BASE=HEAD~1 PKG=./internal/sim BENCH=BenchmarkSim COUNT=5 OUT=BENCH_sim.json
+COUNT ?= 5
+OUT ?= BENCH_pair.json
+bench-pair:
+	@test -n "$(BASE)" -a -n "$(PKG)" -a -n "$(BENCH)" || \
+		{ echo "usage: make bench-pair BASE=<rev> PKG=<package dir> BENCH=<regexp> [COUNT=5] [OUT=BENCH_pair.json]"; exit 2; }
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src"; git archive $(BASE) | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) test -c -o "$$tmp/base.test" $(PKG)); \
+	$(GO) test -c -o "$$tmp/head.test" $(PKG); \
+	: > $(OUT:.json=-base.txt); : > $(OUT:.json=.txt); \
+	for i in $$(seq $(COUNT)); do \
+		(cd "$$tmp/src/$(PKG)" && "$$tmp/base.test" -test.run=NONE -test.bench='$(BENCH)' -test.benchmem -test.timeout=30m) | tee -a $(OUT:.json=-base.txt); \
+		(cd $(PKG) && "$$tmp/head.test" -test.run=NONE -test.bench='$(BENCH)' -test.benchmem -test.timeout=30m) | tee -a $(OUT:.json=.txt); \
+	done; \
+	$(GO) run ./tools/benchjson -baseline $(OUT:.json=-base.txt) -o $(OUT) < $(OUT:.json=.txt)
 
 # End-to-end replication smoke: generate a bounded-Pareto trace, replay
 # it across 4 parallel replications on each event core, and require the
@@ -149,6 +174,7 @@ docs-check:
 
 clean:
 	rm -f BENCH_derive.txt BENCH_derive.json BENCH_sim.txt BENCH_sim.json BENCH_eval.txt BENCH_eval.json \
+		BENCH_pair.json BENCH_pair.txt BENCH_*-base.txt \
 		pepa-run.json pepa-run.jsonl pepa-lint.json pepa-fail.json \
 		tagseval-run.json tagssim-run.json tagssim-reps.json \
 		sim-smoke.jsonl sim-cal.json sim-heap.json sim-cal.txt sim-heap.txt \
