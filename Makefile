@@ -39,10 +39,11 @@ fmt-check:
 # Run the derivation/solver benchmarks (serial vs parallel, the solver
 # cascade on the 4,331-state exponential and 9,801-state H2 chains:
 # BenchmarkSteadyState/{tagexp-4331,tagh2-9801}, and generator assembly
-# on the pepa-derive chains: BenchmarkGenerator) and write a
+# on the pepa-derive chains: BenchmarkGenerator, and cold skeleton
+# derivation of three TAG shapes: BenchmarkSkeleton) and write a
 # machine-readable summary to BENCH_derive.json.
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkDerive|BenchmarkSteady|BenchmarkGenerator' -benchmem . | tee BENCH_derive.txt
+	$(GO) test -run=NONE -bench='BenchmarkDerive|BenchmarkSteady|BenchmarkGenerator|BenchmarkSkeleton' -benchmem . | tee BENCH_derive.txt
 	$(GO) run ./tools/benchjson -o BENCH_derive.json < BENCH_derive.txt
 
 # Run the event-core benchmarks (calendar queue vs the retained heap

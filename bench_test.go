@@ -89,6 +89,31 @@ func BenchmarkTAGExpBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSkeleton times a cold skeleton derivation (layer
+// core.skeleton, as perfbench names it): TAGExp at n = 4, K = 10, the
+// largest shape of perfbench's pepad-mix jobs, and at n = 6, K = 10,
+// the 4331-state Figure 8 shape, and TAGH2 at 9801 states.
+func BenchmarkSkeleton(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		m      core.SkeletonModel
+		states int
+	}{
+		{"tagexp-n=4", core.NewTAGExp(5, 10, 28, 4, 10, 10), 2091},
+		{"tagexp-n=6", core.NewTAGExp(5, 10, 42, 6, 10, 10), 4331},
+		{"tagh2-9801", core.NewTAGH2(11, dist.H2ForTAG(0.1, 0.99, 100), 12, 6, 10, 10), 9801},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if sk := c.m.Skeleton(); sk.NumStates() != c.states {
+					b.Fatalf("%d states, want %d", sk.NumStates(), c.states)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTAGExpSolve measures a full build + steady-state solve +
 // measures pass.
 func BenchmarkTAGExpSolve(b *testing.B) {
