@@ -13,19 +13,25 @@
 //     arrivals) and TAGMultiNode (more than two nodes). Each is a
 //     parameterisation of one product derivation (product.go): the
 //     arrival phase times, per node, the queue length and the head
-//     job's H2 branch, stage (repeat or race) and timer phase. Measures
-//     read the per-node queue lengths the skeleton derivation records;
-//     a chain built elsewhere has its states decoded first. The
+//     job's H2 branch, stage (repeat or race) and timer phase. The
 //     tagged-job response of TAGExp and of either TAGH2 class is an
 //     absorbing chain (tagged.go) derived from the same product
 //     transitions, with the tagged job kept last at its node.
 //   - TAGExp is the oracle the product derivation is tested against:
-//     its own derivation stays independent (MeasuresFrom on a chain
-//     still decodes its labels), and internal/conform asserts the
-//     product at TAGExp's parameters gives the same generator up to
-//     relabelling. One measures kernel (measures.go) reads every
+//     it keeps its own transition rules, and internal/conform asserts
+//     the product at TAGExp's parameters gives the same generator up
+//     to relabelling. One measures kernel (measures.go) reads every
 //     two-node model, from a skeleton or from a chain, in the summation
 //     order of ctmc.Chain's Expectation and ActionThroughput.
+//   - Both derivations run one breadth-first driver (derive,
+//     skeleton.go) over their own step rules. It returns the Skeleton
+//     together with the states it found, state i at index i, so a
+//     caller that needs more than queue lengths (the tagged job, the
+//     response mixtures, the fill times) reads them there; no label is
+//     parsed back. A chain built elsewhere has its states recovered by
+//     replay, which runs the step rules against the chain's
+//     transitions and panics on a chain the derivation did not
+//     produce.
 //   - RandomAlloc: Bernoulli splitting to independent M/M/1/K queues,
 //     the paper's baseline, validated against the closed form in
 //     internal/queueing.
@@ -37,14 +43,11 @@
 //     completion under a routing policy — the shorter queue with an
 //     even tie split, or alternation, where TAG sends every arrival to
 //     node 1. Their measures read the skeleton's queue lengths; their
-//     response-time mixtures and fill times read the decoded product
+//     response-time mixtures and fill times read the derived product
 //     states.
 //
 // Each model offers Build (the ctmc.Chain) and Analyze, which solves
 // for the stationary distribution and fills Measures — mean queue
 // lengths L1/L2, mean response time, throughput, loss probability
 // and timeout/guess rates — the quantities plotted in Figures 6-12.
-// Models accept solver options so large instances can use the
-// parallel derivation and iterative solvers (see internal/pepa and
-// internal/linalg).
 package core

@@ -11,11 +11,10 @@ import "fmt"
 // ExpectedFillTimes returns the expected time, starting from the empty
 // system, until node 1 first fills and until node 2 first fills.
 func (m TAGExp) ExpectedFillTimes() (node1, node2 float64, err error) {
-	c := m.Build()
-	states := m.stateInfo(c)
-	init, ok := c.StateIndex(tagExpState{q1: 0, tm1: m.phases() - 1, q2: 0, sv2: false, tm2: m.phases() - 1}.label())
-	if !ok {
-		return 0, 0, fmt.Errorf("core: initial state not found")
+	sk, states := m.derive()
+	c, err := sk.Instantiate(m.RateValues())
+	if err != nil {
+		return 0, 0, err
 	}
 	h1, err := c.ExpectedHittingTimes(func(s int) bool { return states[s].q1 >= m.K1 })
 	if err != nil {
@@ -25,7 +24,7 @@ func (m TAGExp) ExpectedFillTimes() (node1, node2 float64, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: node-2 fill time: %w", err)
 	}
-	return h1[init], h2[init], nil
+	return h1[0], h2[0], nil // state 0 is the empty system
 }
 
 // ExpectedFillTime returns the expected time from the empty system
@@ -34,8 +33,11 @@ func (m TAGExp) ExpectedFillTimes() (node1, node2 float64, err error) {
 // reported for symmetry with TAG and "both full" as the loss event).
 func (m ShortestQueue) ExpectedFillTime() (eitherFull, bothFull float64, err error) {
 	p := m.product()
-	c := p.build()
-	states := p.decode(c)
+	sk, states := p.derive()
+	c, err := sk.Instantiate(p.rates)
+	if err != nil {
+		return 0, 0, err
+	}
 	full := func(s, j int) bool { return states[s].nodes[j].q >= m.K }
 	he, err := c.ExpectedHittingTimes(func(s int) bool { return full(s, 0) || full(s, 1) })
 	if err != nil {

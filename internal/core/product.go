@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 
 	"pepatags/internal/ctmc"
@@ -149,11 +148,8 @@ func (p tagProduct) initial() prodState {
 	return s
 }
 
-// emitFunc receives one symbolic transition of a state.
-type emitFunc func(to prodState, slot RateSlot, coeff Coeff, action string)
-
 // race starts node j's head on its race stage, one edge per H2 branch.
-func (p tagProduct) race(to prodState, j int, slot RateSlot, action string, emit emitFunc) {
+func (p tagProduct) race(to prodState, j int, slot RateSlot, action string, emit emitFunc[prodState]) {
 	for b, c := range p.nodes[j].branch {
 		next := to.clone()
 		next.nodes[j].branch, next.nodes[j].stage, next.nodes[j].phase = b+1, stageRace, p.phases-1
@@ -163,7 +159,7 @@ func (p tagProduct) race(to prodState, j int, slot RateSlot, action string, emit
 
 // depart removes node j's head; the next job (if any) reaches the
 // server.
-func (p tagProduct) depart(to prodState, j int, slot RateSlot, action string, emit emitFunc) {
+func (p tagProduct) depart(to prodState, j int, slot RateSlot, action string, emit emitFunc[prodState]) {
 	q := to.nodes[j].q - 1
 	to.nodes[j] = p.idle(j)
 	to.nodes[j].q = q
@@ -205,7 +201,7 @@ func (p tagProduct) dispatch(s prodState, join func(j int, half bool)) {
 
 // step emits every transition out of s, in derivation order. An edge
 // whose slot or coefficient is zero at the product's rates is absent.
-func (p tagProduct) step(s prodState, emit emitFunc) {
+func (p tagProduct) step(s prodState, emit emitFunc[prodState]) {
 	slots, coeffs := p.rates.slots(), p.rates.coeffs()
 	p.edges(s, func(to prodState, slot RateSlot, coeff Coeff, action string) {
 		if slots[slot] != 0 && coeffs[coeff] != 0 { //vet:allow floatcmp: structural sparsity
@@ -217,7 +213,7 @@ func (p tagProduct) step(s prodState, emit emitFunc) {
 // edges emits the transitions out of s whatever the rates, in
 // derivation order: arrival phase switch, arrival, then each node's
 // head.
-func (p tagProduct) edges(s prodState, emit emitFunc) {
+func (p tagProduct) edges(s prodState, emit emitFunc[prodState]) {
 	arrive, half := SlotLambda, slotHalfLambda
 	if p.mmpp {
 		flip, sw := s.clone(), SlotSwitch1
@@ -285,19 +281,14 @@ func (p tagProduct) edges(s prodState, emit emitFunc) {
 
 // skeleton derives the reachable state space breadth-first.
 func (p tagProduct) skeleton() *Skeleton {
-	b := newSkeletonBuilder()
-	frontier := []prodState{p.initial()}
-	b.state(frontier[0].label())
-	for from := 0; from < len(frontier); from++ {
-		p.step(frontier[from], func(to prodState, slot RateSlot, coeff Coeff, action string) {
-			i, fresh := b.state(to.label())
-			if fresh {
-				frontier = append(frontier, to)
-			}
-			b.edge(from, i, slot, coeff, action)
-		})
-	}
-	return b.finish(p.shape, productQueues(frontier, len(p.nodes)))
+	sk, _ := p.derive()
+	return sk
+}
+
+// derive derives the skeleton and returns it with the states it found.
+func (p tagProduct) derive() (*Skeleton, []prodState) {
+	queues := func(states []prodState) [][]int32 { return productQueues(states, len(p.nodes)) }
+	return derive(p.shape, p.initial(), prodState.label, p.step, queues)
 }
 
 // productQueues returns the per-node queue lengths of the states.
@@ -334,37 +325,16 @@ func (p tagProduct) analyzeChain(c *ctmc.Chain) (Measures, error) {
 	return p.measures(c, pi), nil
 }
 
-// decode recovers every state of a chain derived from this product by
-// replaying the derivation against the chain's transitions, which
-// Instantiate keeps in derivation order: state i's emitted successors
-// are its transitions, in order. No label is parsed.
-func (p tagProduct) decode(c *ctmc.Chain) []prodState {
-	states := make([]prodState, c.NumStates())
-	trs := c.Transitions()
-	states[0] = p.initial()
-	k := 0
-	for i := range states {
-		p.step(states[i], func(to prodState, _ RateSlot, _ Coeff, action string) {
-			if k >= len(trs) || trs[k].From != i || trs[k].Action != action {
-				panic(fmt.Sprintf("core: chain transition %d does not match the model's derivation", k))
-			}
-			if states[trs[k].To].nodes == nil {
-				states[trs[k].To] = to
-			}
-			k++
-		})
-	}
-	return states
-}
+// decode recovers the states of a chain derived from this product by
+// replaying the derivation against it.
+func (p tagProduct) decode(c *ctmc.Chain) []prodState { return replay(c, p.initial(), p.step) }
 
-// solve returns the stationary distribution of a chain derived from
-// this product and each state's decoded product state.
-func (p tagProduct) solve(c *ctmc.Chain) ([]float64, []prodState, error) {
-	pi, err := c.SteadyState()
-	if err != nil {
-		return nil, nil, err
-	}
-	return pi, p.decode(c), nil
+// solved derives the product and solves it at its own rates from a
+// cold start, returning the stationary distribution and the states.
+func (p tagProduct) solved() ([]float64, []prodState, error) {
+	sk, states := p.derive()
+	pi, _, err := sk.solve(p.rates)
+	return pi, states, err
 }
 
 // measures returns the two-node measures of a chain derived from this

@@ -115,7 +115,7 @@ func (p tagProduct) response(service dist.Distribution) (*ResponseDistribution, 
 	if !ok {
 		return nil, fmt.Errorf("core: analytic response distribution needs exponential service")
 	}
-	pi, states, err := p.solve(p.build())
+	pi, states, err := p.solved()
 	if err != nil {
 		return nil, err
 	}

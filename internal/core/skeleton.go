@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"pepatags/internal/ctmc"
+	"pepatags/internal/linalg"
 )
 
 // Model skeletons: the structure/rate split behind the sweep engine's
@@ -177,18 +178,18 @@ type SymEdge struct {
 // Measures reads the paper's measures straight from the rates and the
 // stationary distribution.
 type Skeleton struct {
-	Shape     Shape
-	Edges     []SymEdge
-	structure *ctmc.Structure
-	vec       stateVectors
+	Shape  Shape
+	Edges  []SymEdge
+	labels []string
+	vec    stateVectors
 }
 
 // NumStates returns the size of the shared state space.
-func (sk *Skeleton) NumStates() int { return sk.structure.NumStates() }
+func (sk *Skeleton) NumStates() int { return len(sk.labels) }
 
 // Label returns the label of state i. No program path calls it: the
 // skeleton tests fingerprint derivations by it.
-func (sk *Skeleton) Label(i int) string { return sk.structure.Label(i) }
+func (sk *Skeleton) Label(i int) string { return sk.labels[i] }
 
 // Rates writes the rate of each transition at the parameter point v
 // into dst, which has one entry per edge. It fails if the point's
@@ -224,33 +225,34 @@ func (sk *Skeleton) Rates(v RateValues, dst []float64) error {
 
 // Instantiate binds a parameter point to the skeleton, producing a
 // chain bit-identical to the one the model's Build would derive from
-// scratch. It fails where Rates does.
+// scratch. Sibling chains share the skeleton's label slice. It fails
+// where Rates does.
 func (sk *Skeleton) Instantiate(v RateValues) (*ctmc.Chain, error) {
 	rate := make([]float64, len(sk.Edges))
 	if err := sk.Rates(v, rate); err != nil {
 		return nil, err
 	}
-	return sk.chain(rate), nil
-}
-
-// chain builds the chain with the per-transition rates rate.
-func (sk *Skeleton) chain(rate []float64) *ctmc.Chain {
 	trs := make([]ctmc.Transition, len(sk.Edges))
 	for i, e := range sk.Edges {
 		trs[i] = ctmc.Transition{From: int(e.From), To: int(e.To), Rate: rate[i], Action: e.Action}
 	}
-	return sk.structure.Chain(trs)
+	return ctmc.NewChain(sk.labels, trs), nil
 }
 
-// solve instantiates the skeleton at v and solves the chain from a
-// cold start, returning the stationary distribution and the
-// per-transition rates.
+// solve solves the skeleton at v from a cold start, returning the
+// stationary distribution and the per-transition rates. It assembles
+// the generator as the sweep cache does, over GenPattern, and builds
+// no chain; the bits are those of the instantiated chain's
+// SteadyState.
 func (sk *Skeleton) solve(v RateValues) (pi, rate []float64, err error) {
 	rate = make([]float64, len(sk.Edges))
 	if err := sk.Rates(v, rate); err != nil {
 		return nil, nil, err
 	}
-	if pi, err = sk.chain(rate).SteadyState(); err != nil {
+	pat := sk.GenPattern()
+	vals := make([]float64, pat.NNZ())
+	pat.Fill(rate, make([]float64, sk.NumStates()), vals)
+	if pi, err = linalg.SteadyState(pat.CSR(vals), linalg.Options{}); err != nil {
 		return nil, nil, err
 	}
 	return pi, rate, nil
@@ -284,39 +286,68 @@ func (sk *Skeleton) GenPattern() *ctmc.GenPattern {
 // instantiated chain.
 func (sk *Skeleton) Measures(pi, rate []float64) Measures { return sk.vec.twoNode(pi, rate) }
 
-// skeletonBuilder accumulates states and symbolic edges during the BFS
-// derivations in tagexp.go / product.go.
-type skeletonBuilder struct {
-	labels []string
-	index  map[string]int
-	edges  []SymEdge
-}
+// emitFunc receives one symbolic transition out of a state: its target,
+// rate slot, branch coefficient and action.
+type emitFunc[S any] func(to S, slot RateSlot, coeff Coeff, action string)
 
-func newSkeletonBuilder() *skeletonBuilder {
-	return &skeletonBuilder{index: make(map[string]int)}
-}
-
-// state interns a label, reporting whether it was new.
-func (b *skeletonBuilder) state(label string) (int, bool) {
-	if i, ok := b.index[label]; ok {
-		return i, false
+// derive explores the states reachable from init breadth-first. step
+// emits every transition out of a state, in a fixed order; states with
+// one label are one state, numbered in the order they are first
+// reached, and queues gives the per-node queue lengths of the states
+// (queue[j][i] jobs at node j in state i). It returns the skeleton of
+// the shape and the states it found, state i at index i.
+func derive[S any](shape Shape, init S, label func(S) string, step func(S, emitFunc[S]), queues func([]S) [][]int32) (*Skeleton, []S) {
+	states, labels := []S{init}, []string{label(init)}
+	index := map[string]int32{labels[0]: 0}
+	var edges []SymEdge
+	var from int32
+	emit := func(to S, slot RateSlot, coeff Coeff, action string) {
+		l := label(to)
+		i, ok := index[l]
+		if !ok {
+			i = int32(len(states))
+			index[l] = i
+			states, labels = append(states, to), append(labels, l)
+		}
+		edges = append(edges, SymEdge{From: from, To: i, Slot: slot, Coeff: coeff, Action: action})
 	}
-	i := len(b.labels)
-	b.labels = append(b.labels, label)
-	b.index[label] = i
-	return i, true
+	for ; int(from) < len(states); from++ {
+		step(states[from], emit)
+	}
+	sk := &Skeleton{Shape: shape, Edges: edges, labels: labels, vec: stateVectors{queue: queues(states)}}
+	sk.vec.indexEdges(len(edges), func(k int) (int32, string) { return edges[k].From, edges[k].Action })
+	return sk, states
 }
 
-func (b *skeletonBuilder) edge(from, to int, slot RateSlot, coeff Coeff, action string) {
-	b.edges = append(b.edges, SymEdge{From: int32(from), To: int32(to), Slot: slot, Coeff: coeff, Action: action})
-}
-
-// finish seals the skeleton; queue[j][i] is the number of jobs at node
-// j in state i.
-func (b *skeletonBuilder) finish(shape Shape, queue [][]int32) *Skeleton {
-	sk := &Skeleton{Shape: shape, Edges: b.edges, structure: ctmc.NewStructure(b.labels), vec: stateVectors{queue: queue}}
-	sk.vec.indexEdges(len(b.edges), func(k int) (int32, string) { return b.edges[k].From, b.edges[k].Action })
-	return sk
+// replay recovers the states of c, a chain derived by step from init,
+// by running the derivation again against the chain's transitions,
+// which a skeleton keeps in emission order: state i's emitted
+// transitions are the chain's next ones, in order, and a state first
+// reached is the next one numbered. No label is read. It panics unless
+// every transition matches the emitted action and is consumed, so a
+// chain of another shape does not replay.
+func replay[S any](c *ctmc.Chain, init S, step func(S, emitFunc[S])) []S {
+	states := make([]S, c.NumStates())
+	trs := c.Transitions()
+	states[0] = init
+	i, k, found := 0, 0, 1
+	emit := func(to S, _ RateSlot, _ Coeff, action string) {
+		if k >= len(trs) || trs[k].From != i || trs[k].Action != action || trs[k].To > found {
+			panic(fmt.Sprintf("core: chain transition %d does not match the model's derivation", k))
+		}
+		if trs[k].To == found {
+			states[found] = to
+			found++
+		}
+		k++
+	}
+	for ; i < found; i++ {
+		step(states[i], emit)
+	}
+	if found != len(states) || k != len(trs) {
+		panic(fmt.Sprintf("core: chain of %d states and %d transitions replays to %d and %d", len(states), len(trs), found, k))
+	}
+	return states
 }
 
 // SkeletonModel is a model whose CTMC can be derived once per shape and

@@ -206,3 +206,105 @@ func TestSkeletonFillMatchesGenerator(t *testing.T) {
 		}
 	}
 }
+
+// TestDerivedStatesMatchReplay checks the derivation's invariant: the
+// states it returns are the states replay recovers from the chain
+// instantiated from its skeleton, state i at index i, and each TAGExp
+// state carries its skeleton label. It covers TAGExp (calibrated,
+// literal, one phase) and every product of the variants pin set.
+func TestDerivedStatesMatchReplay(t *testing.T) {
+	for _, m := range []TAGExp{
+		NewTAGExp(7, 10, 28, 4, 6, 6),
+		{Lambda: 5, Mu: 10, T: 42, N: 3, K1: 4, K2: 4, LiteralFigure3: true},
+		NewTAGExp(5, 10, 42, 1, 3, 3),
+	} {
+		sk, states := m.derive()
+		c, err := sk.Instantiate(m.RateValues())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.stateInfo(c); !slices.Equal(got, states) {
+			t.Fatalf("%+v: replay differs from the derived states", m)
+		}
+		for i, s := range states {
+			if s.label() != sk.Label(i) {
+				t.Fatalf("%+v: state %d is %q, skeleton label %q", m, i, s.label(), sk.Label(i))
+			}
+		}
+	}
+	het := NewTAGHetero(9, 10, 20, 42, 30, 5, 7, 6)
+	alone := het
+	alone.ServeAloneToCompletion = true
+	h2tag := dist.H2ForTAG(0.1, 0.9, 10)
+	for name, p := range map[string]tagProduct{
+		"tagh2":             NewTAGH2(8, dist.NewH2(0.9, 18, 1.5), 30, 4, 6, 6).product(),
+		"tagh2-alpha0":      NewTAGH2(6, dist.NewH2(0, 10, 2), 24, 3, 5, 5).product(),
+		"tagh2-alpha1":      NewTAGH2(6, dist.NewH2(1, 10, 2), 24, 3, 5, 5).product(),
+		"taghetero":         het.product(),
+		"taghetero-alone":   alone.product(),
+		"tagexpmmpp":        NewTAGExpMMPP(BurstyMMPP2(8, 2, 0.5), 10, 28, 4, 6, 6).product(),
+		"tagh2mmpp":         NewTAGH2MMPP(BurstyMMPP2(6, 1.5, 0.8), dist.NewH2(0.8, 16, 2), 24, 3, 5, 5).product(),
+		"tagmultinode-m2":   NewTAGMultiNode(7, 10, 30, 3, []int{6, 6}).product(),
+		"tagmultinode-m3":   NewTAGMultiNode(7, 10, 30, 3, []int{4, 3, 3}).product(),
+		"jsq":               NewShortestQueue(11, dist.NewExponential(10), 6).product(),
+		"jsq-h2":            NewShortestQueue(11, h2tag, 8).product(),
+		"jsqmmpp":           ShortestQueueMMPP{Arrivals: BurstyMMPP2(8, 1.9, 0.4), Mu: 10, K: 8}.product(),
+		"jsqmmpp-rate2zero": ShortestQueueMMPP{Arrivals: BurstyMMPP2(8, 2, 0.5), Mu: 10, K: 6}.product(),
+		"roundrobin":        NewRoundRobinTwoNode(9, dist.NewExponential(10), 6).product(),
+		"roundrobin-h2":     NewRoundRobinTwoNode(8, h2tag, 7).product(),
+	} {
+		sk, states := p.derive()
+		c, err := sk.Instantiate(p.rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := p.decode(c)
+		if len(got) != len(states) || len(states) != sk.NumStates() {
+			t.Fatalf("%s: replayed %d states, derived %d, skeleton %d", name, len(got), len(states), sk.NumStates())
+		}
+		for i := range states {
+			if got[i].label() != states[i].label() || states[i].label() != sk.Label(i) {
+				t.Fatalf("%s: state %d replays as %q, derived %q, skeleton label %q", name, i, got[i].label(), states[i].label(), sk.Label(i))
+			}
+		}
+	}
+}
+
+// TestReplayRejectsForeignChain checks that replay panics on a chain
+// that its derivation did not produce: a chain of another shape, and a
+// chain with its last transition missing or one transition too many.
+func TestReplayRejectsForeignChain(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", what)
+			}
+		}()
+		f()
+	}
+	k10 := NewTAGExp(5, 10, 42, 3, 10, 10)
+	k11 := NewTAGExp(5, 10, 42, 3, 11, 10)
+	mustPanic("K1=10 chain replayed as K1=11", func() { k11.stateInfo(k10.Build()) })
+	mustPanic("K1=11 chain replayed as K1=10", func() { k10.stateInfo(k11.Build()) })
+	lit := TAGExp{Lambda: 5, Mu: 10, T: 42, N: 3, K1: 4, K2: 4, LiteralFigure3: true}
+	cal := NewTAGExp(5, 10, 42, 3, 4, 4)
+	mustPanic("literal chain replayed as calibrated", func() { cal.stateInfo(lit.Build()) })
+	mixed := NewTAGH2(6, dist.NewH2(0.8, 10, 2), 24, 3, 5, 5)
+	det := NewTAGH2(6, dist.NewH2(1, 10, 2), 24, 3, 5, 5)
+	mustPanic("mixed H2 chain replayed as alpha = 1", func() { det.product().decode(mixed.Build()) })
+
+	c := cal.Build()
+	n := make([]string, c.NumStates())
+	for i := range n {
+		n[i] = c.Label(i)
+	}
+	trs := c.Transitions()
+	cut := ctmc.NewChain(n, trs[:len(trs)-1])
+	mustPanic("last transition dropped", func() { cal.stateInfo(cut) })
+	extra := ctmc.NewChain(n, append(slices.Clone(trs), trs[0]))
+	mustPanic("a transition appended", func() { cal.stateInfo(extra) })
+	if got := cal.stateInfo(ctmc.NewChain(n, trs)); len(got) != c.NumStates() {
+		t.Fatalf("the whole chain replays to %d states, want %d", len(got), c.NumStates())
+	}
+}

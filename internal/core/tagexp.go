@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"pepatags/internal/ctmc"
 )
@@ -74,12 +75,20 @@ type tagExpState struct {
 	tm2 int  // node-2 timer phase
 }
 
+// label encodes the state as "Q1_<q1>.T1_<tm1>|Q2_<q2><w|s>.T2_<tm2>",
+// w while the node-2 head repeats and s in its residual service.
 func (s tagExpState) label() string {
-	sv := "w"
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], "Q1_"...), int64(s.q1), 10)
+	b = strconv.AppendInt(append(b, ".T1_"...), int64(s.tm1), 10)
+	b = strconv.AppendInt(append(b, "|Q2_"...), int64(s.q2), 10)
 	if s.sv2 {
-		sv = "s"
+		b = append(b, 's')
+	} else {
+		b = append(b, 'w')
 	}
-	return fmt.Sprintf("Q1_%d.T1_%d|Q2_%d%s.T2_%d", s.q1, s.tm1, s.q2, sv, s.tm2)
+	b = strconv.AppendInt(append(b, ".T2_"...), int64(s.tm2), 10)
+	return string(b)
 }
 
 // Shape returns the canonical model structure: everything that
@@ -101,86 +110,90 @@ func (m TAGExp) RateValues() RateValues {
 // this instance's rates, so the derivation cost can be paid once per
 // shape and shared across parameter points.
 func (m TAGExp) Skeleton() *Skeleton {
-	m.validate()
-	top := m.phases() - 1 // timer reset value
-	b := newSkeletonBuilder()
-	init := tagExpState{q1: 0, tm1: top, q2: 0, sv2: false, tm2: top}
-	frontier := []tagExpState{init}
-	b.state(init.label())
-	for from := 0; from < len(frontier); from++ {
-		s := frontier[from]
-		emit := func(to tagExpState, slot RateSlot, action string) {
-			i, fresh := b.state(to.label())
-			if fresh {
-				frontier = append(frontier, to)
-			}
-			b.edge(from, i, slot, CoeffOne, action)
-		}
+	sk, _ := m.derive()
+	return sk
+}
 
-		// --- Node 1 ---
-		if s.q1 < m.K1 {
+// derive derives the skeleton and returns it with the states it found.
+func (m TAGExp) derive() (*Skeleton, []tagExpState) {
+	m.validate()
+	return derive(m.Shape(), m.initial(), tagExpState.label, m.step, tagExpQueues)
+}
+
+// initial is the empty system, both timers at the top.
+func (m TAGExp) initial() tagExpState {
+	top := m.phases() - 1
+	return tagExpState{tm1: top, tm2: top}
+}
+
+// step emits every transition out of s, in derivation order: the
+// rules of the paper's Figure 3, node 1 then node 2.
+func (m TAGExp) step(s tagExpState, edge emitFunc[tagExpState]) {
+	top := m.phases() - 1 // timer reset value
+	emit := func(to tagExpState, slot RateSlot, action string) { edge(to, slot, CoeffOne, action) }
+
+	// --- Node 1 ---
+	if s.q1 < m.K1 {
+		to := s
+		to.q1++
+		emit(to, SlotLambda, ActArrival)
+	} else {
+		emit(s, SlotLambda, ActLossArrival)
+	}
+	if s.q1 > 0 {
+		// service1 wins the race: depart, reset the timer.
+		to := s
+		to.q1--
+		to.tm1 = top
+		emit(to, SlotMu, ActService1)
+		if s.tm1 > 0 {
+			// tick1
 			to := s
-			to.q1++
-			emit(to, SlotLambda, ActArrival)
+			to.tm1--
+			emit(to, SlotT, ActTick1)
 		} else {
-			emit(s, SlotLambda, ActLossArrival)
-		}
-		if s.q1 > 0 {
-			// service1 wins the race: depart, reset the timer.
+			// timeout fires: job killed at node 1, restarted at node 2.
 			to := s
 			to.q1--
 			to.tm1 = top
-			emit(to, SlotMu, ActService1)
-			if s.tm1 > 0 {
-				// tick1
-				to := s
-				to.tm1--
-				emit(to, SlotT, ActTick1)
+			if s.q2 < m.K2 {
+				to.q2++
+				emit(to, SlotT, ActTimeout)
 			} else {
-				// timeout fires: job killed at node 1, restarted at node 2.
-				to := s
-				to.q1--
-				to.tm1 = top
-				if s.q2 < m.K2 {
-					to.q2++
-					emit(to, SlotT, ActTimeout)
-				} else {
-					emit(to, SlotT, ActLossTransfer)
-				}
-			}
-		}
-
-		// --- Node 2 ---
-		if s.q2 > 0 {
-			if !s.sv2 {
-				// Head job in its repeat period (Q2 derivative).
-				if s.tm2 > 0 {
-					to := s
-					to.tm2--
-					emit(to, SlotT, ActTick2)
-				} else {
-					// repeatservice fires: residual service begins,
-					// timer returns to the top.
-					to := s
-					to.sv2 = true
-					to.tm2 = top
-					emit(to, SlotT, ActRepeatService)
-				}
-			} else {
-				// Residual service (Q2' derivative).
-				if m.tick2DuringService() && s.tm2 > 0 {
-					to := s
-					to.tm2--
-					emit(to, SlotT, ActTick2)
-				}
-				to := s
-				to.q2--
-				to.sv2 = false
-				emit(to, SlotMu, ActService2)
+				emit(to, SlotT, ActLossTransfer)
 			}
 		}
 	}
-	return b.finish(m.Shape(), tagExpQueues(frontier))
+
+	// --- Node 2 ---
+	if s.q2 > 0 {
+		if !s.sv2 {
+			// Head job in its repeat period (Q2 derivative).
+			if s.tm2 > 0 {
+				to := s
+				to.tm2--
+				emit(to, SlotT, ActTick2)
+			} else {
+				// repeatservice fires: residual service begins,
+				// timer returns to the top.
+				to := s
+				to.sv2 = true
+				to.tm2 = top
+				emit(to, SlotT, ActRepeatService)
+			}
+		} else {
+			// Residual service (Q2' derivative).
+			if m.tick2DuringService() && s.tm2 > 0 {
+				to := s
+				to.tm2--
+				emit(to, SlotT, ActTick2)
+			}
+			to := s
+			to.q2--
+			to.sv2 = false
+			emit(to, SlotMu, ActService2)
+		}
+	}
 }
 
 // tagExpQueues returns the per-node queue lengths of the states.
@@ -202,90 +215,9 @@ func (m TAGExp) Build() *ctmc.Chain {
 	return c
 }
 
-// stateInfo decodes the state structure from the chain labels for
-// measure extraction.
-func (m TAGExp) stateInfo(c *ctmc.Chain) []tagExpState {
-	states := make([]tagExpState, c.NumStates())
-	for i := range states {
-		states[i] = parseTagExpLabel(c.Label(i))
-	}
-	return states
-}
-
-// parseTagExpLabel is the strict inverse of tagExpState.label: it
-// accepts exactly the strings label produces — unsigned decimals
-// without leading zeros, "w" or "s" for the node-2 derivative, nothing
-// after the last field — and panics on anything else. It does not
-// allocate.
-func parseTagExpLabel(lbl string) tagExpState {
-	p := labelScanner{s: lbl}
-	var s tagExpState
-	p.literal("Q1_")
-	s.q1 = p.number()
-	p.literal(".T1_")
-	s.tm1 = p.number()
-	p.literal("|Q2_")
-	s.q2 = p.number()
-	switch p.next() {
-	case 'w':
-	case 's':
-		s.sv2 = true
-	default:
-		p.fail()
-	}
-	p.literal(".T2_")
-	s.tm2 = p.number()
-	if p.i != len(lbl) {
-		p.fail()
-	}
-	return s
-}
-
-// labelScanner walks a state label left to right for parseTagExpLabel.
-type labelScanner struct {
-	s string
-	i int
-}
-
-func (p *labelScanner) fail() {
-	panic(fmt.Sprintf("core: cannot decode state label %q at byte %d", p.s, p.i))
-}
-
-// next consumes one byte or fails at the end of the label.
-func (p *labelScanner) next() byte {
-	if p.i == len(p.s) {
-		p.fail()
-	}
-	p.i++
-	return p.s[p.i-1]
-}
-
-// literal consumes lit or fails.
-func (p *labelScanner) literal(lit string) {
-	if len(p.s)-p.i < len(lit) || p.s[p.i:p.i+len(lit)] != lit {
-		p.fail()
-	}
-	p.i += len(lit)
-}
-
-// number consumes an unsigned decimal as %d prints it or fails.
-func (p *labelScanner) number() int {
-	const limit = 1 << 30 // far beyond any reachable queue length or phase
-	j := p.i
-	v := 0
-	for j < len(p.s) && p.s[j] >= '0' && p.s[j] <= '9' {
-		v = v*10 + int(p.s[j]-'0')
-		if v >= limit {
-			p.fail()
-		}
-		j++
-	}
-	if j == p.i || (p.s[p.i] == '0' && j-p.i > 1) {
-		p.fail()
-	}
-	p.i = j
-	return v
-}
+// stateInfo recovers the states of a chain built for this model's
+// shape by replaying the derivation against it.
+func (m TAGExp) stateInfo(c *ctmc.Chain) []tagExpState { return replay(c, m.initial(), m.step) }
 
 // Analyze solves the model and returns the paper's measures.
 func (m TAGExp) Analyze() (Measures, error) {
@@ -305,8 +237,8 @@ func (m TAGExp) AnalyzeChain(c *ctmc.Chain) (Measures, error) {
 
 // MeasuresFrom extracts the paper's measures from a chain built for
 // exactly this model instance at its stationary distribution pi,
-// however pi was obtained. The queue lengths come from the state
-// labels; the sums are the ones Skeleton.Measures runs.
+// however pi was obtained. The queue lengths come from replaying the
+// derivation against the chain; the sums are the ones Skeleton.Measures runs.
 func (m TAGExp) MeasuresFrom(c *ctmc.Chain, pi []float64) Measures {
 	v, rate := chainVectors(c, tagExpQueues(m.stateInfo(c)))
 	return v.twoNode(pi, rate)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -9,10 +10,22 @@ import (
 	"pepatags/internal/dist"
 )
 
-// TestTagExpLabelRoundTrip checks parseTagExpLabel is the inverse of
-// tagExpState.label: on every state of the box each shape's states
-// live in, and on every label a derived chain carries.
-func TestTagExpLabelRoundTrip(t *testing.T) {
+// TestTagExpLabelFormat pins tagExpState.label to the fmt format it
+// is built to reproduce, on every state of the box each shape's states
+// live in and on multi-digit values of every field.
+func TestTagExpLabelFormat(t *testing.T) {
+	want := func(s tagExpState) string {
+		sv := "w"
+		if s.sv2 {
+			sv = "s"
+		}
+		return fmt.Sprintf("Q1_%d.T1_%d|Q2_%d%s.T2_%d", s.q1, s.tm1, s.q2, sv, s.tm2)
+	}
+	check := func(s tagExpState) {
+		if got := s.label(); got != want(s) {
+			t.Fatalf("%+v: label %q, want %q", s, got, want(s))
+		}
+	}
 	for _, m := range []TAGExp{
 		NewTAGExp(5, 10, 12, 6, 10, 10),
 		NewTAGExp(3, 4, 2, 2, 3, 5),
@@ -23,61 +36,23 @@ func TestTagExpLabelRoundTrip(t *testing.T) {
 				for q2 := 0; q2 <= m.K2; q2++ {
 					for _, sv2 := range []bool{false, true} {
 						for tm2 := 0; tm2 < m.phases(); tm2++ {
-							s := tagExpState{q1: q1, tm1: tm1, q2: q2, sv2: sv2, tm2: tm2}
-							if got := parseTagExpLabel(s.label()); got != s {
-								t.Fatalf("%+v: parse(%q) = %+v", m, s.label(), got)
-							}
+							check(tagExpState{q1: q1, tm1: tm1, q2: q2, sv2: sv2, tm2: tm2})
 						}
 					}
 				}
 			}
 		}
-		c := m.Build()
-		for i := 0; i < c.NumStates(); i++ {
-			if got := parseTagExpLabel(c.Label(i)).label(); got != c.Label(i) {
-				t.Fatalf("%+v: label(parse(%q)) = %q", m, c.Label(i), got)
+	}
+	vals := []int{0, 1, 9, 10, 99, 100, 12345, 1<<31 - 1}
+	for _, q1 := range vals {
+		for _, tm1 := range vals {
+			for _, q2 := range vals {
+				for _, tm2 := range vals {
+					check(tagExpState{q1: q1, tm1: tm1, q2: q2, sv2: q1%2 == 0, tm2: tm2})
+					check(tagExpState{q1: q1, tm1: tm1, q2: q2, sv2: q1%2 != 0, tm2: tm2})
+				}
 			}
 		}
-	}
-}
-
-func TestTagExpLabelRejectsMalformed(t *testing.T) {
-	for _, lbl := range []string{
-		"",
-		"Q1_3.T1_2|Q2_1w.T2_",            // truncated
-		"Q1_3.T1_2|Q2_1w",                // truncated before the node-2 timer
-		"Q1_3.T1_2|Q2_1w.T2_0 ",          // trailing text
-		"Q1_3.T1_2|Q2_1w.T2_0|",          // trailing separator
-		"Q1_+3.T1_2|Q2_1w.T2_0",          // sign
-		"Q1_3.T1_-2|Q2_1w.T2_0",          // negative
-		"Q1_3.T1_2|Q2_a1w.T2_0",          // non-digit
-		"Q1_03.T1_2|Q2_1w.T2_0",          // leading zero
-		"Q1_3,T1_2|Q2_1w.T2_0",           // wrong separator
-		"Q1_3.T1_2/Q2_1w.T2_0",           // wrong node separator
-		"Q1_3.T1_2|Q2_1x.T2_0",           // x in place of s/w
-		"Q1_3.T1_2|Q2_1.T2_0",            // derivative missing
-		"Q1_99999999999.T1_2|Q2_1w.T2_0", // out of range
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("parseTagExpLabel(%q) did not panic", lbl)
-				}
-			}()
-			s := parseTagExpLabel(lbl)
-			t.Logf("parsed %q as %+v", lbl, s)
-		}()
-	}
-}
-
-func TestTagExpLabelParseDoesNotAllocate(t *testing.T) {
-	lbl := tagExpState{q1: 10, tm1: 5, q2: 7, sv2: true, tm2: 0}.label()
-	var sink tagExpState
-	if n := testing.AllocsPerRun(100, func() { sink = parseTagExpLabel(lbl) }); n != 0 {
-		t.Fatalf("parseTagExpLabel allocates %v times per call", n)
-	}
-	if want := (tagExpState{q1: 10, tm1: 5, q2: 7, sv2: true, tm2: 0}); sink != want {
-		t.Fatalf("parsed %+v, want %+v", sink, want)
 	}
 }
 

@@ -46,7 +46,7 @@ func (m TAGExp) TaggedJob() (*TaggedResponse, error) {
 		return nil, fmt.Errorf("core: tagged-job analysis implements the calibrated semantics only")
 	}
 	p := tagProduct{shape: m.Shape(), phases: m.N, rates: m.RateValues(), nodes: twoNode(m.N, m.K1, m.K2, false)}
-	pi, states, err := p.solve(p.build())
+	pi, states, err := p.solved()
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func (m TAGH2) TaggedJob(jobType int) (*TaggedResponse, error) {
 		return nil, fmt.Errorf("core: jobType must be 1 or 2, got %d", jobType)
 	}
 	p := m.product()
-	pi, states, err := p.solve(p.build())
+	pi, states, err := p.solved()
 	if err != nil {
 		return nil, err
 	}
@@ -78,13 +78,13 @@ func (m TAGH2) TaggedJob(jobType int) (*TaggedResponse, error) {
 
 // taggedJob derives and solves the absorbing chain of a tagged job of
 // branch jobType. pi is the product's stationary distribution and
-// states its decoded states. Each product edge out of a chain state
-// is dropped (an arrival, which joins behind the tagged job), sent to
-// DONE, LOST or the next node (the tagged job leaves its node), kept
-// only for the tagged job's own branch at the bare slot rate (the
-// tagged job reaches its server), or else kept at slot × coeff. It
-// reads the edges whatever the rates, so a tagged branch the system
-// samples with probability zero still has a response.
+// states the states its derivation found. Each product edge out of a
+// chain state is dropped (an arrival, which joins behind the tagged
+// job), sent to DONE, LOST or the next node (the tagged job leaves its
+// node), kept only for the tagged job's own branch at the bare slot
+// rate (the tagged job reaches its server), or else kept at slot ×
+// coeff. It reads the edges whatever the rates, so a tagged branch the
+// system samples with probability zero still has a response.
 func (p tagProduct) taggedJob(jobType int, pi []float64, states []prodState) (*TaggedResponse, error) {
 	slots, coeffs := p.rates.slots(), p.rates.coeffs()
 	b := ctmc.NewBuilder()
@@ -272,7 +272,7 @@ func (m TAGH2) ClassResponses() ([2]ClassResponse, error) {
 	m.validate()
 	var out [2]ClassResponse
 	p := m.product()
-	pi, states, err := p.solve(p.build())
+	pi, states, err := p.solved()
 	if err != nil {
 		return out, err
 	}

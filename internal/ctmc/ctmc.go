@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"pepatags/internal/linalg"
 	"pepatags/internal/numeric"
@@ -18,14 +17,9 @@ type Transition struct {
 	Action   string
 }
 
-// Chain is an immutable labelled CTMC. The label→index map is built
-// lazily on first StateIndex call: producers that already know their
-// indices (pepa's coded deriver streams exact-size label and
-// transition slices through NewChain) never pay for interning.
+// Chain is an immutable labelled CTMC.
 type Chain struct {
 	labels      []string
-	index       map[string]int
-	indexOnce   sync.Once
 	transitions []Transition
 	gen         *linalg.CSR // cached generator
 }
@@ -35,8 +29,7 @@ type Chain struct {
 // are retained, not copied — this is the streaming-assembly
 // counterpart to Builder for producers that number states themselves.
 // Transitions are validated like Builder.Transition: positive finite
-// rates, endpoints in range. Labels are assumed unique; the index map
-// is only materialised if StateIndex is ever called.
+// rates, endpoints in range. Labels are assumed unique.
 func NewChain(labels []string, transitions []Transition) *Chain {
 	for _, t := range transitions {
 		if t.Rate <= 0 || math.IsNaN(t.Rate) || math.IsInf(t.Rate, 0) {
@@ -100,13 +93,9 @@ func (b *Builder) Transition(from, to int, rate float64, action string) {
 func (b *Builder) Build() *Chain {
 	labels := make([]string, len(b.labels))
 	copy(labels, b.labels)
-	idx := make(map[string]int, len(b.index))
-	for k, v := range b.index {
-		idx[k] = v
-	}
 	trans := make([]Transition, len(b.transitions))
 	copy(trans, b.transitions)
-	return &Chain{labels: labels, index: idx, transitions: trans}
+	return &Chain{labels: labels, transitions: trans}
 }
 
 // NumStates returns the number of states.
@@ -118,27 +107,6 @@ func (c *Chain) NumTransitions() int { return len(c.transitions) }
 
 // Label returns the label of state i.
 func (c *Chain) Label(i int) string { return c.labels[i] }
-
-// StateIndex returns the index of the labelled state.
-func (c *Chain) StateIndex(label string) (int, bool) {
-	c.indexOnce.Do(c.buildIndex)
-	i, ok := c.index[label]
-	return i, ok
-}
-
-// buildIndex materialises the label→index map for chains built through
-// NewChain. Builder- and Structure-built chains arrive with the map
-// already populated and keep it.
-func (c *Chain) buildIndex() {
-	if c.index != nil {
-		return
-	}
-	idx := make(map[string]int, len(c.labels))
-	for i, l := range c.labels {
-		idx[l] = i
-	}
-	c.index = idx
-}
 
 // Transitions returns the transition list (shared slice; do not modify).
 func (c *Chain) Transitions() []Transition { return c.transitions }

@@ -186,14 +186,10 @@ func TestSelfLoopsExcludedFromGenerator(t *testing.T) {
 	}
 }
 
-func TestStateIndexAndLabel(t *testing.T) {
+func TestLabel(t *testing.T) {
 	c := buildMM1K(1, 1, 1)
-	i, ok := c.StateIndex("Q1")
-	if !ok || c.Label(i) != "Q1" {
-		t.Fatal("label round-trip broken")
-	}
-	if _, ok := c.StateIndex("nope"); ok {
-		t.Fatal("unknown label found")
+	if c.Label(0) != "Q0" || c.Label(1) != "Q1" {
+		t.Fatalf("labels %q, %q; want Q0, Q1", c.Label(0), c.Label(1))
 	}
 }
 

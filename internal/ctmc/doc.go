@@ -10,9 +10,10 @@
 // incrementally; Build freezes the chain. NewChain is the streaming
 // counterpart for producers that number states themselves — it adopts
 // a dense label slice and a prebuilt transition list without copying
-// or interning; the label→index map is only materialised if
-// StateIndex is ever called. internal/pepa's integer-coded deriver
-// uses NewChain to assemble chains without a per-state interning pass.
+// or interning. internal/pepa's integer-coded deriver uses NewChain to
+// assemble chains without a per-state interning pass, and a core
+// skeleton's instances share its label slice through it. A chain maps
+// an index to its label and keeps no index from labels back.
 // Either way, Chain offers:
 //
 //   - Generator: the infinitesimal generator Q as a sparse CSR matrix

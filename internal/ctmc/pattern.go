@@ -3,58 +3,10 @@ package ctmc
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"pepatags/internal/linalg"
 )
-
-// Structure is an immutable state-label table shared by sibling chains
-// that have the same reachable state space but different rates — the
-// product of instantiating one derived skeleton at many parameter
-// points. Sharing the table (and its label→index map) makes chain
-// instantiation O(transitions) instead of O(states) map inserts per
-// point, which is what lets a cached sweep skip the derivation cost.
-type Structure struct {
-	labels []string
-	index  map[string]int
-}
-
-// NewStructure interns the label table. Labels must be unique; the
-// slice is retained and must not be modified afterwards.
-func NewStructure(labels []string) *Structure {
-	idx := make(map[string]int, len(labels))
-	for i, l := range labels {
-		if _, dup := idx[l]; dup {
-			panic(fmt.Sprintf("ctmc: duplicate state label %q", l))
-		}
-		idx[l] = i
-	}
-	return &Structure{labels: labels, index: idx}
-}
-
-// NumStates returns the number of states in the table.
-func (s *Structure) NumStates() int { return len(s.labels) }
-
-// Label returns the label of state i. No program path calls it:
-// Skeleton.Label reads it for the skeleton tests.
-func (s *Structure) Label(i int) string { return s.labels[i] }
-
-// Chain builds a chain over this structure from a transition list. The
-// transitions are validated like Builder.Transition (positive rates,
-// indices in range); the label table is shared, not copied, so sibling
-// chains are cheap. The transition slice is retained.
-func (s *Structure) Chain(transitions []Transition) *Chain {
-	for _, t := range transitions {
-		if t.Rate <= 0 || math.IsNaN(t.Rate) || math.IsInf(t.Rate, 0) {
-			panic(fmt.Sprintf("ctmc: invalid rate %g for action %q", t.Rate, t.Action))
-		}
-		if t.From < 0 || t.From >= len(s.labels) || t.To < 0 || t.To >= len(s.labels) {
-			panic(fmt.Sprintf("ctmc: transition (%d -> %d) out of range", t.From, t.To))
-		}
-	}
-	return &Chain{labels: s.labels, index: s.index, transitions: transitions}
-}
 
 // GenPattern is the generator assembly: how a list of transitions
 // becomes a CSR generator. It holds the sparsity pattern (row pointers

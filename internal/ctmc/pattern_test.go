@@ -203,7 +203,7 @@ func TestGenPatternSumsDuplicatesInTransitionOrder(t *testing.T) {
 	for i := range labels {
 		labels[i] = strconv.Itoa(i)
 	}
-	q := NewStructure(labels).Chain(trs).Generator()
+	q := NewChain(labels, trs).Generator()
 	if q.NNZ() != len(want) {
 		t.Fatalf("generator has %d entries, want %d", q.NNZ(), len(want))
 	}
@@ -279,15 +279,14 @@ func TestGenPatternPanicsOnMisuse(t *testing.T) {
 	mustPanic("short rate list", func() { pat.Fill([]float64{1}, make([]float64, 2), make([]float64, pat.NNZ())) })
 }
 
-func TestStructureChainSharesLabels(t *testing.T) {
-	s := NewStructure([]string{"X", "Y"})
-	c1 := s.Chain([]Transition{{From: 0, To: 1, Rate: 1, Action: "a"}, {From: 1, To: 0, Rate: 2, Action: "b"}})
-	c2 := s.Chain([]Transition{{From: 0, To: 1, Rate: 3, Action: "a"}, {From: 1, To: 0, Rate: 4, Action: "b"}})
+// TestSiblingChainsShareLabels builds two chains over one label slice,
+// as a skeleton's instances are, at different rates.
+func TestSiblingChainsShareLabels(t *testing.T) {
+	labels := []string{"X", "Y"}
+	c1 := NewChain(labels, []Transition{{From: 0, To: 1, Rate: 1, Action: "a"}, {From: 1, To: 0, Rate: 2, Action: "b"}})
+	c2 := NewChain(labels, []Transition{{From: 0, To: 1, Rate: 3, Action: "a"}, {From: 1, To: 0, Rate: 4, Action: "b"}})
 	if c1.Label(0) != "X" || c2.Label(1) != "Y" {
 		t.Fatal("labels not shared correctly")
-	}
-	if i, ok := c2.StateIndex("Y"); !ok || i != 1 {
-		t.Fatalf("StateIndex(Y) = %d, %t", i, ok)
 	}
 	pi1, err := c1.SteadyState()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pepatags/internal/ctmc"
 	"pepatags/internal/numeric"
 	"pepatags/internal/obsv"
 )
@@ -28,6 +29,18 @@ func mustParse(t *testing.T, src string) *Model {
 	return m
 }
 
+// stateOf returns the index of the state labelled label.
+func stateOf(t *testing.T, c *ctmc.Chain, label string) int {
+	t.Helper()
+	for i := 0; i < c.NumStates(); i++ {
+		if c.Label(i) == label {
+			return i
+		}
+	}
+	t.Fatalf("no state labelled %q", label)
+	return -1
+}
+
 func TestTwoStateToggle(t *testing.T) {
 	m := NewModel()
 	m.Define("P", Pre("a", ActiveRate(2), Ref("P1")))
@@ -42,8 +55,7 @@ func TestTwoStateToggle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sojourn 1/2 in P, 1/3 in P1 -> pi = (3/5, 2/5).
-	i, _ := ss.Chain.StateIndex("P")
-	j, _ := ss.Chain.StateIndex("P1")
+	i, j := stateOf(t, ss.Chain, "P"), stateOf(t, ss.Chain, "P1")
 	if !numeric.AlmostEqual(pi[i], 0.6, 1e-12) || !numeric.AlmostEqual(pi[j], 0.4, 1e-12) {
 		t.Fatalf("pi=%v", pi)
 	}
@@ -306,7 +318,7 @@ func TestAnonymousContinuation(t *testing.T) {
 	}
 	pi, _ := ss.Chain.SteadyState()
 	// Sojourns 1/4 and 1/6: pi = (3/5, 2/5) on (P, anonymous).
-	i, _ := ss.Chain.StateIndex("P")
+	i := stateOf(t, ss.Chain, "P")
 	if !numeric.AlmostEqual(pi[i], 0.6, 1e-12) {
 		t.Fatalf("pi=%v", pi)
 	}
