@@ -56,7 +56,9 @@ func (m TAGMultiNode) product() tagProduct {
 				timeout: fmt.Sprintf("transfer%d", j), repeat: fmt.Sprintf("repeat%d", j),
 				begin: fmt.Sprintf("beginservice%d", j)}}
 	}
-	return tagProduct{shape: Shape{Kind: "tagmultinode", Phases: m.N, K1: m.K[0], K2: m.K[1]}, phases: m.N,
+	// Kind lists every capacity: nodes beyond the second change the
+	// structure too.
+	return tagProduct{shape: Shape{Kind: fmt.Sprint("tagmultinode", m.K), Phases: m.N, K1: m.K[0], K2: m.K[1]}, phases: m.N,
 		rates: RateValues{Lambda: m.Lambda, Mu: m.Mu, T: m.T}, nodes: nodes}
 }
 

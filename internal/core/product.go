@@ -286,9 +286,13 @@ func (p tagProduct) skeleton() *Skeleton {
 }
 
 // derive derives the skeleton and returns it with the states it found.
+// The skeleton's shape carries the zero pattern of the product's
+// binding, since step drops the edges a zero removes.
 func (p tagProduct) derive() (*Skeleton, []prodState) {
 	queues := func(states []prodState) [][]int32 { return productQueues(states, len(p.nodes)) }
-	return derive(p.shape, p.initial(), prodState.label, p.step, queues)
+	shape := p.shape
+	shape.Zeros = p.rates.zeroMask()
+	return derive(shape, p.initial(), prodState.label, p.step, queues)
 }
 
 // productQueues returns the per-node queue lengths of the states.

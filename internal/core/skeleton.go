@@ -103,15 +103,19 @@ func (v RateValues) coeffs() [numCoeffs]float64 {
 	return [numCoeffs]float64{1, v.Alpha, 1 - v.Alpha, v.AlphaPrime, 1 - v.AlphaPrime}
 }
 
-// zeroMask returns the degeneracy class of the branch coefficients:
-// bit i is set iff coefficient kind i evaluates to exactly zero, which
-// removes its edges from the reachable structure.
+// zeroMask returns the zero pattern of the binding: bit i is set iff
+// coefficient kind i evaluates to exactly zero, and bit numCoeffs iff
+// the phase-2 arrival rate does (the only slot a product may bind to
+// zero). A zero removes its edges from the reachable structure.
 func (v RateValues) zeroMask() uint8 {
 	var m uint8
 	for c, x := range v.coeffs() {
 		if x == 0 { //vet:allow floatcmp: structural sparsity mask
 			m |= 1 << c
 		}
+	}
+	if v.Lambda2 == 0 { //vet:allow floatcmp: structural sparsity mask
+		m |= 1 << numCoeffs
 	}
 	return m
 }
@@ -125,8 +129,10 @@ func (v RateValues) zeroMask() uint8 {
 // caching derived structure.
 type Shape struct {
 	// Kind names the model: "tagexp", "tagh2", "taghetero",
-	// "tagexpmmpp", "tagh2mmpp" or "tagmultinode", or one of the
-	// baselines "shortestqueue", "shortestqueuemmpp" and "roundrobin".
+	// "taghetero-alone", "tagexpmmpp", "tagh2mmpp" or "tagmultinode"
+	// followed by its capacities ("tagmultinode[10 10 10]"), or one of
+	// the baselines "shortestqueue", "shortestqueuemmpp" and
+	// "roundrobin".
 	Kind string
 	// Phases is the number of exponential stages in the timeout clock
 	// (N, or N+1 under TAGExp's LiteralFigure3 semantics).
@@ -136,17 +142,17 @@ type Shape struct {
 	// Literal marks TAGExp's printed-Figure-3 semantics, which also tick
 	// the node-2 timer during residual service.
 	Literal bool
-	// ZeroCoeffs is the degeneracy mask of the branch coefficients
-	// (tagh2 only): edges whose coefficient is exactly zero are absent
-	// from the structure, so the mask is part of the shape.
-	ZeroCoeffs uint8
+	// Zeros is the zero pattern of the rate binding (see zeroMask):
+	// edges whose coefficient or slot is exactly zero are absent from
+	// the structure, so the pattern is part of the shape.
+	Zeros uint8
 }
 
 // Canonical returns the canonical human-readable encoding of the
 // shape, the pre-image of Key.
 func (s Shape) Canonical() string {
 	return fmt.Sprintf("pepatags/shape/v1:%s/phases=%d/k1=%d/k2=%d/literal=%t/zero=%02x",
-		s.Kind, s.Phases, s.K1, s.K2, s.Literal, s.ZeroCoeffs)
+		s.Kind, s.Phases, s.K1, s.K2, s.Literal, s.Zeros)
 }
 
 // Key returns the content address of the shape: the SHA-256 of the
@@ -192,18 +198,17 @@ func (sk *Skeleton) NumStates() int { return len(sk.labels) }
 func (sk *Skeleton) Label(i int) string { return sk.labels[i] }
 
 // Rates writes the rate of each transition at the parameter point v
-// into dst, which has one entry per edge. It fails if the point's
-// branch-coefficient degeneracy does not match the shape (an alpha of
-// exactly 0 or 1 changes the reachable structure), if any rate is not
-// positive and finite, or if an edge leaves the state space.
+// into dst, which has one entry per edge. It fails if the point's zero
+// pattern does not match the shape (an alpha of exactly 0 or 1, or a
+// zero phase-2 arrival rate, changes the reachable structure), if any
+// rate is not positive and finite, or if an edge leaves the state
+// space.
 func (sk *Skeleton) Rates(v RateValues, dst []float64) error {
 	if len(dst) != len(sk.Edges) {
 		return fmt.Errorf("core: %d rates for a skeleton of %d transitions", len(dst), len(sk.Edges))
 	}
-	if sk.Shape.Kind == "tagh2" {
-		if m := v.zeroMask(); m != sk.Shape.ZeroCoeffs {
-			return fmt.Errorf("core: rate values have coefficient degeneracy %02x, skeleton was derived for %02x", m, sk.Shape.ZeroCoeffs)
-		}
+	if m := v.zeroMask(); m != sk.Shape.Zeros {
+		return fmt.Errorf("core: rate values have zero pattern %02x, skeleton was derived for %02x", m, sk.Shape.Zeros)
 	}
 	n := int32(sk.NumStates())
 	slots, coeffs := v.slots(), v.coeffs()

@@ -129,6 +129,34 @@ func TestShapeKeyCollidesIffStructureIdentical(t *testing.T) {
 	mix := dist.H2ForTAG(0.1, 0.9, 10)
 	add(NewTAGH2(5, mix, 8, 2, 2, 2), "tagh2-mixed")
 
+	// The product parameterisations. A zero coefficient (exponential
+	// service as the alpha = 1 case of H2) or a zero phase-2 arrival
+	// rate removes edges, so it must change the key.
+	expo, h2 := dist.NewExponential(10), dist.NewH2(0.3, 20, 2)
+	for k := 1; k <= 2; k++ {
+		add(productModel(NewShortestQueue(5, expo, k).product()), "shortestqueue-exp")
+		add(productModel(NewShortestQueue(7, h2, k).product()), "shortestqueue-h2")
+		add(productModel(NewRoundRobinTwoNode(5, expo, k).product()), "roundrobin-exp")
+		add(productModel(NewRoundRobinTwoNode(5, h2, k).product()), "roundrobin-h2")
+		add(productModel(ShortestQueueMMPP{Arrivals: MMPP2{Rate1: 4, Rate2: 0, Switch1: 1, Switch2: 2}, Mu: 10, K: k}.product()), "shortestqueuemmpp-rate2=0")
+		add(productModel(ShortestQueueMMPP{Arrivals: MMPP2{Rate1: 4, Rate2: 2, Switch1: 1, Switch2: 2}, Mu: 10, K: k}.product()), "shortestqueuemmpp")
+	}
+	for n := 1; n <= 2; n++ {
+		silent := MMPP2{Rate1: 6, Rate2: 0, Switch1: 1, Switch2: 2}
+		bursty := MMPP2{Rate1: 6, Rate2: 2, Switch1: 1, Switch2: 2}
+		add(productModel(NewTAGExpMMPP(silent, 10, 8, n, 2, 2).product()), "tagexpmmpp-rate2=0")
+		add(productModel(NewTAGExpMMPP(bursty, 10, 8, n, 2, 2).product()), "tagexpmmpp")
+		add(productModel(NewTAGH2MMPP(bursty, mix, 8, n, 2, 2).product()), "tagh2mmpp")
+		add(productModel(NewTAGH2MMPP(bursty, det, 8, n, 2, 2).product()), "tagh2mmpp-degenerate")
+		add(productModel(NewTAGHetero(5, 10, 20, 8, 4, n, 2, 2).product()), "taghetero")
+		alone := NewTAGHetero(5, 10, 20, 8, 4, n, 2, 2)
+		alone.ServeAloneToCompletion = true
+		add(productModel(alone.product()), "taghetero-alone")
+		add(productModel(NewTAGMultiNode(5, 10, 8, n, []int{2, 2}).product()), "tagmultinode-2")
+		add(productModel(NewTAGMultiNode(5, 10, 8, n, []int{2, 2, 1}).product()), "tagmultinode-3")
+		add(productModel(NewTAGMultiNode(5, 10, 8, n, []int{2, 2, 2}).product()), "tagmultinode-3")
+	}
+
 	for i := range entries {
 		for j := range entries {
 			sameKey := entries[i].key == entries[j].key
@@ -140,6 +168,14 @@ func TestShapeKeyCollidesIffStructureIdentical(t *testing.T) {
 		}
 	}
 }
+
+// productModel adapts a product parameterisation to SkeletonModel,
+// keyed by the shape its derived skeleton carries.
+type productModel tagProduct
+
+func (m productModel) Shape() Shape           { return m.Skeleton().Shape }
+func (m productModel) Skeleton() *Skeleton    { return tagProduct(m).skeleton() }
+func (m productModel) RateValues() RateValues { return m.rates }
 
 // TestInstantiateRejectsDegeneracyMismatch asserts that a skeleton
 // derived for a mixed H2 model refuses rate values whose branch
@@ -153,6 +189,32 @@ func TestInstantiateRejectsDegeneracyMismatch(t *testing.T) {
 	}
 	if _, err := det.Skeleton().Instantiate(mixed.RateValues()); err == nil {
 		t.Fatal("expected degeneracy mismatch error (degenerate skeleton, mixed rates)")
+	}
+}
+
+// TestRatesRejectZeroPatternMismatch asserts that a product skeleton
+// refuses a binding whose zero pattern differs from the one it was
+// derived for, whatever its kind: exponential service against H2 rates
+// for the shortest-queue baseline, a silent MMPP phase against a
+// bursty one.
+func TestRatesRejectZeroPatternMismatch(t *testing.T) {
+	silent := MMPP2{Rate1: 6, Rate2: 0, Switch1: 1, Switch2: 2}
+	bursty := MMPP2{Rate1: 6, Rate2: 2, Switch1: 1, Switch2: 2}
+	pairs := []struct {
+		name string
+		a, b tagProduct
+	}{
+		{"shortestqueue", NewShortestQueue(5, dist.NewExponential(10), 3).product(),
+			NewShortestQueue(5, dist.NewH2(0.3, 20, 2), 3).product()},
+		{"tagexpmmpp", NewTAGExpMMPP(silent, 10, 8, 2, 2, 2).product(), NewTAGExpMMPP(bursty, 10, 8, 2, 2, 2).product()},
+	}
+	for _, pr := range pairs {
+		for _, d := range [][2]tagProduct{{pr.a, pr.b}, {pr.b, pr.a}} {
+			sk := d[0].skeleton()
+			if err := sk.Rates(d[1].rates, make([]float64, len(sk.Edges))); err == nil {
+				t.Errorf("%s: skeleton %+v accepted a binding of zero pattern %02x", pr.name, sk.Shape, d[1].rates.zeroMask())
+			}
+		}
 	}
 }
 

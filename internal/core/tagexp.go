@@ -93,9 +93,11 @@ func (s tagExpState) label() string {
 
 // Shape returns the canonical model structure: everything that
 // determines the reachable state space, with the rates abstracted away.
+// The zero pattern of the binding is the same for every instance.
 func (m TAGExp) Shape() Shape {
 	m.validate()
-	return Shape{Kind: "tagexp", Phases: m.phases(), K1: m.K1, K2: m.K2, Literal: m.LiteralFigure3}
+	return Shape{Kind: "tagexp", Phases: m.phases(), K1: m.K1, K2: m.K2, Literal: m.LiteralFigure3,
+		Zeros: m.RateValues().zeroMask()}
 }
 
 // RateValues returns this instance's binding for the shape's rate

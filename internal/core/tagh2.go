@@ -60,7 +60,7 @@ func (m TAGH2) AlphaPrime() float64 {
 // probabilities (an alpha of exactly 0 or 1 removes edges).
 func (m TAGH2) Shape() Shape {
 	m.validate()
-	return Shape{Kind: "tagh2", Phases: m.N, K1: m.K1, K2: m.K2, ZeroCoeffs: m.RateValues().zeroMask()}
+	return Shape{Kind: "tagh2", Phases: m.N, K1: m.K1, K2: m.K2, Zeros: m.RateValues().zeroMask()}
 }
 
 // RateValues returns this instance's binding for the shape's rate slots

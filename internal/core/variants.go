@@ -48,7 +48,11 @@ func (m TAGHetero) product() tagProduct {
 	nodes := twoNode(m.N, m.K1, m.K2, false)
 	nodes[0].alone = m.ServeAloneToCompletion
 	nodes[1].clock, nodes[1].mu = SlotNode2T, []RateSlot{SlotNode2Mu}
-	return tagProduct{shape: Shape{Kind: "taghetero", Phases: m.N, K1: m.K1, K2: m.K2}, phases: m.N, nodes: nodes,
+	kind := "taghetero"
+	if m.ServeAloneToCompletion {
+		kind = "taghetero-alone"
+	}
+	return tagProduct{shape: Shape{Kind: kind, Phases: m.N, K1: m.K1, K2: m.K2}, phases: m.N, nodes: nodes,
 		rates: RateValues{Lambda: m.Lambda, Mu: m.Mu1, T: m.T1, Node2Mu: m.Mu2, Node2T: m.T2}}
 }
 
