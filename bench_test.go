@@ -28,7 +28,7 @@ import (
 	"pepatags/internal/workload"
 )
 
-func benchFigure(b *testing.B, run func(exp.Params) (*exp.Figure, error)) {
+func benchFigure(b *testing.B, run func(exp.Params) (*obsv.Figure, error)) {
 	b.Helper()
 	p := exp.ShortParams()
 	b.ReportAllocs()

@@ -38,7 +38,7 @@ import (
 	"pepatags/internal/sweep"
 )
 
-type runner func(exp.Params) (*exp.Figure, error)
+type runner func(exp.Params) (*obsv.Figure, error)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -113,13 +113,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		"variants":    exp.VariantsTable,
 		"sensitivity": exp.SensitivityTable,
 		"passage":     exp.PassageTable,
-		"bursty": func(p exp.Params) (*exp.Figure, error) {
+		"bursty": func(p exp.Params) (*obsv.Figure, error) {
 			return exp.BurstyTable(p, *jobs, *seed)
 		},
-		"slowdown": func(p exp.Params) (*exp.Figure, error) {
+		"slowdown": func(p exp.Params) (*obsv.Figure, error) {
 			return exp.SlowdownTable(p, *jobs, *seed)
 		},
-		"erlangerror": func(p exp.Params) (*exp.Figure, error) {
+		"erlangerror": func(p exp.Params) (*obsv.Figure, error) {
 			return exp.ErlangErrorTable(p, *jobs, *seed)
 		},
 	}
@@ -185,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			fmt.Fprintf(stderr, "%s: %v (workers=%d)\n", n, elapsed.Round(time.Millisecond), *workers)
 		}
 		if *manifest != "" {
-			artefacts = append(artefacts, f.Artefact(elapsed))
+			artefacts = append(artefacts, obsv.ArtefactRecord{Figure: *f, ElapsedSec: elapsed.Seconds()})
 		}
 		var werr error
 		if *csv {
@@ -246,13 +246,12 @@ func runSweep(path string, p exp.Params, reg *obsv.Registry, tele *obsv.RunTelem
 
 	var artefacts []obsv.ArtefactRecord
 	if spec.Figure != nil {
-		tbl, err := sweep.Assemble(spec, res)
+		f, err := sweep.Assemble(spec, res)
 		if err != nil {
 			return err
 		}
-		f := exp.FigureFromTable(tbl)
 		if manifestPath != "" {
-			artefacts = append(artefacts, f.Artefact(res.Elapsed))
+			artefacts = append(artefacts, obsv.ArtefactRecord{Figure: *f, ElapsedSec: res.Elapsed.Seconds()})
 		}
 		if csv {
 			err = f.CSV(stdout)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"pepatags/internal/exp"
 	"pepatags/internal/obsv"
 )
 
@@ -74,7 +73,7 @@ func TestManifestMatchesTableBitForBit(t *testing.T) {
 	}
 
 	var fromManifest bytes.Buffer
-	if err := exp.FigureFromArtefact(rec).Render(&fromManifest); err != nil {
+	if err := rec.Render(&fromManifest); err != nil {
 		t.Fatal(err)
 	}
 	fromManifest.WriteByte('\n') // run() prints a blank line after each table

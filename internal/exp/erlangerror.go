@@ -5,6 +5,7 @@ import (
 
 	"pepatags/internal/core"
 	"pepatags/internal/dist"
+	"pepatags/internal/obsv"
 	"pepatags/internal/policies"
 	"pepatags/internal/sim"
 	"pepatags/internal/workload"
@@ -21,7 +22,7 @@ import (
 // long discrete-event simulation of the true deterministic timeout.
 // As n grows the Erlang sharpens towards the constant and the CTMC
 // converges to the simulated truth.
-func ErlangErrorTable(p Params, jobs int, seed uint64) (*Figure, error) {
+func ErlangErrorTable(p Params, jobs int, seed uint64) (*obsv.Figure, error) {
 	if jobs <= 0 {
 		jobs = 400000
 	}
@@ -47,16 +48,16 @@ func ErlangErrorTable(p Params, jobs int, seed uint64) (*Figure, error) {
 	truth := sim.NewSystem(cfg).Run(0)
 
 	ns := []float64{1, 2, 3, 4, 6, 8, 12}
-	f := &Figure{
+	f := &obsv.Figure{
 		ID: "erlangerror",
 		Title: fmt.Sprintf(
 			"Erlang-approximation error vs phases n (lambda=%g, mean timeout %.4g)", lambda, meanTO),
 		XLabel: "n",
 	}
-	wCTMC := Series{Name: "W-ctmc-erlang", X: ns}
-	wTruth := Series{Name: "W-sim-deterministic", X: ns}
-	xCTMC := Series{Name: "X-ctmc-erlang", X: ns}
-	relErr := Series{Name: "W-relative-error", X: ns}
+	wCTMC := obsv.Series{Name: "W-ctmc-erlang", X: ns}
+	wTruth := obsv.Series{Name: "W-sim-deterministic", X: ns}
+	xCTMC := obsv.Series{Name: "X-ctmc-erlang", X: ns}
+	relErr := obsv.Series{Name: "W-relative-error", X: ns}
 	for _, nf := range ns {
 		n := int(nf)
 		t := float64(n) / meanTO // keep the mean duration fixed
@@ -69,7 +70,7 @@ func ErlangErrorTable(p Params, jobs int, seed uint64) (*Figure, error) {
 		xCTMC.Y = append(xCTMC.Y, m.Throughput)
 		relErr.Y = append(relErr.Y, (m.W-truth.Response.Mean())/truth.Response.Mean())
 	}
-	f.Series = []Series{wCTMC, wTruth, xCTMC, relErr}
+	f.Series = []obsv.Series{wCTMC, wTruth, xCTMC, relErr}
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("simulated deterministic-timeout truth: W = %.5g ± %.2g, X = %.5g",
 			truth.Response.Mean(), truth.Response.CI95(), truth.Throughput()),

@@ -1,9 +1,10 @@
 package exp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
+
+	"pepatags/internal/obsv"
 )
 
 // The tests assert the qualitative shapes the paper reports; absolute
@@ -15,9 +16,9 @@ func TestFigure6Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag, _ := f.SeriesByName("TAG-total")
-	sq, _ := f.SeriesByName("shortest-queue")
-	rnd, _ := f.SeriesByName("random")
+	tag, _ := seriesByName(f, "TAG-total")
+	sq, _ := seriesByName(f, "shortest-queue")
+	rnd, _ := seriesByName(f, "random")
 	// Exponential service: SQ < random < TAG everywhere (the paper's
 	// "TAG isn't very good" observation).
 	for i := range tag.Y {
@@ -27,8 +28,8 @@ func TestFigure6Shapes(t *testing.T) {
 		}
 	}
 	// Node-1 queue falls and node-2 queue grows with the timeout rate.
-	q1, _ := f.SeriesByName("TAG-queue1")
-	q2, _ := f.SeriesByName("TAG-queue2")
+	q1, _ := seriesByName(f, "TAG-queue1")
+	q2, _ := seriesByName(f, "TAG-queue2")
 	if !(q1.Y[len(q1.Y)-1] < q1.Y[0]) {
 		t.Fatalf("queue1 should fall with timeout rate: %v", q1.Y)
 	}
@@ -43,8 +44,8 @@ func TestFigure7TAGHasInteriorMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag, _ := f.SeriesByName("TAG")
-	x, y := tag.MinY()
+	tag, _ := seriesByName(f, "TAG")
+	x, y := minY(tag)
 	if x == tag.X[0] || x == tag.X[len(tag.X)-1] {
 		t.Fatalf("TAG W minimum at boundary x=%v (y=%v)", x, y)
 	}
@@ -59,8 +60,8 @@ func TestFigure8GapGrowsWithLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag, _ := f.SeriesByName("TAG-optimal-t")
-	sq, _ := f.SeriesByName("shortest-queue")
+	tag, _ := seriesByName(f, "TAG-optimal-t")
+	sq, _ := seriesByName(f, "shortest-queue")
 	// TAG loses to SQ under exponential service, and the gap widens
 	// with lambda (the paper's "particularly the case as load
 	// increases").
@@ -77,8 +78,8 @@ func TestFigure9TAGBeatsShortestQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag, _ := f.SeriesByName("TAG")
-	sq, _ := f.SeriesByName("shortest-queue")
+	tag, _ := seriesByName(f, "TAG")
+	sq, _ := seriesByName(f, "shortest-queue")
 	// TAG must beat SQ over a range of rates, decisively at its optimum
 	// (the wins concentrate at the low-rate end of the grid, where the
 	// paper's Figure 9 lives).
@@ -91,7 +92,7 @@ func TestFigure9TAGBeatsShortestQueue(t *testing.T) {
 	if wins < 3 {
 		t.Fatalf("TAG should beat SQ over a range: %d/%d wins", wins, len(tag.Y))
 	}
-	_, tagMin := tag.MinY()
+	_, tagMin := minY(tag)
 	if tagMin > 0.75*sq.Y[0] {
 		t.Fatalf("TAG optimum %v not decisively below SQ %v", tagMin, sq.Y[0])
 	}
@@ -107,10 +108,10 @@ func TestFigure10ThroughputShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag, _ := f.SeriesByName("TAG")
-	sq, _ := f.SeriesByName("shortest-queue")
+	tag, _ := seriesByName(f, "TAG")
+	sq, _ := seriesByName(f, "shortest-queue")
 	// Near the optimum TAG out-throughputs SQ...
-	_, tagMax := tag.MaxY()
+	_, tagMax := maxY(tag)
 	if tagMax <= sq.Y[0] {
 		t.Fatalf("TAG max throughput %v should beat SQ %v", tagMax, sq.Y[0])
 	}
@@ -129,9 +130,9 @@ func TestFigures11And12CrossTrends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag, _ := f11.SeriesByName("TAG-optimal-t")
-	sq, _ := f11.SeriesByName("shortest-queue")
-	rnd, _ := f11.SeriesByName("random")
+	tag, _ := seriesByName(f11, "TAG-optimal-t")
+	sq, _ := seriesByName(f11, "shortest-queue")
+	rnd, _ := seriesByName(f11, "random")
 	last := len(tag.Y) - 1
 	// Paper: as alpha increases, TAG's W rises while random and SQ
 	// improve.
@@ -146,8 +147,8 @@ func TestFigures11And12CrossTrends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagX, _ := f12.SeriesByName("TAG-optimal-t")
-	sqX, _ := f12.SeriesByName("shortest-queue")
+	tagX, _ := seriesByName(f12, "TAG-optimal-t")
+	sqX, _ := seriesByName(f12, "shortest-queue")
 	if !(tagX.Y[last] < tagX.Y[0]) {
 		t.Fatalf("TAG throughput should fall with alpha: %v", tagX.Y)
 	}
@@ -173,9 +174,9 @@ func TestStateSpaceTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _ := f.SeriesByName("reachable-direct")
-	engine, _ := f.SeriesByName("reachable-pepa-engine")
-	bound, _ := f.SeriesByName("paper-product-bound")
+	direct, _ := seriesByName(f, "reachable-direct")
+	engine, _ := seriesByName(f, "reachable-pepa-engine")
+	bound, _ := seriesByName(f, "paper-product-bound")
 	for i := range direct.Y {
 		if direct.Y[i] != engine.Y[i] {
 			t.Fatalf("direct %v != engine %v at n=%v", direct.Y[i], engine.Y[i], direct.X[i])
@@ -195,7 +196,7 @@ func TestApproxTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eff, _ := f.SeriesByName("effective-rate-t/n")
+	eff, _ := seriesByName(f, "effective-rate-t/n")
 	// Monotone increasing towards ~8.7.
 	for i := 1; i < len(eff.Y); i++ {
 		if eff.Y[i] < eff.Y[i-1]-1e-9 {
@@ -214,8 +215,8 @@ func TestFluidTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl2, _ := f.SeriesByName("fluid-L2")
-	ex2, _ := f.SeriesByName("ctmc-L2")
+	fl2, _ := seriesByName(f, "fluid-L2")
+	ex2, _ := seriesByName(f, "ctmc-L2")
 	// Both should grow with the timeout rate (same trend).
 	n := len(fl2.Y)
 	if !(fl2.Y[n-1] > fl2.Y[0]) || !(ex2.Y[n-1] > ex2.Y[0]) {
@@ -228,7 +229,7 @@ func TestBurstyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loss, _ := f.SeriesByName("loss-prob")
+	loss, _ := seriesByName(f, "loss-prob")
 	// Scenario order: tag-poisson, tag-bursty, tag-adaptive-bursty,
 	// sq-poisson, sq-bursty.
 	tagPenalty := loss.Y[1] - loss.Y[0]
@@ -242,50 +243,20 @@ func TestBurstyTable(t *testing.T) {
 	}
 }
 
-func TestRenderAndCSV(t *testing.T) {
-	f := &Figure{
-		ID: "x", Title: "t", XLabel: "x",
-		Series: []Series{
-			{Name: "a", X: []float64{1, 2}, Y: []float64{3, 4}},
-			{Name: "b", X: []float64{2}, Y: []float64{9}},
-		},
-		Notes: []string{"note"},
-	}
-	var buf bytes.Buffer
-	if err := f.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "# note") || !strings.Contains(out, "a\tb") {
-		t.Fatalf("render output:\n%s", out)
-	}
-	// Missing value renders as '-'.
-	if !strings.Contains(out, "\t-") {
-		t.Fatalf("missing '-' placeholder:\n%s", out)
-	}
-	buf.Reset()
-	if err := f.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "#") || !strings.Contains(buf.String(), "1,3,-") {
-		t.Fatalf("csv output:\n%s", buf.String())
-	}
-}
-
 func TestSeriesMinMax(t *testing.T) {
-	s := Series{X: []float64{1, 2, 3}, Y: []float64{5, 1, 9}}
-	if x, y := s.MinY(); x != 2 || y != 1 {
-		t.Fatalf("MinY %v %v", x, y)
+	s := obsv.Series{X: []float64{1, 2, 3}, Y: []float64{5, 1, 9}}
+	if x, y := minY(s); x != 2 || y != 1 {
+		t.Fatalf("minY %v %v", x, y)
 	}
-	if x, y := s.MaxY(); x != 3 || y != 9 {
-		t.Fatalf("MaxY %v %v", x, y)
+	if x, y := maxY(s); x != 3 || y != 9 {
+		t.Fatalf("maxY %v %v", x, y)
 	}
-	var empty Series
-	if x, y := empty.MinY(); x != 0 || y != 0 {
-		t.Fatal("empty MinY")
+	var empty obsv.Series
+	if x, y := minY(empty); x != 0 || y != 0 {
+		t.Fatal("empty minY")
 	}
-	if x, y := empty.MaxY(); x != 0 || y != 0 {
-		t.Fatal("empty MaxY")
+	if x, y := maxY(empty); x != 0 || y != 0 {
+		t.Fatal("empty maxY")
 	}
 }
 
@@ -294,8 +265,8 @@ func TestSlowdownTableTAGWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overall, _ := f.SeriesByName("mean-slowdown")
-	small, _ := f.SeriesByName("slowdown-small")
+	overall, _ := seriesByName(f, "mean-slowdown")
+	small, _ := seriesByName(f, "slowdown-small")
 	// Rows: 0 = tag, 1 = random, 2 = shortest queue.
 	tag, rnd, sq := overall.Y[0], overall.Y[1], overall.Y[2]
 	if !(tag < sq && sq < rnd) {
@@ -313,8 +284,8 @@ func TestMultiNodeTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, _ := f.SeriesByName("X-2node")
-	x3, _ := f.SeriesByName("X-3node")
+	x2, _ := seriesByName(f, "X-2node")
+	x3, _ := seriesByName(f, "X-3node")
 	last := len(x2.Y) - 1
 	// At high load the extra node's capacity shows up as throughput.
 	if !(x3.Y[last] > x2.Y[last]) {
@@ -329,8 +300,8 @@ func TestPassageTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, _ := f.SeriesByName("TAG-node1-fills")
-	sb, _ := f.SeriesByName("SQ-both-fill(loss)")
+	t1, _ := seriesByName(f, "TAG-node1-fills")
+	sb, _ := seriesByName(f, "SQ-both-fill(loss)")
 	for i := range t1.Y {
 		if t1.Y[i] <= 0 || sb.Y[i] <= 0 {
 			t.Fatalf("fill times must be positive: %v %v", t1.Y, sb.Y)
@@ -347,7 +318,7 @@ func TestErlangErrorShrinksWithPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _ := f.SeriesByName("W-relative-error")
+	rel, _ := seriesByName(f, "W-relative-error")
 	// The Erlang CTMC overestimates W (extra timeout variance) and the
 	// error decreases with n.
 	first, last := rel.Y[0], rel.Y[len(rel.Y)-1]
@@ -372,8 +343,8 @@ func TestFairnessTableNearOptimumBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sShort, _ := f.SeriesByName("slowdown-short")
-	sLong, _ := f.SeriesByName("slowdown-long")
+	sShort, _ := seriesByName(f, "slowdown-short")
+	sLong, _ := seriesByName(f, "slowdown-long")
 	// Near the optimum (rate 2) the class slowdowns are within a factor
 	// of two of each other; at the worst surveyed rate the short-job
 	// slowdown blows up far beyond the long jobs'.
@@ -395,9 +366,9 @@ func TestTaggedTableMonotoneInLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, _ := f.SeriesByName("mean")
-	p99, _ := f.SeriesByName("p99")
-	succ, _ := f.SeriesByName("P(success)")
+	mean, _ := seriesByName(f, "mean")
+	p99, _ := seriesByName(f, "p99")
+	succ, _ := seriesByName(f, "P(success)")
 	for i := 1; i < len(mean.Y); i++ {
 		if mean.Y[i] <= mean.Y[i-1] {
 			t.Fatalf("mean should rise with load: %v", mean.Y)
@@ -410,8 +381,8 @@ func TestTaggedTableMonotoneInLoad(t *testing.T) {
 		}
 	}
 	// Percentile ordering.
-	med, _ := f.SeriesByName("p50")
-	p90, _ := f.SeriesByName("p90")
+	med, _ := seriesByName(f, "p50")
+	p90, _ := seriesByName(f, "p90")
 	for i := range med.Y {
 		if !(med.Y[i] < p90.Y[i] && p90.Y[i] < p99.Y[i]) {
 			t.Fatalf("percentile ordering broken at %d: %v %v %v", i, med.Y[i], p90.Y[i], p99.Y[i])
@@ -424,9 +395,9 @@ func TestVariantsTableShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := f.SeriesByName("W-calibrated")
-	alone, _ := f.SeriesByName("W-serve-alone")
-	hetero, _ := f.SeriesByName("W-fast-node2")
+	base, _ := seriesByName(f, "W-calibrated")
+	alone, _ := seriesByName(f, "W-serve-alone")
+	hetero, _ := seriesByName(f, "W-fast-node2")
 	for i := range base.Y {
 		// The serve-alone courtesy and a faster node 2 both help.
 		if alone.Y[i] >= base.Y[i] {
@@ -443,30 +414,30 @@ func TestSensitivityTableSigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expW, _ := f.SeriesByName("exp-W-elasticity")
+	expW, _ := seriesByName(f, "exp-W-elasticity")
 	// Below the exp optimum (t=21) W falls with t (negative elasticity);
 	// above it (t=84) W rises.
 	if !(expW.Y[0] < 0 && expW.Y[2] > 0) {
 		t.Fatalf("exp W elasticity signs wrong: %v", expW.Y)
 	}
-	h2W, _ := f.SeriesByName("h2-W-elasticity")
+	h2W, _ := seriesByName(f, "h2-W-elasticity")
 	if !(h2W.Y[0] < 0 && h2W.Y[2] > 0) {
 		t.Fatalf("h2 W elasticity signs wrong: %v", h2W.Y)
 	}
 }
 
-// SeriesByName finds a series.
-func (f *Figure) SeriesByName(name string) (Series, bool) {
+// seriesByName finds a series of the figure.
+func seriesByName(f *obsv.Figure, name string) (obsv.Series, bool) {
 	for _, s := range f.Series {
 		if s.Name == name {
 			return s, true
 		}
 	}
-	return Series{}, false
+	return obsv.Series{}, false
 }
 
-// MinY returns the x at which the series attains its minimum y.
-func (s Series) MinY() (x, y float64) {
+// minY returns the x at which the series attains its minimum y.
+func minY(s obsv.Series) (x, y float64) {
 	if len(s.Y) == 0 {
 		return 0, 0
 	}
@@ -479,8 +450,8 @@ func (s Series) MinY() (x, y float64) {
 	return
 }
 
-// MaxY returns the x at which the series attains its maximum y.
-func (s Series) MaxY() (x, y float64) {
+// maxY returns the x at which the series attains its maximum y.
+func maxY(s obsv.Series) (x, y float64) {
 	if len(s.Y) == 0 {
 		return 0, 0
 	}

@@ -5,6 +5,7 @@ import (
 
 	"pepatags/internal/core"
 	"pepatags/internal/dist"
+	"pepatags/internal/obsv"
 )
 
 // FairnessTable disaggregates the Figure 9 system by job class using
@@ -13,20 +14,20 @@ import (
 // timeout the two classes' slowdowns nearly coincide — the "slowdown
 // nearly constant regardless of job length" fairness property of the
 // paper's footnote 1 — while a mistuned timeout punishes one class.
-func FairnessTable(p Params) (*Figure, error) {
+func FairnessTable(p Params) (*obsv.Figure, error) {
 	const lambda = 11
 	h := dist.H2ForTAG(0.1, 0.99, 100)
 	rates := []float64{1, 2, 4, 8}
-	f := &Figure{
+	f := &obsv.Figure{
 		ID:     "fairness",
 		Title:  "Per-class slowdown under TAG (lambda=11, H2: alpha=0.99, mu1=100mu2)",
 		XLabel: "timeout-rate",
 	}
-	sShort := Series{Name: "slowdown-short", X: rates}
-	sLong := Series{Name: "slowdown-long", X: rates}
-	wShort := Series{Name: "W-short", X: rates}
-	wLong := Series{Name: "W-long", X: rates}
-	pLong := Series{Name: "P(success)-long", X: rates}
+	sShort := obsv.Series{Name: "slowdown-short", X: rates}
+	sLong := obsv.Series{Name: "slowdown-long", X: rates}
+	wShort := obsv.Series{Name: "W-short", X: rates}
+	wLong := obsv.Series{Name: "W-long", X: rates}
+	pLong := obsv.Series{Name: "P(success)-long", X: rates}
 	for _, eff := range rates {
 		m := core.NewTAGH2(lambda, h, p.effToT(eff), p.N, p.K, p.K)
 		cr, err := m.ClassResponses()
@@ -39,7 +40,7 @@ func FairnessTable(p Params) (*Figure, error) {
 		wLong.Y = append(wLong.Y, cr[1].MeanResponse)
 		pLong.Y = append(pLong.Y, cr[1].SuccessProb)
 	}
-	f.Series = []Series{sShort, sLong, wShort, wLong, pLong}
+	f.Series = []obsv.Series{sShort, sLong, wShort, wLong, pLong}
 	f.Notes = append(f.Notes,
 		"short jobs: mean 1/19.9; long jobs: mean 1/0.199 (100x). Fairness = the two slowdown rows close together.")
 	return f, nil

@@ -5,13 +5,14 @@ import (
 
 	"pepatags/internal/core"
 	"pepatags/internal/dist"
+	"pepatags/internal/obsv"
 )
 
 // MultiNodeTable exercises the paper's "simple matter to add more
 // nodes" extension: a three-node TAG chain against the two-node system
 // across loads, at small n and K to keep the three-node CTMC
 // tractable.
-func MultiNodeTable(p Params) (*Figure, error) {
+func MultiNodeTable(p Params) (*obsv.Figure, error) {
 	const (
 		mu = 10.0
 		tr = 20.0
@@ -19,15 +20,15 @@ func MultiNodeTable(p Params) (*Figure, error) {
 		k  = 5
 	)
 	lambdas := []float64{5, 8, 11, 14}
-	f := &Figure{
+	f := &obsv.Figure{
 		ID:     "multinode",
 		Title:  fmt.Sprintf("Two- vs three-node TAG (mu=%g, t=%g, n=%d, K=%d per node)", mu, tr, n, k),
 		XLabel: "lambda",
 	}
-	w2 := Series{Name: "W-2node", X: lambdas}
-	w3 := Series{Name: "W-3node", X: lambdas}
-	x2 := Series{Name: "X-2node", X: lambdas}
-	x3 := Series{Name: "X-3node", X: lambdas}
+	w2 := obsv.Series{Name: "W-2node", X: lambdas}
+	w3 := obsv.Series{Name: "W-3node", X: lambdas}
+	x2 := obsv.Series{Name: "X-2node", X: lambdas}
+	x3 := obsv.Series{Name: "X-3node", X: lambdas}
 	for _, lambda := range lambdas {
 		m2, err := core.NewTAGMultiNode(lambda, mu, tr, n, []int{k, k}).Analyze()
 		if err != nil {
@@ -42,7 +43,7 @@ func MultiNodeTable(p Params) (*Figure, error) {
 		x2.Y = append(x2.Y, m2.Throughput)
 		x3.Y = append(x3.Y, m3.Throughput)
 	}
-	f.Series = []Series{w2, w3, x2, x3}
+	f.Series = []obsv.Series{w2, w3, x2, x3}
 	f.Notes = append(f.Notes,
 		"a third node adds buffer and service capacity at the cost of double repeat work for twice-killed jobs")
 	return f, nil
@@ -52,17 +53,17 @@ func MultiNodeTable(p Params) (*Figure, error) {
 // first-passage times: the expected time from an empty system until
 // each TAG queue first fills, against the time until the
 // shortest-queue system has either (and both) queues full.
-func PassageTable(p Params) (*Figure, error) {
+func PassageTable(p Params) (*obsv.Figure, error) {
 	lambdas := []float64{9, 11, 13}
-	f := &Figure{
+	f := &obsv.Figure{
 		ID:     "passage",
 		Title:  fmt.Sprintf("Expected time from empty until queues first fill (mu=%g, n=%d, K=%d, t=42)", p.Mu, p.N, p.K),
 		XLabel: "lambda",
 	}
-	t1 := Series{Name: "TAG-node1-fills", X: lambdas}
-	t2 := Series{Name: "TAG-node2-fills", X: lambdas}
-	se := Series{Name: "SQ-either-fills", X: lambdas}
-	sb := Series{Name: "SQ-both-fill(loss)", X: lambdas}
+	t1 := obsv.Series{Name: "TAG-node1-fills", X: lambdas}
+	t2 := obsv.Series{Name: "TAG-node2-fills", X: lambdas}
+	se := obsv.Series{Name: "SQ-either-fills", X: lambdas}
+	sb := obsv.Series{Name: "SQ-both-fill(loss)", X: lambdas}
 	for _, lambda := range lambdas {
 		tag := core.NewTAGExp(lambda, p.Mu, 42, p.N, p.K, p.K)
 		a, b, err := tag.ExpectedFillTimes()
@@ -79,7 +80,7 @@ func PassageTable(p Params) (*Figure, error) {
 		se.Y = append(se.Y, e)
 		sb.Y = append(sb.Y, both)
 	}
-	f.Series = []Series{t1, t2, se, sb}
+	f.Series = []obsv.Series{t1, t2, se, sb}
 	f.Notes = append(f.Notes,
 		"TAG loses jobs when either queue fills; SQ only when both do — compare TAG-node2 vs SQ-both")
 	return f, nil

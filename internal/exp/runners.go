@@ -2,6 +2,7 @@ package exp
 
 import (
 	"pepatags/internal/numeric"
+	"pepatags/internal/obsv"
 )
 
 // Params are the common model parameters of Section 5: mu = 10
@@ -66,30 +67,30 @@ func (p Params) effToT(eff float64) float64 { return eff * float64(p.N) }
 // Figure6 reproduces "Average queue length varied against timeout
 // rate" (lambda = 5, mu = 10): TAG total and per-queue lengths vs the
 // flat random and shortest-queue baselines.
-func Figure6(p Params) (*Figure, error) { return runFigureSweep("figure6", p) }
+func Figure6(p Params) (*obsv.Figure, error) { return runFigureSweep("figure6", p) }
 
 // Figure7 reproduces "Average response time varied against timeout
 // rate" for the same system.
-func Figure7(p Params) (*Figure, error) { return runFigureSweep("figure7", p) }
+func Figure7(p Params) (*obsv.Figure, error) { return runFigureSweep("figure7", p) }
 
 // Figure8 reproduces "Average response time varied against arrival
 // rate": TAG tuned to its optimal integer t per load versus the
 // baselines, for lambda in {5, 7, 9, 11}.
-func Figure8(p Params) (*Figure, error) { return runFigureSweep("figure8", p) }
+func Figure8(p Params) (*obsv.Figure, error) { return runFigureSweep("figure8", p) }
 
 // Figure9 reproduces "Average response time varied against timeout
 // rate" under H2 service at lambda = 11: TAG vs shortest queue.
 // Random allocation is off the scale (W > 1), as the paper notes.
-func Figure9(p Params) (*Figure, error) { return runFigureSweep("figure9", p) }
+func Figure9(p Params) (*obsv.Figure, error) { return runFigureSweep("figure9", p) }
 
 // Figure10 reproduces "Throughput varied against timeout rate" for the
 // same H2 system.
-func Figure10(p Params) (*Figure, error) { return runFigureSweep("figure10", p) }
+func Figure10(p Params) (*obsv.Figure, error) { return runFigureSweep("figure10", p) }
 
 // Figure11 reproduces "Average response time varied against proportion
 // of longer jobs" (lambda=11, mu1 = 10 mu2, TAG at optimal t).
-func Figure11(p Params) (*Figure, error) { return runFigureSweep("figure11", p) }
+func Figure11(p Params) (*obsv.Figure, error) { return runFigureSweep("figure11", p) }
 
 // Figure12 reproduces "Throughput varied against proportion of longer
 // jobs" for the same sweep.
-func Figure12(p Params) (*Figure, error) { return runFigureSweep("figure12", p) }
+func Figure12(p Params) (*obsv.Figure, error) { return runFigureSweep("figure12", p) }

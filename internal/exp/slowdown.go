@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pepatags/internal/dist"
+	"pepatags/internal/obsv"
 	"pepatags/internal/policies"
 	"pepatags/internal/sim"
 	"pepatags/internal/workload"
@@ -15,7 +16,7 @@ import (
 // much lower mean slowdown than random or shortest-queue allocation —
 // and a flatter slowdown-vs-size profile for the small-job bands (the
 // fairness view of footnote 1).
-func SlowdownTable(p Params, jobs int, seed uint64) (*Figure, error) {
+func SlowdownTable(p Params, jobs int, seed uint64) (*obsv.Figure, error) {
 	if jobs <= 0 {
 		jobs = 300000
 	}
@@ -60,7 +61,7 @@ func SlowdownTable(p Params, jobs int, seed uint64) (*Figure, error) {
 		{"random", run(policies.NewUniformRandom(2), false)},
 		{"shortest-queue", run(policies.ShortestQueue{}, false)},
 	}
-	f := &Figure{
+	f := &obsv.Figure{
 		ID:     "slowdown",
 		Title:  "Mean slowdown under bounded-Pareto demand (the [5] metric; simulation)",
 		XLabel: "policy",
@@ -69,9 +70,9 @@ func SlowdownTable(p Params, jobs int, seed uint64) (*Figure, error) {
 				sizes, bands[0], bands[1], bands[2], lambda, tau),
 		},
 	}
-	overall := Series{Name: "mean-slowdown"}
-	small := Series{Name: "slowdown-small"}
-	large := Series{Name: "slowdown-large"}
+	overall := obsv.Series{Name: "mean-slowdown"}
+	small := obsv.Series{Name: "slowdown-small"}
+	large := obsv.Series{Name: "slowdown-large"}
 	for i, r := range rows {
 		x := float64(i)
 		overall.X = append(overall.X, x)
@@ -82,6 +83,6 @@ func SlowdownTable(p Params, jobs int, seed uint64) (*Figure, error) {
 		large.Y = append(large.Y, r.m.BandSlowdown[3].Mean())
 		f.Notes = append(f.Notes, fmt.Sprintf("x=%d: %s", i, r.name))
 	}
-	f.Series = []Series{overall, small, large}
+	f.Series = []obsv.Series{overall, small, large}
 	return f, nil
 }

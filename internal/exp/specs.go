@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"pepatags/internal/obsv"
 	"pepatags/internal/sweep"
 )
 
@@ -248,42 +249,17 @@ func figure1112Spec(id string, p Params) *sweep.Spec {
 	}
 }
 
-// RunSweepFigure executes a figure's sweep spec through the engine and
-// assembles the result table. It is the common body of the Figure6-12
-// runners; opts lets cmd/tagseval thread a journal, registry and span
-// through.
-func RunSweepFigure(spec *sweep.Spec, opts sweep.Options) (*Figure, *sweep.RunResult, error) {
-	res, err := sweep.Run(spec, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	tbl, err := sweep.Assemble(spec, res)
-	if err != nil {
-		return nil, nil, err
-	}
-	return figureFromTable(tbl), res, nil
-}
-
-// figureFromTable converts the engine-agnostic table into a Figure.
-func figureFromTable(t *sweep.Table) *Figure {
-	f := &Figure{ID: t.ID, Title: t.Title, XLabel: t.XLabel, YLabel: t.YLabel, Notes: t.Notes}
-	for _, s := range t.Series {
-		f.Series = append(f.Series, Series{Name: s.Name, X: s.X, Y: s.Y})
-	}
-	return f
-}
-
-func runFigureSweep(id string, p Params) (*Figure, error) {
+// runFigureSweep runs a figure's sweep spec through the engine and
+// assembles the result table: the common body of the Figure6-12
+// runners.
+func runFigureSweep(id string, p Params) (*obsv.Figure, error) {
 	spec, err := SweepSpec(id, p)
 	if err != nil {
 		return nil, err
 	}
-	f, _, err := RunSweepFigure(spec, sweep.Options{Workers: p.Workers})
-	return f, err
-}
-
-// FigureFromTable converts an assembled sweep table into a Figure, for
-// callers (cmd/tagseval -sweep) that run the engine themselves.
-func FigureFromTable(t *sweep.Table) *Figure {
-	return figureFromTable(t)
+	res, err := sweep.Run(spec, sweep.Options{Workers: p.Workers})
+	if err != nil {
+		return nil, err
+	}
+	return sweep.Assemble(spec, res)
 }

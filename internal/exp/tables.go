@@ -8,6 +8,7 @@ import (
 	"pepatags/internal/core"
 	"pepatags/internal/dist"
 	"pepatags/internal/fluid"
+	"pepatags/internal/obsv"
 	"pepatags/internal/pepa"
 	"pepatags/internal/policies"
 	"pepatags/internal/sim"
@@ -19,16 +20,16 @@ import (
 // (K1(n+1)+1)(K2(n+2)+1) against the reachable CTMC sizes of the
 // direct builder and of the PEPA engine applied to the generated
 // model text.
-func StateSpaceTable(p Params) (*Figure, error) {
+func StateSpaceTable(p Params) (*obsv.Figure, error) {
 	ns := []float64{2, 4, 6}
-	f := &Figure{
+	f := &obsv.Figure{
 		ID:     "statespace",
 		Title:  "CTMC sizes vs Erlang phases n (K1=K2=10)",
 		XLabel: "n",
 	}
-	bound := Series{Name: "paper-product-bound", X: ns}
-	direct := Series{Name: "reachable-direct", X: ns}
-	engine := Series{Name: "reachable-pepa-engine", X: ns}
+	bound := obsv.Series{Name: "paper-product-bound", X: ns}
+	direct := obsv.Series{Name: "reachable-direct", X: ns}
+	engine := obsv.Series{Name: "reachable-pepa-engine", X: ns}
 	for _, nf := range ns {
 		n := int(nf)
 		bound.Y = append(bound.Y, float64((p.K*(n+1)+1)*(p.K*(n+2)+1)))
@@ -44,7 +45,7 @@ func StateSpaceTable(p Params) (*Figure, error) {
 		}
 		engine.Y = append(engine.Y, float64(ss.Chain.NumStates()))
 	}
-	f.Series = []Series{bound, direct, engine}
+	f.Series = []obsv.Series{bound, direct, engine}
 	f.Notes = append(f.Notes, "paper reports 4331 reachable states at n=6, K=10")
 	return f, nil
 }
@@ -52,15 +53,15 @@ func StateSpaceTable(p Params) (*Figure, error) {
 // ApproxTable reproduces the Section 4 numbers: the balance timeout for
 // the exponential case (~6.18 at mu=10) and the effective Erlang-race
 // rate rising towards ~8.7-9 as n grows.
-func ApproxTable(p Params) (*Figure, error) {
+func ApproxTable(p Params) (*obsv.Figure, error) {
 	ns := []float64{1, 2, 4, 6, 12, 24, 48, 96}
-	f := &Figure{
+	f := &obsv.Figure{
 		ID:     "approx",
 		Title:  "Section 4 balance approximations (mu=10)",
 		XLabel: "n",
 	}
-	phase := Series{Name: "phase-rate-t", X: ns}
-	eff := Series{Name: "effective-rate-t/n", X: ns}
+	phase := obsv.Series{Name: "phase-rate-t", X: ns}
+	eff := obsv.Series{Name: "effective-rate-t/n", X: ns}
 	for _, nf := range ns {
 		tr, err := approx.ErlangRaceBalanceRate(p.Mu, int(nf))
 		if err != nil {
@@ -69,7 +70,7 @@ func ApproxTable(p Params) (*Figure, error) {
 		phase.Y = append(phase.Y, tr)
 		eff.Y = append(eff.Y, tr/nf)
 	}
-	f.Series = []Series{phase, eff}
+	f.Series = []obsv.Series{phase, eff}
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("exponential balance timeout T = %.4g (paper: ~6.17)", approx.ExponentialBalanceTimeout(p.Mu)),
 		fmt.Sprintf("deterministic limit rate = %.4g (paper: 'around 9')", approx.DeterministicBalanceRate(p.Mu)))
@@ -78,17 +79,17 @@ func ApproxTable(p Params) (*Figure, error) {
 
 // FluidTable compares the fluid (ODE) equilibrium of the Section 3.1
 // alternative model against the exact CTMC across timeout rates.
-func FluidTable(p Params) (*Figure, error) {
+func FluidTable(p Params) (*obsv.Figure, error) {
 	const lambda = 11
-	f := &Figure{
+	f := &obsv.Figure{
 		ID:     "fluid",
 		Title:  "Fluid (ODE) equilibrium vs CTMC (lambda=11, mu=10)",
 		XLabel: "timeout-rate",
 	}
-	fl1 := Series{Name: "fluid-L1", X: p.Rates}
-	fl2 := Series{Name: "fluid-L2", X: p.Rates}
-	ex1 := Series{Name: "ctmc-L1", X: p.Rates}
-	ex2 := Series{Name: "ctmc-L2", X: p.Rates}
+	fl1 := obsv.Series{Name: "fluid-L1", X: p.Rates}
+	fl2 := obsv.Series{Name: "fluid-L2", X: p.Rates}
+	ex1 := obsv.Series{Name: "ctmc-L1", X: p.Rates}
+	ex2 := obsv.Series{Name: "ctmc-L2", X: p.Rates}
 	for _, eff := range p.Rates {
 		t := p.effToT(eff)
 		fm, err := fluid.TAGFluid{Lambda: lambda, Mu: p.Mu, T: t, N: p.N,
@@ -105,7 +106,7 @@ func FluidTable(p Params) (*Figure, error) {
 		ex1.Y = append(ex1.Y, em.L1)
 		ex2.Y = append(ex2.Y, em.L2)
 	}
-	f.Series = []Series{fl1, ex1, fl2, ex2}
+	f.Series = []obsv.Series{fl1, ex1, fl2, ex2}
 	f.Notes = append(f.Notes, "the fluid limit under-estimates queueing at small K; shapes should agree")
 	return f, nil
 }
@@ -113,7 +114,7 @@ func FluidTable(p Params) (*Figure, error) {
 // BurstyTable explores the Section 7 conjecture by simulation: bursty
 // (MMPP-2) arrivals hurt TAG more than the shortest-queue strategy,
 // and an adaptive timeout recovers part of the loss.
-func BurstyTable(p Params, jobs int, seed uint64) (*Figure, error) {
+func BurstyTable(p Params, jobs int, seed uint64) (*obsv.Figure, error) {
 	if jobs <= 0 {
 		jobs = 200000
 	}
@@ -174,14 +175,14 @@ func BurstyTable(p Params, jobs int, seed uint64) (*Figure, error) {
 		{"sq-poisson", run(policies.ShortestQueue{}, poisson(), nil, false)},
 		{"sq-shortbursts", run(policies.ShortestQueue{}, shortBursts(), nil, false)},
 	}
-	f := &Figure{
+	f := &obsv.Figure{
 		ID:     "bursty",
 		Title:  "Section 7: burstiness penalty by policy (simulation, H2 demand)",
 		XLabel: "scenario",
 	}
-	wS := Series{Name: "mean-response"}
-	xS := Series{Name: "throughput"}
-	lS := Series{Name: "loss-prob"}
+	wS := obsv.Series{Name: "mean-response"}
+	xS := obsv.Series{Name: "throughput"}
+	lS := obsv.Series{Name: "loss-prob"}
 	for i, sc := range scenarios {
 		x := float64(i)
 		wS.X = append(wS.X, x)
@@ -192,6 +193,6 @@ func BurstyTable(p Params, jobs int, seed uint64) (*Figure, error) {
 		lS.Y = append(lS.Y, sc.m.LossProbability())
 		f.Notes = append(f.Notes, fmt.Sprintf("x=%d: %s", i, sc.name))
 	}
-	f.Series = []Series{wS, xS, lS}
+	f.Series = []obsv.Series{wS, xS, lS}
 	return f, nil
 }

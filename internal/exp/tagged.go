@@ -5,6 +5,7 @@ import (
 
 	"pepatags/internal/core"
 	"pepatags/internal/dist"
+	"pepatags/internal/obsv"
 )
 
 // TaggedTable reports the exact response-time distribution of an
@@ -12,19 +13,19 @@ import (
 // mean, and the success probability — from the tagged-job absorbing
 // chain. This extends the paper's mean-value analysis to percentiles
 // and quantifies its "delay is bounded" claim.
-func TaggedTable(p Params) (*Figure, error) {
+func TaggedTable(p Params) (*obsv.Figure, error) {
 	lambdas := []float64{5, 7, 9, 11}
-	f := &Figure{
+	f := &obsv.Figure{
 		ID:     "tagged",
 		Title:  fmt.Sprintf("Exact response-time percentiles of admitted TAG jobs (mu=%g, t=42, n=%d, K=%d)", p.Mu, p.N, p.K),
 		XLabel: "lambda",
 	}
-	mean := Series{Name: "mean", X: lambdas}
-	med := Series{Name: "p50", X: lambdas}
-	p90 := Series{Name: "p90", X: lambdas}
-	p99 := Series{Name: "p99", X: lambdas}
-	succ := Series{Name: "P(success)", X: lambdas}
-	sqP99 := Series{Name: "SQ-p99", X: lambdas}
+	mean := obsv.Series{Name: "mean", X: lambdas}
+	med := obsv.Series{Name: "p50", X: lambdas}
+	p90 := obsv.Series{Name: "p90", X: lambdas}
+	p99 := obsv.Series{Name: "p99", X: lambdas}
+	succ := obsv.Series{Name: "P(success)", X: lambdas}
+	sqP99 := obsv.Series{Name: "SQ-p99", X: lambdas}
 	for _, lambda := range lambdas {
 		m := core.NewTAGExp(lambda, p.Mu, 42, p.N, p.K, p.K)
 		tr, err := m.TaggedJob()
@@ -33,7 +34,7 @@ func TaggedTable(p Params) (*Figure, error) {
 		}
 		mean.Y = append(mean.Y, tr.MeanResponse())
 		for _, pct := range []struct {
-			s *Series
+			s *obsv.Series
 			q float64
 		}{{&med, 0.5}, {&p90, 0.9}, {&p99, 0.99}} {
 			x, err := tr.Percentile(pct.q)
@@ -53,7 +54,7 @@ func TaggedTable(p Params) (*Figure, error) {
 		}
 		sqP99.Y = append(sqP99.Y, x99)
 	}
-	f.Series = []Series{mean, med, p90, p99, succ, sqP99}
+	f.Series = []obsv.Series{mean, med, p90, p99, succ, sqP99}
 	f.Notes = append(f.Notes,
 		"SQ-p99 = the shortest-queue baseline's analytic p99 (Erlang position mixture)")
 	return f, nil

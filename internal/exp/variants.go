@@ -6,23 +6,24 @@ import (
 	"pepatags/internal/approx"
 	"pepatags/internal/core"
 	"pepatags/internal/dist"
+	"pepatags/internal/obsv"
 )
 
 // VariantsTable compares the Section 3 model variants at a common
 // operating point: the calibrated Figure 3 model, the literal printed
 // Figure 3 semantics, the serve-alone-to-completion variant, and a
 // heterogeneous system with a faster second node.
-func VariantsTable(p Params) (*Figure, error) {
+func VariantsTable(p Params) (*obsv.Figure, error) {
 	lambdas := []float64{5, 9, 11}
-	f := &Figure{
+	f := &obsv.Figure{
 		ID:     "variants",
 		Title:  fmt.Sprintf("Section 3 model variants (mu=%g, t=42, n=%d, K=%d)", p.Mu, p.N, p.K),
 		XLabel: "lambda",
 	}
-	base := Series{Name: "W-calibrated", X: lambdas}
-	lit := Series{Name: "W-literal-fig3", X: lambdas}
-	alone := Series{Name: "W-serve-alone", X: lambdas}
-	hetero := Series{Name: "W-fast-node2", X: lambdas}
+	base := obsv.Series{Name: "W-calibrated", X: lambdas}
+	lit := obsv.Series{Name: "W-literal-fig3", X: lambdas}
+	alone := obsv.Series{Name: "W-serve-alone", X: lambdas}
+	hetero := obsv.Series{Name: "W-fast-node2", X: lambdas}
 	for _, lambda := range lambdas {
 		mb := core.NewTAGExp(lambda, p.Mu, 42, p.N, p.K, p.K)
 		rb, err := mb.Analyze()
@@ -51,7 +52,7 @@ func VariantsTable(p Params) (*Figure, error) {
 		alone.Y = append(alone.Y, ra.W)
 		hetero.Y = append(hetero.Y, rh.W)
 	}
-	f.Series = []Series{base, lit, alone, hetero}
+	f.Series = []obsv.Series{base, lit, alone, hetero}
 	f.Notes = append(f.Notes,
 		"serve-alone = the paper's 'continue serving this job until it completes or an arrival occurs'",
 		"fast-node2 doubles the second node's service rate (heterogeneous extension)")
@@ -61,16 +62,16 @@ func VariantsTable(p Params) (*Figure, error) {
 // SensitivityTable quantifies the paper's "quite sensitive to t"
 // warning with elasticities d log(measure)/d log(t) at, below and
 // above the optimal rate, for the exponential and H2 systems.
-func SensitivityTable(p Params) (*Figure, error) {
-	f := &Figure{
+func SensitivityTable(p Params) (*obsv.Figure, error) {
+	f := &obsv.Figure{
 		ID:     "sensitivity",
 		Title:  "Timeout elasticities d log(measure)/d log(t)",
 		XLabel: "t",
 	}
-	expW := Series{Name: "exp-W-elasticity"}
-	expX := Series{Name: "exp-X-elasticity"}
-	h2W := Series{Name: "h2-W-elasticity"}
-	h2X := Series{Name: "h2-X-elasticity"}
+	expW := obsv.Series{Name: "exp-W-elasticity"}
+	expX := obsv.Series{Name: "exp-X-elasticity"}
+	h2W := obsv.Series{Name: "h2-W-elasticity"}
+	h2X := obsv.Series{Name: "h2-X-elasticity"}
 	h := dist.H2ForTAG(0.1, 0.99, 100)
 	for _, tr := range []float64{21, 42, 84} {
 		s, err := approx.SensitivityExp(11, p.Mu, tr, p.N, p.K, p.K, 0.02)
@@ -92,7 +93,7 @@ func SensitivityTable(p Params) (*Figure, error) {
 		h2X.X = append(h2X.X, tr)
 		h2X.Y = append(h2X.Y, s.Throughput)
 	}
-	f.Series = []Series{expW, expX, h2W, h2X}
+	f.Series = []obsv.Series{expW, expX, h2W, h2X}
 	f.Notes = append(f.Notes,
 		"zero elasticity = locally optimal; large magnitude = the paper's tuning sensitivity")
 	return f, nil

@@ -1,4 +1,4 @@
-package exp
+package obsv
 
 import (
 	"fmt"
@@ -6,21 +6,24 @@ import (
 	"strings"
 )
 
-// Series is one plotted curve: y(x) samples plus a name.
+// Series is one plotted curve: y(x) samples plus a name. The manifest
+// records the exact float64s behind a rendered table column.
 type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
+	Name string    `json:"name"`
+	X    []float64 `json:"x"`
+	Y    []float64 `json:"y"`
 }
 
-// Figure is a reproduced paper artefact.
+// Figure is a reproduced paper artefact: the table a run prints and
+// the record its manifest keeps, so the exact text table can be
+// regenerated from a manifest alone and compared bit for bit.
 type Figure struct {
-	ID     string // e.g. "figure6"
-	Title  string
-	XLabel string
-	YLabel string
-	Series []Series
-	Notes  []string
+	ID     string   `json:"id"` // e.g. "figure6"
+	Title  string   `json:"title,omitempty"`
+	XLabel string   `json:"xlabel,omitempty"`
+	YLabel string   `json:"ylabel,omitempty"`
+	Notes  []string `json:"notes,omitempty"`
+	Series []Series `json:"series"`
 }
 
 // Render writes the figure as an aligned text table, one row per x

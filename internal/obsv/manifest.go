@@ -172,25 +172,12 @@ type LintDiag struct {
 	Msg      string `json:"msg"`
 }
 
-// SeriesRecord is one curve of an artefact: the exact float64s behind
-// a rendered table column.
-type SeriesRecord struct {
-	Name string    `json:"name"`
-	X    []float64 `json:"x"`
-	Y    []float64 `json:"y"`
-}
-
-// ArtefactRecord captures one reproduced figure or table, carrying
-// enough of the rendering metadata that the text table can be
-// regenerated from the manifest alone and compared bit-for-bit.
+// ArtefactRecord captures one reproduced figure or table: the figure
+// itself, whose rendering metadata and raw series regenerate the text
+// table bit for bit, plus how long it took to produce.
 type ArtefactRecord struct {
-	ID         string         `json:"id"`
-	Title      string         `json:"title,omitempty"`
-	XLabel     string         `json:"xlabel,omitempty"`
-	YLabel     string         `json:"ylabel,omitempty"`
-	Notes      []string       `json:"notes,omitempty"`
-	ElapsedSec float64        `json:"elapsed_sec"`
-	Series     []SeriesRecord `json:"series"`
+	Figure
+	ElapsedSec float64 `json:"elapsed_sec"`
 }
 
 // NewManifest starts a manifest for the named tool, stamping schema,

@@ -20,12 +20,14 @@ func sampleManifest() *Manifest {
 		Converged: true, Elapsed: time.Millisecond}
 	m.Measures = map[string]float64{"throughput.service1": 4.32109876543, "states": 4331}
 	m.Artefacts = []ArtefactRecord{{
-		ID: "figure6", Title: "Average queue length", XLabel: "rate", YLabel: "L",
-		Notes:      []string{"TAG CTMC has 4331 states"},
-		ElapsedSec: 0.25,
-		Series: []SeriesRecord{
-			{Name: "TAG-total", X: []float64{1, 2, 3}, Y: []float64{5.1234567890123, 4.2, 3.3}},
+		Figure: Figure{
+			ID: "figure6", Title: "Average queue length", XLabel: "rate", YLabel: "L",
+			Notes: []string{"TAG CTMC has 4331 states"},
+			Series: []Series{
+				{Name: "TAG-total", X: []float64{1, 2, 3}, Y: []float64{5.1234567890123, 4.2, 3.3}},
+			},
 		},
+		ElapsedSec: 0.25,
 	}}
 	m.Metrics = []Metric{{Name: "sim.completed", Kind: "counter", Value: 100}}
 	m.Sweep = &SweepRecord{

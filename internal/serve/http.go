@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"pepatags/internal/exp"
 	"pepatags/internal/obsv"
 	"pepatags/internal/sweep"
 )
@@ -192,12 +191,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "spec has no figure section; use format=rows")
 			return
 		}
-		tbl, err := sweep.Assemble(job.Spec, res)
+		f, err := sweep.Assemble(job.Spec, res)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "assembling table: "+err.Error())
 			return
 		}
-		f := exp.FigureFromTable(tbl)
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if format == "csv" {
 			f.CSV(w)

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"pepatags/internal/exp"
 	"pepatags/internal/obsv"
 	"pepatags/internal/sweep"
 )
@@ -94,7 +93,7 @@ func waitState(t *testing.T, url, id, want string) View {
 // real listening socket: submit a K=28 TAG sweep over HTTP, stream its
 // sweep.point events via SSE, fetch the rendered table and compare it
 // byte-for-byte with the tagseval -sweep pipeline (sweep.Run ->
-// Assemble -> FigureFromTable -> Render) on a cold cache, then inject
+// Assemble -> Render) on a cold cache, then inject
 // an overload and observe admission rejections with Retry-After.
 func TestAcceptanceEndToEnd(t *testing.T) {
 	dir := t.TempDir()
@@ -194,7 +193,7 @@ func TestAcceptanceEndToEnd(t *testing.T) {
 		t.Fatalf("reference assemble: %v", err)
 	}
 	var want bytes.Buffer
-	if err := exp.FigureFromTable(tbl).Render(&want); err != nil {
+	if err := tbl.Render(&want); err != nil {
 		t.Fatalf("reference render: %v", err)
 	}
 	if !bytes.Equal(gotBytes, want.Bytes()) {
@@ -209,7 +208,7 @@ func TestAcceptanceEndToEnd(t *testing.T) {
 	csvBytes, _ := io.ReadAll(gotCSV.Body)
 	gotCSV.Body.Close()
 	var wantCSV bytes.Buffer
-	exp.FigureFromTable(tbl).CSV(&wantCSV)
+	tbl.CSV(&wantCSV)
 	if !bytes.Equal(csvBytes, wantCSV.Bytes()) {
 		t.Errorf("served CSV differs from the CLI pipeline")
 	}

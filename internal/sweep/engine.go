@@ -360,55 +360,21 @@ func measureMap(m core.Measures) map[string]float64 {
 // evalPoint solves one point. TAG solves route through the cache; the
 // memoryless baselines are cheap and solve directly.
 func evalPoint(cache *Cache, p Point) (map[string]float64, error) {
+	var (
+		m   core.Measures
+		err error
+	)
 	switch p.Model {
-	case "tagexp":
-		m, err := cache.Analyze(core.TAGExp{Lambda: p.Lambda, Mu: p.Service.Mu, T: p.T, N: p.N, K1: p.K1, K2: p.K2})
-		if err != nil {
-			return nil, err
-		}
-		return measureMap(m), nil
-	case "tagh2":
-		m, err := cache.Analyze(core.TAGH2{Lambda: p.Lambda, Service: p.Service.h2(), T: p.T, N: p.N, K1: p.K1, K2: p.K2})
-		if err != nil {
-			return nil, err
-		}
-		return measureMap(m), nil
+	case "tagexp", "tagh2":
+		m, err = cache.Analyze(p.tag(p.T))
 	case "random", "round-robin", "shortest-queue":
-		d, err := p.Service.Dist()
-		if err != nil {
-			return nil, err
-		}
-		var sys core.System
-		switch p.Model {
-		case "random":
-			sys = core.NewRandomTwoNode(p.Lambda, d, p.K1)
-		case "round-robin":
-			sys = core.NewRoundRobinTwoNode(p.Lambda, d, p.K1)
-		default:
-			sys = core.NewShortestQueue(p.Lambda, d, p.K1)
-		}
-		m, err := sys.Analyze()
-		if err != nil {
-			return nil, err
-		}
-		return measureMap(m), nil
+		m, err = p.baseline().Analyze()
 	case "opt-t":
 		metric, err := parseMetric(p.Metric)
 		if err != nil {
 			return nil, err
 		}
-		var model func(t int) core.SkeletonModel
-		switch p.Service.Kind {
-		case "exp":
-			model = func(t int) core.SkeletonModel {
-				return core.TAGExp{Lambda: p.Lambda, Mu: p.Service.Mu, T: float64(t), N: p.N, K1: p.K1, K2: p.K2}
-			}
-		default:
-			h := p.Service.h2()
-			model = func(t int) core.SkeletonModel {
-				return core.TAGH2{Lambda: p.Lambda, Service: h, T: float64(t), N: p.N, K1: p.K1, K2: p.K2}
-			}
-		}
+		model := func(t int) core.SkeletonModel { return p.tag(float64(t)) }
 		tOpt, m, err := approx.OptimalIntegerTCoarse(continuation(cache, model), metric, p.TLo, p.THi, p.TStep)
 		if err != nil {
 			return nil, err
@@ -420,6 +386,10 @@ func evalPoint(cache *Cache, p Point) (map[string]float64, error) {
 	default:
 		return nil, fmt.Errorf("unknown model %q", p.Model)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return measureMap(m), nil
 }
 
 // continuation returns the evaluator of one opt-t search: each

@@ -3,31 +3,14 @@ package sweep
 import (
 	"fmt"
 	"strings"
+
+	"pepatags/internal/obsv"
 )
 
-// Table is an assembled figure: the engine-agnostic mirror of
-// exp.Figure, so internal/exp can convert without this package
-// importing it.
-type Table struct {
-	ID     string
-	Title  string
-	XLabel string
-	YLabel string
-	Series []TableSeries
-	Notes  []string
-}
-
-// TableSeries is one assembled column.
-type TableSeries struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Assemble turns a run's rows into the table its figure spec
-// describes. Rows of one point series are taken in point (seq) order,
-// so column order matches the order the spec generated the grid in.
-func Assemble(spec *Spec, res *RunResult) (*Table, error) {
+// Assemble turns a run's rows into the figure its spec describes.
+// Rows of one point series are taken in point (seq) order, so column
+// order matches the order the spec generated the grid in.
+func Assemble(spec *Spec, res *RunResult) (*obsv.Figure, error) {
 	f := spec.Figure
 	if f == nil {
 		return nil, fmt.Errorf("sweep: spec %q has no figure section", spec.Name)
@@ -44,13 +27,13 @@ func Assemble(spec *Spec, res *RunResult) (*Table, error) {
 		return v, nil
 	}
 
-	t := &Table{ID: f.ID, Title: f.Title, XLabel: f.XLabel, YLabel: f.YLabel}
+	t := &obsv.Figure{ID: f.ID, Title: f.Title, XLabel: f.XLabel, YLabel: f.YLabel}
 	for _, ss := range f.Series {
 		rows := bySeries[ss.From]
 		if len(rows) == 0 {
 			return nil, fmt.Errorf("sweep: figure %q: no rows for point series %q", f.ID, ss.From)
 		}
-		col := TableSeries{Name: ss.Name}
+		col := obsv.Series{Name: ss.Name}
 		if ss.BroadcastX != "" {
 			grid := bySeries[ss.BroadcastX]
 			if len(grid) == 0 {
