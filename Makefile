@@ -42,6 +42,10 @@ fmt-check:
 # on the pepa-derive chains: BenchmarkGenerator, and cold skeleton
 # derivation of three TAG shapes: BenchmarkSkeleton) and write a
 # machine-readable summary to BENCH_derive.json.
+# tools/benchjson -o (here and in every target below) replaces only the
+# rows, and their baseline rows, whose names the run produced, and keeps
+# the rest of an existing file. Delete the file first to drop the rows
+# of benchmarks that no longer exist.
 bench:
 	$(GO) test -run=NONE -bench='BenchmarkDerive|BenchmarkSteady|BenchmarkGenerator|BenchmarkSkeleton' -benchmem . | tee BENCH_derive.txt
 	$(GO) run ./tools/benchjson -o BENCH_derive.json < BENCH_derive.txt
@@ -70,8 +74,9 @@ bench-eval:
 # into a temporary directory) and in the working tree, run them in
 # turn one count at a time, COUNT times, each from its own package
 # directory, and write OUT through tools/benchjson with BASE's results
-# under "baseline". Alternating keeps drift of the host between the two
-# sides out of the comparison. The bench text is kept beside OUT: the
+# under "baseline", replacing only the rows BENCH matched. Alternating
+# keeps drift of the host between the two sides out of the
+# comparison. The bench text is kept beside OUT: the
 # tree's as OUT with .txt for .json, BASE's as OUT with -base.txt.
 #   make bench-pair BASE=HEAD~1 PKG=./internal/sim BENCH=BenchmarkSim COUNT=5 OUT=BENCH_sim.json
 COUNT ?= 5

@@ -4,6 +4,12 @@
 // without re-parsing Go's bench format. With -baseline FILE, the bench
 // output of a reference commit in FILE is summarised too, under
 // "baseline", so one file carries both sides of a comparison.
+//
+// An existing -o file is updated, not overwritten: the rows (and their
+// baseline rows) whose names the input contains are replaced, and every
+// other row is kept, so re-recording some benchmarks of a ledger leaves
+// the rest of it in place. Delete the file to drop rows of benchmarks
+// that no longer exist.
 package main
 
 import (
@@ -77,6 +83,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		s.Baseline = &b
 	}
 
+	if *out != "" {
+		prev, err := os.ReadFile(*out)
+		switch {
+		case err == nil:
+			var old summary
+			if err := json.Unmarshal(prev, &old); err != nil {
+				fmt.Fprintf(stderr, "benchjson: existing %s: %v\n", *out, err)
+				return 1
+			}
+			s = merge(old, s)
+		case !errors.Is(err, os.ErrNotExist):
+			fmt.Fprintln(stderr, "benchjson:", err)
+			return 1
+		}
+	}
+
 	buf, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		fmt.Fprintln(stderr, "benchjson:", err)
@@ -92,6 +114,39 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// merge returns next with the rows of prev whose names next does not
+// contain kept ahead of its own. Baseline rows follow the same rule, so
+// a replaced row takes its old baseline rows with it.
+func merge(prev, next summary) summary {
+	names := make(map[string]bool)
+	for _, r := range next.Benchmarks {
+		names[r.Name] = true
+	}
+	keep := func(rows []result) []result {
+		var kept []result
+		for _, r := range rows {
+			if !names[r.Name] {
+				kept = append(kept, r)
+			}
+		}
+		return kept
+	}
+	next.Benchmarks = append(keep(prev.Benchmarks), next.Benchmarks...)
+	if prev.Baseline == nil {
+		return next
+	}
+	base := keep(prev.Baseline.Benchmarks)
+	switch {
+	case next.Baseline != nil:
+		next.Baseline.Benchmarks = append(base, next.Baseline.Benchmarks...)
+	case len(base) > 0:
+		b := *prev.Baseline
+		b.Benchmarks = base
+		next.Baseline = &b
+	}
+	return next
 }
 
 // parse summarises Go bench output. An input without results is an

@@ -193,3 +193,57 @@ func TestBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestOutputFileMerges checks that -o into an existing ledger replaces
+// only the rows, and their baseline rows, whose names the input has,
+// and keeps the rest.
+func TestOutputFileMerges(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bench.json")
+	base := filepath.Join(dir, "base.txt")
+	old := "BenchmarkKept-8  10  500 ns/op\n" + strings.Replace(benchInput, "93210458", "11111111", 1)
+	if err := os.WriteFile(base, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := runCLI(t, old, "-baseline", base, "-o", path); code != 0 {
+		t.Fatalf("first write: exit %d: %s", code, stderr)
+	}
+	fresh := "BenchmarkDeriveTAG/K=20/workers=4-8  12  93210458 ns/op\nBenchmarkNew-8  3  7 ns/op\n"
+	if code, _, stderr := runCLI(t, fresh, "-o", path); code != 0 {
+		t.Fatalf("merge: exit %d: %s", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s summary
+	if err := json.Unmarshal(data, &s); err != nil {
+		t.Fatal(err)
+	}
+	var rows, baseRows []string
+	for _, r := range s.Benchmarks {
+		rows = append(rows, r.Name)
+	}
+	for _, r := range s.Baseline.Benchmarks {
+		baseRows = append(baseRows, r.Name)
+	}
+	want := "BenchmarkKept BenchmarkDeriveTAG/K=20/workers=1 BenchmarkSolveGTH BenchmarkSimCalendar/nodes=1000 " +
+		"BenchmarkDeriveTAG/K=20/workers=4 BenchmarkNew"
+	if got := strings.Join(rows, " "); got != want {
+		t.Errorf("rows:\n got %s\nwant %s", got, want)
+	}
+	wantBase := "BenchmarkKept BenchmarkDeriveTAG/K=20/workers=1 BenchmarkSolveGTH BenchmarkSimCalendar/nodes=1000"
+	if got := strings.Join(baseRows, " "); got != wantBase {
+		t.Errorf("baseline rows:\n got %s\nwant %s", got, wantBase)
+	}
+	if s.Benchmarks[4].NsPerOp != 93210458 {
+		t.Errorf("replaced row kept its old value: %+v", s.Benchmarks[4])
+	}
+
+	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := runCLI(t, fresh, "-o", path); code != 1 {
+		t.Errorf("malformed existing file: exit %d, want 1", code)
+	}
+}
