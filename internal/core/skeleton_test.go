@@ -95,9 +95,10 @@ func skeletonFingerprint(sk *Skeleton) string {
 }
 
 // TestShapeKeyCollidesIffStructureIdentical is the cache-key property
-// test: over a random population of models of both kinds, two shape
-// keys are equal if and only if the derived skeletons (state spaces and
-// symbolic transition structures) are identical.
+// test: over a random population of TAGExp and TAGH2 models and the
+// product parameterisations, two shape keys are equal if and only if
+// the derived skeletons (state spaces and symbolic transition
+// structures) are identical.
 func TestShapeKeyCollidesIffStructureIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type entry struct {

@@ -45,7 +45,9 @@
 //     event-log accounting (with the flight-recorder tail and the
 //     error on failed runs). The -manifest flag of cmd/pepa,
 //     cmd/tagseval and cmd/tagssim writes one; tools/manifestcheck
-//     validates them in CI.
+//     validates them in CI. Figure (figure.go) is the one type of a
+//     reproduced table, from sweep.Assemble and the exp runners to
+//     Render, CSV and the manifest's ArtefactRecord.
 //
 // StartDebug (debug.go) serves the opt-in -debug-addr HTTP endpoint:
 // an OpenMetrics /metrics exposition of the registry (openmetrics.go;

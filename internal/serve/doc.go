@@ -16,8 +16,8 @@
 // served in three representations: the raw journal rows as JSON, and
 // the assembled figure as text table or CSV, both byte-identical to
 // the `tagseval -sweep` CLI output for the same spec (the handler
-// runs the identical sweep.Assemble -> exp.FigureFromTable -> Render
-// pipeline, and the engine's determinism guarantees do the rest).
+// renders the obsv.Figure that sweep.Assemble returns, as the CLI
+// does, and the engine's determinism guarantees do the rest).
 //
 // # Event scoping
 //

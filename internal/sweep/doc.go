@@ -8,10 +8,14 @@
 // A Spec (pepatags/sweep-spec/v1) is plain JSON: grid groups (a
 // template Point plus Axes whose cartesian product generates concrete
 // points), literal points, and an optional FigureSpec that maps result
-// rows onto table columns and notes. The specs behind the paper
-// figures live in internal/exp (specs.go) and double as templates:
-// `tagseval -spec-dump figure8` prints one, `tagseval -sweep f.json`
-// runs an edited copy. docs/SWEEPS.md is the cookbook.
+// rows onto table columns and notes; Assemble returns that table as
+// the obsv.Figure the CLIs print and record. A point builds its model
+// in one place (Point.tag, or Point.baseline for the baselines), which
+// FreshShapes keys too, so pepad's admission estimate counts the
+// derivations a run pays. The specs behind the paper figures live in
+// internal/exp (specs.go) and double as templates: `tagseval
+// -spec-dump figure8` prints one, `tagseval -sweep f.json` runs an
+// edited copy. docs/SWEEPS.md is the cookbook.
 //
 // # Content-addressed caching
 //

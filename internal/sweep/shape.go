@@ -50,15 +50,13 @@ func (p Point) shapeKey() (key string, cached bool) {
 // internal/serve/admission).
 func FreshShapes(points []Point, cache *Cache) int {
 	seen := make(map[string]bool)
+	fresh := 0
 	for _, p := range points {
 		key, cached := p.shapeKey()
 		if !cached || seen[key] {
 			continue
 		}
 		seen[key] = true
-	}
-	fresh := 0
-	for key := range seen {
 		if cache == nil || !cache.Contains(key) {
 			fresh++
 		}

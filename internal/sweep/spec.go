@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 
 	"pepatags/internal/dist"
 	"pepatags/internal/numeric"
@@ -270,20 +271,13 @@ func (p *Point) validate() error {
 		return err
 	}
 	switch p.Model {
-	case "tagexp":
-		if p.Service.Kind != "exp" {
-			return fmt.Errorf("tagexp needs exp service, got %q", p.Service.Kind)
+	case "tagexp", "tagh2":
+		// The model names its service kind: tagexp exp, tagh2 h2.
+		if kind := strings.TrimPrefix(p.Model, "tag"); p.Service.Kind != kind {
+			return fmt.Errorf("%s needs %s service, got %q", p.Model, kind, p.Service.Kind)
 		}
 		if p.T <= 0 {
-			return fmt.Errorf("tagexp needs t > 0, got %g", p.T)
-		}
-		return needTAG()
-	case "tagh2":
-		if p.Service.Kind != "h2" {
-			return fmt.Errorf("tagh2 needs h2 service, got %q", p.Service.Kind)
-		}
-		if p.T <= 0 {
-			return fmt.Errorf("tagh2 needs t > 0, got %g", p.T)
+			return fmt.Errorf("%s needs t > 0, got %g", p.Model, p.T)
 		}
 		return needTAG()
 	case "random", "round-robin", "shortest-queue":
