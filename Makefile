@@ -178,8 +178,10 @@ results-check:
 docs-check:
 	$(GO) run ./tools/doccheck README.md DESIGN.md EXPERIMENTS.md ROADMAP.md PAPER.md docs/*.md
 
+# The committed ledgers (BENCH_derive/sim/eval.json) stay: the bench
+# targets update them in place.
 clean:
-	rm -f BENCH_derive.txt BENCH_derive.json BENCH_sim.txt BENCH_sim.json BENCH_eval.txt BENCH_eval.json \
+	rm -f BENCH_derive.txt BENCH_sim.txt BENCH_eval.txt \
 		BENCH_pair.json BENCH_pair.txt BENCH_*-base.txt \
 		pepa-run.json pepa-run.jsonl pepa-lint.json pepa-fail.json \
 		tagseval-run.json tagssim-run.json tagssim-reps.json \
